@@ -22,10 +22,17 @@ from .container import (
     read_container,
     write_container,
 )
-from .cover import CoverBasis, build_cover_basis, project
+from .cover import CoverBasis, project
 from .errors import NumericalError, ValidationError
 from .linalg import truncated_svd
-from .merge import MergeConfig, assemble_model, dc_merge
+from .merge import (
+    MergeConfig,
+    assemble_model,
+    cover_space,
+    dc_merge,
+    merge_ta,
+    resolve_rank,
+)
 from .metrics import (
     TaskAccuracy,
     accuracy_report,
@@ -86,29 +93,27 @@ def _smoothing_from_flags(args) -> SmoothingStrategy | None:
     return SmoothingStrategy.interpolate(args.tau)
 
 
-def _auto_rank(tv, n_tasks: int) -> int:
-    if tv.lora_rank is not None:
-        return tv.lora_rank
-    m, n = tv.shape
-    return max(1, min(m, n) // max(n_tasks, 1))
-
-
-def _load_tasks(base, task_paths, mode):
+def _load_tasks(base, task_paths, mode=None):
+    """Task vectors against ``base`` and the mode (``None``: from the first file)."""
     extracts = []
     for path in task_paths:
-        extracts.append(extract_task_vectors(base, read_container(path), mode))
+        task = read_container(path)
+        if mode is None:
+            mode = detect_mode(task)
+        extracts.append(extract_task_vectors(base, task, mode))
+        del task  # hold one task container at a time
     names = [set(ex.matrices) for ex in extracts]
     if any(s != names[0] for s in names[1:]):
         raise ValidationError(
             "task checkpoints expose different matrix tensors; "
             "they must share one architecture"
         )
-    return extracts
+    return extracts, mode
 
 
 def _cmd_merge(args) -> int:
     base = read_container(args.base)
-    extracts = _load_tasks(base, args.task, args.mode)
+    extracts, _ = _load_tasks(base, args.task, args.mode)
     cfg = MergeConfig(
         mode=args.mode,
         rank=args.rank,
@@ -147,9 +152,8 @@ def _cmd_merge(args) -> int:
 def _cmd_report(args) -> int:
     base = read_container(args.base)
     merged = read_container(args.merged)
-    first = read_container(args.task[0])
-    mode = detect_mode(first)
-    extracts = _load_tasks(base, args.task, mode)
+    extracts, mode = _load_tasks(base, args.task)
+    cfg = MergeConfig(mode=mode)
     matrix_names = sorted(extracts[0].matrices)
     n_tasks = len(extracts)
 
@@ -165,13 +169,11 @@ def _cmd_report(args) -> int:
         merged_delta = merged.tensors[name].astype(np.float64) - base.tensors[
             name
         ].astype(np.float64)
-        decomps = []
-        for path, ex in zip(args.task, extracts):
-            tv = ex.matrices[name]
-            m, n = tv.shape
-            r = min(_auto_rank(tv, n_tasks), max(1, min(m, n) // n_tasks))
-            kd = decompose(tv, r)
-            decomps.append(kd)
+        tvs = [ex.matrices[name] for ex in extracts]
+        decomps, basis = cover_space(
+            tvs, resolve_rank(tvs, cfg), SmoothingStrategy.truncate_only()
+        )
+        for path, tv, kd in zip(args.task, tvs, decomps):
             c = cos_sim(tv.delta, merged_delta)
             try:
                 d = projected_dir_sim(kd, merged_delta)
@@ -181,15 +183,12 @@ def _cmd_report(args) -> int:
             rows.append((name, path, "projected_dir_sim", d))
             per_task_cos[path].append(c)
             per_task_dir[path].append(d)
-        basis = build_cover_basis(decomps)
         a = alignment_score(basis.U_tilde, basis.V_tilde, decomps)
         rows.append((name, "", "alignment_score", a))
         align_values.append(a)
 
         # block structure of the aggregated coordinates: one block per task
-        summed = np.zeros((basis.k, basis.k))
-        for kd in decomps:
-            summed += project(reconstruct(kd), basis)
+        summed = merge_ta([project(reconstruct(kd), basis) for kd in decomps])
         bounds = np.cumsum([0] + [kd.rank for kd in decomps])
         for i in range(n_tasks):
             for j in range(n_tasks):
@@ -256,9 +255,10 @@ def _cmd_perturb(args) -> int:
     children = np.random.SeedSequence(args.seed).spawn(len(matrix_names))
     for name, child in zip(matrix_names, children):
         tv = extracted.matrices[name]
-        r = args.rank if args.rank is not None else _auto_rank(tv, 4)
         m, n = tv.shape
-        r = min(r, min(m, n))
+        # a single checkpoint has no task count, so merge's rank rule does not apply
+        auto = tv.lora_rank if tv.lora_rank is not None else max(1, min(m, n) // 4)
+        r = min(args.rank if args.rank is not None else auto, min(m, n))
         kd = decompose(tv, r)
         sub_seed = int(child.generate_state(1, dtype=np.uint64)[0])
         if args.kind == "energy":
@@ -303,30 +303,21 @@ def _cmd_perturb(args) -> int:
 
 def _cmd_optimize_basis(args) -> int:
     base = read_container(args.base)
-    first = read_container(args.task[0])
-    mode = detect_mode(first)
-    extracts = _load_tasks(base, args.task, mode)
+    extracts, mode = _load_tasks(base, args.task)
     if args.tensor not in extracts[0].matrices:
         raise ValidationError(
             f"tensor {args.tensor!r} not found among merged matrices "
             f"{sorted(extracts[0].matrices)}"
         )
     tvs = [ex.matrices[args.tensor] for ex in extracts]
-    m, n = tvs[0].shape
-    n_tasks = len(tvs)
-    r = args.rank if args.rank is not None else _auto_rank(tvs[0], n_tasks)
-    r = min(r, max(1, min(m, n) // n_tasks))
-    decomps = [decompose(tv, r) for tv in tvs]
-    k = sum(kd.rank for kd in decomps)
+    r = resolve_rank(tvs, MergeConfig(mode=mode, rank=args.rank))
+    decomps, whitened = cover_space(tvs, r, SmoothingStrategy.truncate_only())
 
     # naive initialization: truncated SVD of the plain task-arithmetic sum
-    ta_sum = np.zeros((m, n))
-    for tv in tvs:
-        ta_sum += tv.delta
-    init_svd = truncated_svd(ta_sum, min(k, min(m, n)))
+    ta_sum = sum(tv.delta for tv in tvs)
+    init_svd = truncated_svd(ta_sum, whitened.k)
     init = CoverBasis(U_tilde=init_svd.U, V_tilde=init_svd.V)
 
-    whitened = build_cover_basis(decomps)
     score_init = alignment_score(init.U_tilde, init.V_tilde, decomps)
     score_white = alignment_score(whitened.U_tilde, whitened.V_tilde, decomps)
 

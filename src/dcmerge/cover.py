@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import as_matrix, whiten
-from .task_vector import KnowledgeDecomposition
+from .task_vector import stack_bases
 
 __all__ = [
     "CoverBasis",
@@ -102,23 +102,12 @@ def build_cover_basis(decomps) -> CoverBasis:
     Columns follow task input order, so with uniform per-task rank r the
     mask block at b = r lines up one block per task.
     """
-    decomps = list(decomps)
-    if not decomps:
-        raise ValidationError("at least one decomposition required")
-    m, n = decomps[0].source_shape
-    for kd in decomps:
-        if not isinstance(kd, KnowledgeDecomposition):
-            raise ValidationError("build_cover_basis expects decompositions")
-        if kd.source_shape != (m, n):
-            raise ValidationError("decompositions have mixed ambient shapes")
-    k = sum(kd.rank for kd in decomps)
-    if k > min(m, n):
+    Ucat, Vcat = stack_bases(decomps)
+    k, bound = Ucat.shape[1], min(Ucat.shape[0], Vcat.shape[0])
+    if k > bound:
         raise ValidationError(
-            f"total rank {k} exceeds min ambient dimension {min(m, n)}; "
-            "reduce per-task rank"
+            f"total rank {k} exceeds min ambient dimension {bound}; reduce per-task rank"
         )
-    Ucat = np.hstack([kd.U for kd in decomps])
-    Vcat = np.hstack([kd.V for kd in decomps])
     return CoverBasis(whiten(Ucat), whiten(Vcat))
 
 

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import TensorContainer
-from .cover import back_project, build_cover_basis, make_mask, project
+from .cover import CoverBasis, back_project, build_cover_basis, make_mask, project
 from .errors import ValidationError
 from .task_vector import (
+    KnowledgeDecomposition,
     SmoothingStrategy,
     TaskVector,
     decompose,
@@ -38,6 +39,8 @@ from .task_vector import (
 
 __all__ = [
     "MergeConfig",
+    "resolve_rank",
+    "cover_space",
     "merge_ta",
     "merge_ties",
     "dc_merge",
@@ -92,7 +95,11 @@ class MergeConfig:
         return SmoothingStrategy.truncate_only()
 
 
-def _resolve_rank(tasks: list[TaskVector], cfg: MergeConfig) -> int:
+def resolve_rank(tasks: list[TaskVector], cfg: MergeConfig) -> int:
+    """Working rank for one tensor's tasks: ``cfg.rank`` or the auto rule.
+
+    Rejects a rank above min(m, n); clips r * T > min(m, n) with a warning.
+    """
     m, n = tasks[0].shape
     if cfg.rank is not None:
         r = cfg.rank
@@ -124,6 +131,14 @@ def _resolve_rank(tasks: list[TaskVector], cfg: MergeConfig) -> int:
         )
         r = clipped
     return r
+
+
+def cover_space(
+    tasks: list[TaskVector], r: int, strategy: SmoothingStrategy
+) -> tuple[list[KnowledgeDecomposition], CoverBasis]:
+    """Rank-r decompositions of ``tasks``, smoothed per ``strategy``, and their cover basis."""
+    decomps = [smooth_energy(decompose(tv, r), strategy) for tv in tasks]
+    return decomps, build_cover_basis(decomps)
 
 
 def merge_ta(mats: list[np.ndarray]) -> np.ndarray:
@@ -195,11 +210,8 @@ def dc_merge(tasks: list[TaskVector], cfg: MergeConfig | None = None) -> np.ndar
     if len(shapes) != 1:
         raise ValidationError(f"task vectors have mixed shapes {sorted(shapes)}")
 
-    r = _resolve_rank(tasks, cfg)
-    strategy = cfg.resolved_smoothing()
-
-    smoothed = [smooth_energy(decompose(tv, r), strategy) for tv in tasks]
-    basis = build_cover_basis(smoothed)
+    r = resolve_rank(tasks, cfg)
+    smoothed, basis = cover_space(tasks, r, cfg.resolved_smoothing())
     coords = [project(reconstruct(kd), basis) for kd in smoothed]
 
     if cfg.merger == "ta":

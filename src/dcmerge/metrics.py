@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .linalg import as_matrix
-from .task_vector import KnowledgeDecomposition, decompose, TaskVector
+from .task_vector import KnowledgeDecomposition, TaskVector, decompose, stack_bases
 
 __all__ = [
     "RMatrix",
@@ -74,27 +74,14 @@ def r_matrix(kdS: KnowledgeDecomposition, kdT: KnowledgeDecomposition) -> RMatri
     return RMatrix((kdS.U.T @ kdT.U) * (kdS.V.T @ kdT.V))
 
 
-def dir_sim(
-    kdS: KnowledgeDecomposition,
-    kdT: KnowledgeDecomposition,
-    sign_robust: bool = False,
-) -> float:
+def dir_sim(kdS: KnowledgeDecomposition, kdT: KnowledgeDecomposition) -> float:
     """Spectrum-free directional similarity: sum(R) / sqrt(r_s * r_t).
 
-    ``sign_robust`` maximizes over joint sign flips of the second
-    decomposition's (u_j, v_j) column pairs, chosen greedily to make the R
-    diagonal positive. A joint flip negates both factors of every affected
-    R entry, so the maximized value provably coincides with the default;
-    the flag exists so both reporting modes are explicit.
+    Jointly negating any (u_j, v_j) column pair of either decomposition
+    negates both factors of every affected R entry, so the value does not
+    depend on the sign convention of the SVD.
     """
     R = r_matrix(kdS, kdT).values
-    if sign_robust:
-        d = min(R.shape)
-        flips = np.ones(kdT.rank)
-        flips[:d] = np.where(np.diag(R)[:d] < 0, -1.0, 1.0)
-        # each flip multiplies a column of U_t^T-overlaps and V_t^T-overlaps
-        # alike, squaring away: R is invariant, kept explicit for clarity
-        R = R * (flips * flips)
     return float(R.sum() / np.sqrt(kdS.rank * kdT.rank))
 
 
@@ -102,7 +89,6 @@ def projected_dir_sim(
     kdTask: KnowledgeDecomposition,
     merged,
     r: int | None = None,
-    sign_robust: bool = False,
 ) -> float:
     """Directional similarity after restricting ``merged`` to the task's subspace.
 
@@ -131,7 +117,7 @@ def projected_dir_sim(
             "merged vector has no component in the task's singular subspace"
         )
     kdP = decompose(TaskVector("projection", P), r)
-    return dir_sim(kdTask, kdP, sign_robust=sign_robust)
+    return dir_sim(kdTask, kdP)
 
 
 def alignment_score(U_tilde, V_tilde, decomps) -> float:
@@ -143,20 +129,13 @@ def alignment_score(U_tilde, V_tilde, decomps) -> float:
     """
     U_tilde = as_matrix(U_tilde, "U_tilde")
     V_tilde = as_matrix(V_tilde, "V_tilde")
-    if not decomps:
-        raise ValidationError("at least one decomposition required")
+    Ucat, Vcat = stack_bases(decomps)
     for mat, label in ((U_tilde, "U_tilde"), (V_tilde, "V_tilde")):
         gram = mat.T @ mat
         if np.abs(gram - np.eye(mat.shape[1])).max() > 1e-6:
             raise ValidationError(f"{label} columns are not orthonormal")
-    m, n = decomps[0].source_shape
-    for kd in decomps:
-        if kd.source_shape != (m, n):
-            raise ValidationError("decompositions have mixed ambient shapes")
-    if U_tilde.shape[0] != m or V_tilde.shape[0] != n:
+    if U_tilde.shape[0] != Ucat.shape[0] or V_tilde.shape[0] != Vcat.shape[0]:
         raise ValidationError("basis ambient dimensions do not match tasks")
-    Ucat = np.hstack([kd.U for kd in decomps])
-    Vcat = np.hstack([kd.V for kd in decomps])
     G = U_tilde.T @ Ucat
     H = V_tilde.T @ Vcat
     return float(np.sum((G * H) ** 2))

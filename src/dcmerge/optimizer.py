@@ -23,7 +23,7 @@ from scipy.linalg import expm_frechet
 from .cover import CoverBasis
 from .errors import ValidationError
 from .linalg import matrix_exp_skew
-from .task_vector import KnowledgeDecomposition
+from .task_vector import KnowledgeDecomposition, stack_bases
 
 __all__ = ["OptimizerConfig", "OptimizationTrace", "optimize_cover_basis"]
 
@@ -135,17 +135,8 @@ def optimize_cover_basis(
     """
     if cfg is None:
         cfg = OptimizerConfig()
-    if not decomps:
-        raise ValidationError("optimize_cover_basis needs at least one decomposition")
-    for kd in decomps:
-        if not isinstance(kd, KnowledgeDecomposition):
-            raise ValidationError(
-                f"expected KnowledgeDecomposition, got {type(kd).__name__}"
-            )
-    shapes = {kd.source_shape for kd in decomps}
-    if len(shapes) != 1:
-        raise ValidationError(f"decompositions have mixed ambient shapes {sorted(shapes)}")
-    m, n = shapes.pop()
+    U_cat, V_cat = stack_bases(decomps)
+    m, n = U_cat.shape[0], V_cat.shape[0]
     if init.shape != (m, n):
         raise ValidationError(
             f"init basis is for ambient shape {init.shape}, tasks are ({m}, {n})"
@@ -156,8 +147,6 @@ def optimize_cover_basis(
             f"limit {cfg.dim_limit}; raise dim_limit to override"
         )
 
-    U_cat = np.hstack([kd.U for kd in decomps])
-    V_cat = np.hstack([kd.V for kd in decomps])
     U0 = init.U_tilde
     V0 = init.V_tilde
     A = np.zeros((m, m))

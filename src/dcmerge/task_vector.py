@@ -26,6 +26,7 @@ __all__ = [
     "decompose",
     "smooth_energy",
     "reconstruct",
+    "stack_bases",
 ]
 
 
@@ -192,3 +193,19 @@ def smooth_energy(
 def reconstruct(kd: KnowledgeDecomposition) -> np.ndarray:
     """Dense matrix U diag(sigma) V^T with the decomposition's source shape."""
     return (kd.U * kd.sigma) @ kd.V.T
+
+
+def stack_bases(decomps) -> tuple[np.ndarray, np.ndarray]:
+    """Column-concatenated singular bases ([U_1..U_T], [V_1..V_T]) in input order."""
+    decomps = list(decomps)
+    if not decomps:
+        raise ValidationError("at least one decomposition required")
+    for kd in decomps:
+        if not isinstance(kd, KnowledgeDecomposition):
+            raise ValidationError(
+                f"expected KnowledgeDecomposition, got {type(kd).__name__}"
+            )
+    shapes = {kd.source_shape for kd in decomps}
+    if len(shapes) != 1:
+        raise ValidationError(f"decompositions have mixed ambient shapes {sorted(shapes)}")
+    return np.hstack([kd.U for kd in decomps]), np.hstack([kd.V for kd in decomps])

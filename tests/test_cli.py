@@ -10,7 +10,15 @@ from dcmerge.container import (
     read_container,
     write_container,
 )
-from dcmerge.merge import MergeConfig, assemble_model, dc_merge
+from dcmerge.merge import (
+    MergeConfig,
+    assemble_model,
+    cover_space,
+    dc_merge,
+    resolve_rank,
+)
+from dcmerge.metrics import alignment_score
+from dcmerge.task_vector import SmoothingStrategy
 
 
 def write_fft_fixture(tmp_path, n_tasks=2, seed=0):
@@ -347,3 +355,84 @@ def test_report_to_unwritable_path_exits_2(tmp_path):
         ]
     )
     assert rc == 2
+
+
+def write_lora_fixture(tmp_path, ranks, seed=12):
+    rng = np.random.default_rng(seed)
+    base = TensorContainer(tensors={"q.weight": rng.standard_normal((8, 6))})
+    base_path = tmp_path / "base.dcm"
+    write_container(base, base_path)
+    task_paths = []
+    for i, r in enumerate(ranks):
+        task = TensorContainer(
+            tensors={
+                "q.lora_B": rng.standard_normal((8, r)),
+                "q.lora_A": rng.standard_normal((r, 6)),
+            }
+        )
+        path = tmp_path / f"task{i}.dcm"
+        write_container(task, path)
+        task_paths.append(path)
+    return base_path, task_paths
+
+
+def report_args(base, merged, tasks, out):
+    return ["report", "--base", str(base), "--merged", str(merged),
+            "--task", *map(str, tasks), "--out", str(out)]
+
+
+def test_report_measures_at_the_merge_rank_rule(tmp_path):
+    # LoRA rank 3 with three tasks overflows min(8, 6) = 6 and clips to 2
+    base_path, task_paths = write_lora_fixture(tmp_path, ranks=[3, 3, 3])
+    merged_path = tmp_path / "merged.dcm"
+    merge = ["merge", "--base", str(base_path), "--task", *map(str, task_paths),
+             "--out", str(merged_path), "--mode", "lora"]
+    with pytest.warns(UserWarning, match="clipping to rank 2"):
+        assert main(merge) == 0
+    report_path = tmp_path / "report.csv"
+    with pytest.warns(UserWarning, match="clipping to rank 2"):
+        assert main(report_args(base_path, merged_path, task_paths, report_path)) == 0
+    with open(report_path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+
+    base = read_container(base_path)
+    tvs = [
+        extract_task_vectors(base, read_container(p), mode="lora").matrices["q.weight"]
+        for p in task_paths
+    ]
+    with pytest.warns(UserWarning):
+        r = resolve_rank(tvs, MergeConfig(mode="lora"))
+    assert r == 2
+    decomps, basis = cover_space(tvs, r, SmoothingStrategy.truncate_only())
+    expected = alignment_score(basis.U_tilde, basis.V_tilde, decomps)
+    align = [float(row[3]) for row in rows if row[2] == "alignment_score"]
+    assert align == [expected, expected]  # the tensor row and the ALL row
+    blocks = [row for row in rows if row[2].startswith("block_mean_abs")]
+    assert len(blocks) == len(task_paths) ** 2
+
+
+def test_optimize_basis_rank_above_min_dim_exits_2(tmp_path, capsys):
+    base_path, task_paths = write_fft_fixture(tmp_path, seed=13)
+    rc = main(
+        ["optimize-basis", "--base", str(base_path),
+         "--task", *map(str, task_paths), "--tensor", "enc.weight",
+         "--eta", "1e-3", "--iters", "2", "--out", str(tmp_path / "trace.csv"),
+         "--rank", "7"]
+    )
+    assert rc == 2
+    assert "rank 7 exceeds min(m, n) = 6" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_report_on_mixed_lora_ranks_exits_2_like_merge(tmp_path, capsys):
+    base_path, task_paths = write_lora_fixture(tmp_path, ranks=[1, 2])
+    merged_path = tmp_path / "merged.dcm"
+    merge = ["merge", "--base", str(base_path), "--task", *map(str, task_paths),
+             "--out", str(merged_path), "--mode", "lora"]
+    assert main(merge) == 2
+    merge_err = capsys.readouterr().err
+    assert "same LoRA rank" in merge_err
+    # the report needs a merged file; any checkpoint of the base layout serves
+    report = report_args(base_path, base_path, task_paths, tmp_path / "report.csv")
+    assert main(report) == 2
+    assert capsys.readouterr().err == merge_err

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -134,16 +136,32 @@ def test_dir_sim_scale_invariant():
         np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
 
 
-def test_dir_sim_sign_robust_matches_default():
-    # joint column flips cancel inside each R entry, so the robust
-    # variant coincides with the plain one; both stay exposed
+def flip_columns(kd, flips):
+    # SvdTriplet re-normalizes column signs, so the flipped factors are
+    # carried by a plain stand-in exposing what r_matrix and dir_sim read
+    return SimpleNamespace(
+        U=kd.U * flips, V=kd.V * flips, rank=kd.rank, source_shape=kd.source_shape
+    )
+
+
+def test_dir_sim_invariant_under_joint_column_sign_flips():
+    # negating u_j and v_j together flips both factors of every affected
+    # R entry, so the sign convention of the SVD cannot change the value
     rng = np.random.default_rng(6)
     for _ in range(20):
         ka = random_decomp(rng, 9, 7, 4)
         kb = random_decomp(rng, 9, 7, 3)
-        np.testing.assert_allclose(
-            dir_sim(ka, kb, sign_robust=True), dir_sim(ka, kb), atol=1e-12
+        reference = dir_sim(ka, kb)
+        fa = rng.choice([-1.0, 1.0], size=ka.rank)
+        fb = rng.choice([-1.0, 1.0], size=kb.rank)
+        fa[0] = fb[0] = -1.0
+        pairs = (
+            (flip_columns(ka, fa), kb),
+            (ka, flip_columns(kb, fb)),
+            (flip_columns(ka, fa), flip_columns(kb, fb)),
         )
+        for x, y in pairs:
+            np.testing.assert_allclose(dir_sim(x, y), reference, rtol=0, atol=1e-12)
 
 
 # projected_dir_sim

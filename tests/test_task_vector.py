@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
+from dcmerge.cover import build_cover_basis
 from dcmerge.errors import ValidationError
 from dcmerge.linalg import truncated_svd
+from dcmerge.metrics import alignment_score
+from dcmerge.optimizer import optimize_cover_basis
 from dcmerge.task_vector import (
     KnowledgeDecomposition,
     SmoothingStrategy,
@@ -13,6 +16,7 @@ from dcmerge.task_vector import (
     from_lora_factors,
     reconstruct,
     smooth_energy,
+    stack_bases,
 )
 
 
@@ -238,3 +242,49 @@ def test_decomposition_rank_property():
     assert kd.source_shape == (5, 6)
     with pytest.raises(ValidationError):
         KnowledgeDecomposition(svd=kd.svd, source_shape=(3, 3))
+
+
+# stack_bases
+
+
+def random_kd(seed, m, n, r):
+    rng = np.random.default_rng(seed)
+    return decompose(TaskVector(name="t", delta=rng.standard_normal((m, n))), r)
+
+
+def test_stack_bases_concatenates_in_input_order():
+    kds = [random_kd(0, 6, 5, 2), random_kd(1, 6, 5, 1)]
+    Ucat, Vcat = stack_bases(iter(kds))
+    np.testing.assert_array_equal(Ucat, np.hstack([kds[0].U, kds[1].U]))
+    np.testing.assert_array_equal(Vcat, np.hstack([kds[0].V, kds[1].V]))
+
+
+BAD_DECOMPS = {
+    "empty": [],
+    "not a decomposition": [TaskVector(name="t", delta=np.ones((6, 5)))],
+    "mixed ambient shapes": [random_kd(2, 6, 5, 1), random_kd(3, 7, 5, 1)],
+}
+
+
+def _valid_basis():
+    return build_cover_basis([random_kd(4, 6, 5, 2)])
+
+
+def _alignment_score(decomps):
+    basis = _valid_basis()
+    return alignment_score(basis.U_tilde, basis.V_tilde, decomps)
+
+
+STACKING_CALLERS = {
+    "stack_bases": stack_bases,
+    "build_cover_basis": build_cover_basis,
+    "alignment_score": _alignment_score,
+    "optimize_cover_basis": lambda d: optimize_cover_basis(d, _valid_basis()),
+}
+
+
+@pytest.mark.parametrize("caller", list(STACKING_CALLERS))
+@pytest.mark.parametrize("bad", list(BAD_DECOMPS))
+def test_stacking_callers_reject_bad_decompositions(caller, bad):
+    with pytest.raises(ValidationError):
+        STACKING_CALLERS[caller](BAD_DECOMPS[bad])
