@@ -43,7 +43,7 @@ from .metrics import (
 )
 from .optimizer import OptimizerConfig, optimize_cover_basis
 from .perturb import direction_perturb, energy_perturb
-from .task_vector import SmoothingStrategy, decompose, reconstruct
+from .task_vector import SmoothingStrategy, decompose
 
 __all__ = ["main"]
 
@@ -188,7 +188,7 @@ def _cmd_report(args) -> int:
         align_values.append(a)
 
         # block structure of the aggregated coordinates: one block per task
-        summed = merge_ta([project(reconstruct(kd), basis) for kd in decomps])
+        summed = merge_ta([project(kd, basis) for kd in decomps])
         bounds = np.cumsum([0] + [kd.rank for kd in decomps])
         for i in range(n_tasks):
             for j in range(n_tasks):

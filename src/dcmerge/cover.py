@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import as_matrix, whiten
-from .task_vector import stack_bases
+from .task_vector import KnowledgeDecomposition, stack_bases
 
 __all__ = [
     "CoverBasis",
@@ -112,12 +112,23 @@ def build_cover_basis(decomps) -> CoverBasis:
 
 
 def project(delta, basis: CoverBasis) -> np.ndarray:
-    """Coordinates of a delta in the cover space: U~^T delta V~ (k x k)."""
-    delta = as_matrix(delta, "delta")
-    if delta.shape != basis.shape:
+    """Coordinates of a delta in the cover space: U~^T delta V~ (k x k).
+
+    ``delta`` is a dense matrix or a KnowledgeDecomposition; the latter is
+    projected from its singular factors as (U~^T U) diag(sigma) (V^T V~),
+    without forming the dense product.
+    """
+    if isinstance(delta, KnowledgeDecomposition):
+        shape = delta.source_shape
+    else:
+        delta = as_matrix(delta, "delta")
+        shape = delta.shape
+    if shape != basis.shape:
         raise ValidationError(
-            f"delta shape {delta.shape} does not match basis ambient {basis.shape}"
+            f"delta shape {shape} does not match basis ambient {basis.shape}"
         )
+    if isinstance(delta, KnowledgeDecomposition):
+        return ((basis.U_tilde.T @ delta.U) * delta.sigma) @ (delta.V.T @ basis.V_tilde)
     return basis.U_tilde.T @ delta @ basis.V_tilde
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, ValidationError
 
@@ -84,21 +83,8 @@ class SvdTriplet:
     def __post_init__(self):
         U = as_matrix(self.U, "U").copy()
         V = as_matrix(self.V, "V").copy()
-        sigma = np.array(self.sigma, dtype=np.float64)
-        if sigma.ndim != 1:
-            raise ValidationError("sigma must be a 1-D vector")
-        if not np.all(np.isfinite(sigma)):
-            raise ValidationError("sigma contains non-finite entries")
+        sigma = _checked_sigma(self.sigma, U.shape[1], V.shape[1])
         r = sigma.size
-        if U.shape[1] != r or V.shape[1] != r:
-            raise ValidationError(
-                f"rank mismatch: U has {U.shape[1]} columns, V has "
-                f"{V.shape[1]}, sigma has {r} entries"
-            )
-        if np.any(sigma < 0):
-            raise ValidationError("sigma entries must be non-negative")
-        if np.any(np.diff(sigma) > 0):
-            raise ValidationError("sigma must be sorted non-increasing")
         for mat, label in ((U, "U"), (V, "V")):
             gram = mat.T @ mat
             if np.abs(gram - np.eye(r)).max() > _ORTHO_TOL:
@@ -113,6 +99,40 @@ class SvdTriplet:
     @property
     def rank(self) -> int:
         return self.sigma.size
+
+    def _with_sigma(self, sigma) -> "SvdTriplet":
+        """This triplet's U and V, already validated and frozen, with a new spectrum.
+
+        Only ``sigma`` is checked; the sign rule depends on U alone, so the
+        shared columns keep it.
+        """
+        sigma = _checked_sigma(sigma, self.U.shape[1], self.V.shape[1])
+        sigma.setflags(write=False)
+        out = object.__new__(SvdTriplet)
+        object.__setattr__(out, "U", self.U)
+        object.__setattr__(out, "sigma", sigma)
+        object.__setattr__(out, "V", self.V)
+        return out
+
+
+def _checked_sigma(sigma, u_cols: int, v_cols: int) -> np.ndarray:
+    """A float64 copy of ``sigma`` after the SvdTriplet spectrum checks."""
+    sigma = np.array(sigma, dtype=np.float64)
+    if sigma.ndim != 1:
+        raise ValidationError("sigma must be a 1-D vector")
+    if not np.all(np.isfinite(sigma)):
+        raise ValidationError("sigma contains non-finite entries")
+    r = sigma.size
+    if u_cols != r or v_cols != r:
+        raise ValidationError(
+            f"rank mismatch: U has {u_cols} columns, V has "
+            f"{v_cols}, sigma has {r} entries"
+        )
+    if np.any(sigma < 0):
+        raise ValidationError("sigma entries must be non-negative")
+    if np.any(np.diff(sigma) > 0):
+        raise ValidationError("sigma must be sorted non-increasing")
+    return sigma
 
 
 def truncated_svd(M, r: int) -> SvdTriplet:
@@ -162,6 +182,9 @@ def whiten(M) -> np.ndarray:
 
 def matrix_exp_skew(A) -> np.ndarray:
     """Orthogonal matrix exp(A - A^T) for a square input A."""
+    # imported here so that commands other than optimize-basis never load scipy
+    import scipy.linalg
+
     A = as_matrix(A, "A")
     if A.shape[0] != A.shape[1]:
         raise ValidationError(f"square matrix required, got shape {A.shape}")

@@ -6,8 +6,8 @@ The pipeline for one weight matrix:
    spectrum;
 2. stack the smoothed singular directions from all tasks and whiten each
    side, giving one orthonormal cover basis of width k = sum of ranks;
-3. project every smoothed task vector into the k x k coordinate space of
-   that basis;
+3. project every smoothed decomposition into the k x k coordinate space
+   of that basis, without rebuilding the dense task vector;
 4. aggregate the coordinate matrices (plain sum, or trim-elect-disjoint
    mean);
 5. zero all coordinates outside the block diagonal and map back to the
@@ -33,7 +33,6 @@ from .task_vector import (
     SmoothingStrategy,
     TaskVector,
     decompose,
-    reconstruct,
     smooth_energy,
 )
 
@@ -212,7 +211,7 @@ def dc_merge(tasks: list[TaskVector], cfg: MergeConfig | None = None) -> np.ndar
 
     r = resolve_rank(tasks, cfg)
     smoothed, basis = cover_space(tasks, r, cfg.resolved_smoothing())
-    coords = [project(reconstruct(kd), basis) for kd in smoothed]
+    coords = [project(kd, basis) for kd in smoothed]
 
     if cfg.merger == "ta":
         merged = merge_ta(coords)

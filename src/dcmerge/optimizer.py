@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm_frechet
 
 from .cover import CoverBasis
 from .errors import ValidationError
@@ -114,6 +113,8 @@ def _analytic_side_gradient(A, orient, G, other_gram, cat):
     map taken at S^T, so dL/dS = Dexp(S^T)[dL/dE]. Antisymmetrizing gives
     the gradient in A.
     """
+    from scipy.linalg import expm_frechet  # kept out of the package's import time
+
     dL_dG = 2.0 * G * other_gram * other_gram
     dL_dW = cat @ dL_dG.T
     dL_dE = dL_dW @ orient.T

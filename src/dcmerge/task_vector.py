@@ -32,17 +32,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TaskVector:
-    """A named weight delta. ``lora_rank`` is set when built from factors."""
+    """A named weight delta. ``lora_rank`` and ``factors`` are set when built from factors.
+
+    ``delta`` is always the dense matrix; when ``factors`` = (B, A) is set,
+    it must equal B A, which ``from_lora_factors`` guarantees.
+    """
 
     name: str
     delta: np.ndarray
     lora_rank: int | None = None
+    factors: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        delta = as_matrix(self.delta, f"delta of {self.name or 'task vector'}")
+        label = self.name or "task vector"
+        delta = as_matrix(self.delta, f"delta of {label}")
         delta = delta.copy()
         delta.setflags(write=False)
         object.__setattr__(self, "delta", delta)
+        if self.factors is not None:
+            B, A = (as_matrix(f, f"LoRA factor of {label}").copy() for f in self.factors)
+            if (
+                B.shape[1] != A.shape[0]
+                or (B.shape[0], A.shape[1]) != delta.shape
+                or self.lora_rank != B.shape[1]
+            ):
+                raise ValidationError(
+                    f"LoRA factors {B.shape} x {A.shape} do not match delta "
+                    f"shape {delta.shape} and lora_rank {self.lora_rank}"
+                )
+            B.setflags(write=False)
+            A.setflags(write=False)
+            object.__setattr__(self, "factors", (B, A))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -141,12 +161,47 @@ def from_lora_factors(B, A, name: str = "") -> TaskVector:
         raise ValidationError(
             f"inner dimensions differ: B is {B.shape}, A is {A.shape}"
         )
-    return TaskVector(name, B @ A, lora_rank=B.shape[1])
+    return TaskVector(name, B @ A, lora_rank=B.shape[1], factors=(B, A))
+
+
+def _factor_svd(B: np.ndarray, A: np.ndarray, r: int) -> SvdTriplet | None:
+    """Rank-r SVD of B A from the factors, or None where the dense SVD must decide.
+
+    With B = Q_B R_B and A^T = Q_A R_A, B A = Q_B (R_B R_A^T) Q_A^T, so the
+    SVD of the small core gives the product's: U = Q_B U_c, V = Q_A V_c.
+    None when r is not a valid rank of the core, when the core's
+    numerical rank is below r (its r-th singular value is at most
+    max(m, n) * eps * s[0]; the leading directions are then not
+    determined by the product alone), or when the core's SVD does not
+    converge, so the dense path reports it.
+    """
+    m, p = B.shape
+    n = A.shape[1]
+    if not isinstance(r, (int, np.integer)) or not 1 <= r <= min(m, n, p):
+        return None
+    Q_B, R_B = np.linalg.qr(B)
+    Q_A, R_A = np.linalg.qr(A.T)
+    try:
+        U_c, s, Vt_c = np.linalg.svd(R_B @ R_A.T, full_matrices=False)
+    except np.linalg.LinAlgError:
+        return None
+    if s[r - 1] <= max(m, n) * np.finfo(np.float64).eps * s[0]:
+        return None
+    return SvdTriplet(Q_B @ U_c[:, :r], s[:r], Q_A @ Vt_c[:r].T)
 
 
 def decompose(tv: TaskVector, r: int) -> KnowledgeDecomposition:
-    """Rank-r knowledge decomposition of a task vector."""
-    return KnowledgeDecomposition(truncated_svd(tv.delta, r), tv.shape)
+    """Rank-r knowledge decomposition of a task vector.
+
+    A task vector with LoRA factors is decomposed from them in
+    O((m + n) p^2 + p^3) for inner dimension p; it falls back to the dense
+    truncated SVD of ``delta`` when r exceeds the core or the factors'
+    numerical rank is below r.
+    """
+    svd = _factor_svd(*tv.factors, r) if tv.factors is not None else None
+    if svd is None:
+        svd = truncated_svd(tv.delta, r)
+    return KnowledgeDecomposition(svd, tv.shape)
 
 
 def _linear_weights(sigma: np.ndarray, rho: float) -> np.ndarray:
@@ -185,9 +240,7 @@ def smooth_energy(
         new = sigma.sum() * _linear_weights(sigma, s.rho)
     else:
         new = s.tau * sigma + (1.0 - s.tau) * sigma.mean()
-    return KnowledgeDecomposition(
-        SvdTriplet(kd.U, new, kd.V), kd.source_shape
-    )
+    return KnowledgeDecomposition(kd.svd._with_sigma(new), kd.source_shape)
 
 
 def reconstruct(kd: KnowledgeDecomposition) -> np.ndarray:

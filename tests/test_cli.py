@@ -1,8 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dcmerge
 from dcmerge.cli import main
 from dcmerge.container import (
     TensorContainer,
@@ -18,7 +23,7 @@ from dcmerge.merge import (
     resolve_rank,
 )
 from dcmerge.metrics import alignment_score
-from dcmerge.task_vector import SmoothingStrategy
+from dcmerge.task_vector import SmoothingStrategy, TaskVector
 
 
 def write_fft_fixture(tmp_path, n_tasks=2, seed=0):
@@ -436,3 +441,54 @@ def test_report_on_mixed_lora_ranks_exits_2_like_merge(tmp_path, capsys):
     report = report_args(base_path, base_path, task_paths, tmp_path / "report.csv")
     assert main(report) == 2
     assert capsys.readouterr().err == merge_err
+
+
+@pytest.mark.parametrize("merger", ["ta", "ties"])
+def test_merge_lora_from_factors_matches_the_dense_pipeline(tmp_path, merger):
+    rng = np.random.default_rng(14)
+    base = TensorContainer(tensors={"q.weight": rng.standard_normal((24, 20))})
+    base_path = tmp_path / "base.dcm"
+    write_container(base, base_path)
+    task_paths = []
+    for i in range(3):
+        task = TensorContainer(
+            tensors={
+                "q.lora_B": rng.standard_normal((24, 3)),
+                "q.lora_A": rng.standard_normal((3, 20)),
+            }
+        )
+        task_paths.append(tmp_path / f"task{i}.dcm")
+        write_container(task, task_paths[-1])
+    out_path = tmp_path / "merged.dcm"
+    rc = main(["merge", "--base", str(base_path), "--task", *map(str, task_paths),
+               "--out", str(out_path), "--mode", "lora", "--merger", merger])
+    assert rc == 0
+
+    tvs = [
+        extract_task_vectors(base, read_container(p), mode="lora").matrices["q.weight"]
+        for p in task_paths
+    ]
+    assert all(tv.factors is not None for tv in tvs)
+    dense = [TaskVector(name=tv.name, delta=tv.delta, lora_rank=tv.lora_rank) for tv in tvs]
+    expected = dc_merge(dense, MergeConfig(mode="lora", merger=merger))
+    got = read_container(out_path).tensors["q.weight"] - base.tensors["q.weight"]
+    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_cli_start_up_does_not_import_scipy():
+    code = (
+        "import contextlib, io, sys\n"
+        "import dcmerge.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        dcmerge.cli.main(['--help'])\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded[:5]\n"
+    )
+    src = str(Path(dcmerge.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -12,7 +12,7 @@ from dcmerge.cover import (
 )
 from dcmerge.errors import ValidationError
 from dcmerge.metrics import alignment_score
-from dcmerge.task_vector import TaskVector, decompose
+from dcmerge.task_vector import TaskVector, decompose, reconstruct
 
 
 def random_decomp(rng, m, n, r):
@@ -104,6 +104,17 @@ def test_project_zero():
     rng = np.random.default_rng(5)
     basis = build_cover_basis([random_decomp(rng, 6, 6, 2)])
     np.testing.assert_array_equal(project(np.zeros((6, 6)), basis), np.zeros((2, 2)))
+
+
+def test_project_of_a_decomposition_matches_its_dense_product():
+    rng = np.random.default_rng(8)
+    kds = [random_decomp(rng, 9, 7, 2) for _ in range(3)]
+    basis = build_cover_basis(kds)
+    for kd in kds + [random_decomp(rng, 9, 7, 3)]:
+        dense = project(reconstruct(kd), basis)
+        np.testing.assert_allclose(project(kd, basis), dense, rtol=0, atol=1e-12)
+    with pytest.raises(ValidationError):
+        project(random_decomp(rng, 7, 9, 2), basis)
 
 
 def test_contained_round_trip_and_isometry():

@@ -241,6 +241,23 @@ def test_svd_triplet_normalizes_column_signs():
     np.testing.assert_allclose(t.V[:, 1], [0.0, -1.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "sigma", [[1.0, 2.0], [1.0, -0.5], [np.nan, 1.0], [1.0], [[2.0, 1.0]]]
+)
+def test_svd_triplet_trusted_rebuild_still_checks_sigma(sigma):
+    t = truncated_svd(np.diag([3.0, 2.0, 1.0]), 2)
+    with pytest.raises(ValidationError):
+        t._with_sigma(np.array(sigma))
+
+
+def test_svd_triplet_trusted_rebuild_shares_singular_vectors():
+    t = truncated_svd(np.diag([3.0, 2.0, 1.0]), 2)
+    new = t._with_sigma([1.5, 1.5])
+    assert new.U is t.U and new.V is t.V
+    np.testing.assert_array_equal(new.sigma, [1.5, 1.5])
+    assert not new.sigma.flags.writeable
+
+
 def test_svd_triplet_arrays_are_frozen():
     t = truncated_svd(np.eye(3), 2)
     with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
+import dcmerge.task_vector
 from dcmerge.cover import build_cover_basis
-from dcmerge.errors import ValidationError
+from dcmerge.errors import NumericalError, ValidationError
 from dcmerge.linalg import truncated_svd
 from dcmerge.metrics import alignment_score
 from dcmerge.optimizer import optimize_cover_basis
@@ -106,6 +109,84 @@ def test_decompose_wraps_truncated_svd():
     np.testing.assert_array_equal(kd.V, t.V)
 
 
+# decompose from LoRA factors
+
+
+def dense_twin(tv):
+    """The same task vector without its factors, so decompose takes the dense SVD."""
+    return TaskVector(name=tv.name, delta=tv.delta, lora_rank=tv.lora_rank)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.integers(1, 40),
+    n=st.integers(1, 40),
+    p=st.integers(1, 8),
+    data=st.data(),
+)
+def test_factor_decomposition_matches_dense_truncated_svd(m, n, p, data):
+    r = data.draw(st.integers(1, min(m, n, p)), label="r")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    tv = from_lora_factors(rng.standard_normal((m, p)), rng.standard_normal((p, n)))
+    kd = decompose(tv, r)
+    ref = decompose(dense_twin(tv), r)
+    dense = reconstruct(ref)
+    assert np.linalg.norm(reconstruct(kd) - dense) <= 1e-10 * np.linalg.norm(dense)
+    assert np.abs(kd.sigma - ref.sigma).max() <= 1e-10 * ref.sigma[0]
+
+
+def test_factor_decomposition_never_takes_the_dense_svd(monkeypatch):
+    def refuse(M, r):
+        raise AssertionError("dense SVD taken on the factor path")
+
+    monkeypatch.setattr(dcmerge.task_vector, "truncated_svd", refuse)
+    rng = np.random.default_rng(20)
+    tv = from_lora_factors(rng.standard_normal((30, 4)), rng.standard_normal((4, 20)))
+    kd = decompose(tv, 3)
+    assert kd.rank == 3 and kd.source_shape == (30, 20)
+
+
+def test_factor_core_svd_failure_is_reported_like_the_dense_one(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    tv = from_lora_factors(np.ones((6, 2)), np.ones((2, 5)))
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(NumericalError):
+        decompose(tv, 1)
+
+
+@pytest.mark.parametrize("case", ["zero B", "rank-deficient B", "r above p"])
+def test_degenerate_factors_give_the_dense_decomposition_exactly(case):
+    rng = np.random.default_rng(21)
+    B = rng.standard_normal((12, 4))
+    A = rng.standard_normal((4, 10))
+    r = 3
+    if case == "zero B":
+        B[:] = 0.0
+    elif case == "rank-deficient B":
+        B[:, 2:] = B[:, :2] @ rng.standard_normal((2, 2))  # rank 2 < r
+    else:
+        r = 6
+    tv = from_lora_factors(B, A)
+    kd = decompose(tv, r)
+    ref = decompose(dense_twin(tv), r)
+    assert np.array_equal(kd.U, ref.U)
+    assert np.array_equal(kd.sigma, ref.sigma)
+    assert np.array_equal(kd.V, ref.V)
+
+
+def test_factors_must_match_delta_and_lora_rank():
+    B, A = np.ones((4, 2)), np.ones((2, 3))
+    with pytest.raises(ValidationError):
+        TaskVector(name="t", delta=np.ones((4, 4)), lora_rank=2, factors=(B, A))
+    with pytest.raises(ValidationError):
+        TaskVector(name="t", delta=B @ A, lora_rank=None, factors=(B, A))
+    tv = from_lora_factors(B, A)
+    with pytest.raises(ValueError):
+        tv.factors[0][0, 0] = 5.0
+
+
 # smoothing
 
 
@@ -174,6 +255,14 @@ def test_smoothing_preserves_total_energy_and_bases():
             np.testing.assert_allclose(out.sigma.sum(), kd.sigma.sum(), rtol=1e-10)
             assert np.array_equal(out.U, kd.U)
             assert np.array_equal(out.V, kd.V)
+
+
+def test_smoothing_reuses_the_validated_singular_vectors():
+    rng = np.random.default_rng(4)
+    kd = decompose(TaskVector(name="t", delta=rng.standard_normal((8, 6))), 4)
+    out = smooth_energy(kd, SmoothingStrategy.averaging())
+    assert out.U is kd.U and out.V is kd.V
+    assert not out.sigma.flags.writeable
 
 
 def test_averaging_is_idempotent():
