@@ -22,7 +22,7 @@ from .container import (
     read_container,
     write_container,
 )
-from .cover import CoverBasis, project
+from .cover import CoverBasis, make_mask, project
 from .errors import NumericalError, ValidationError
 from .linalg import truncated_svd
 from .merge import (
@@ -112,6 +112,8 @@ def _load_tasks(base, task_paths, mode=None):
 
 
 def _cmd_merge(args) -> int:
+    if not args.alpha > 0:
+        raise ValidationError(f"alpha must be positive, got {args.alpha}")
     base = read_container(args.base)
     extracts, _ = _load_tasks(base, args.task, args.mode)
     cfg = MergeConfig(
@@ -121,7 +123,6 @@ def _cmd_merge(args) -> int:
         merger=args.merger,
         ties_keep=args.ties_keep,
         mask_block=args.mask_block,
-        alpha=args.alpha,
     )
     matrix_names = sorted(extracts[0].matrices)
 
@@ -155,7 +156,6 @@ def _cmd_report(args) -> int:
     extracts, mode = _load_tasks(base, args.task)
     cfg = MergeConfig(mode=mode)
     matrix_names = sorted(extracts[0].matrices)
-    n_tasks = len(extracts)
 
     rows = []
     per_task_cos = {path: [] for path in args.task}
@@ -170,9 +170,8 @@ def _cmd_report(args) -> int:
             name
         ].astype(np.float64)
         tvs = [ex.matrices[name] for ex in extracts]
-        decomps, basis = cover_space(
-            tvs, resolve_rank(tvs, cfg), SmoothingStrategy.truncate_only()
-        )
+        r = resolve_rank(tvs, cfg)
+        decomps, basis = cover_space(tvs, r, SmoothingStrategy.truncate_only())
         for path, tv, kd in zip(args.task, tvs, decomps):
             c = cos_sim(tv.delta, merged_delta)
             try:
@@ -189,10 +188,10 @@ def _cmd_report(args) -> int:
 
         # block structure of the aggregated coordinates: one block per task
         summed = merge_ta([project(kd, basis) for kd in decomps])
-        bounds = np.cumsum([0] + [kd.rank for kd in decomps])
-        for i in range(n_tasks):
-            for j in range(n_tasks):
-                block = summed[bounds[i] : bounds[i + 1], bounds[j] : bounds[j + 1]]
+        blocks = make_mask(basis.k, r)
+        for i, bi in enumerate(blocks):
+            for j, bj in enumerate(blocks):
+                block = summed[bi, bj]
                 rows.append(
                     (name, "", f"block_mean_abs[{i},{j}]", float(np.mean(np.abs(block))))
                 )

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_matrix, whiten
+from .linalg import _check_orthonormal, as_matrix, whiten
 from .task_vector import KnowledgeDecomposition, stack_bases
 
 __all__ = [
     "CoverBasis",
-    "StructuralMask",
     "build_cover_basis",
     "project",
     "back_project",
@@ -46,9 +45,8 @@ class CoverBasis:
                 f"basis width {k} exceeds ambient dimension "
                 f"min({U.shape[0]}, {V.shape[0]})"
             )
-        for mat, label in ((U, "U_tilde"), (V, "V_tilde")):
-            if np.abs(mat.T @ mat - np.eye(k)).max() > 1e-8:
-                raise ValidationError(f"{label} columns are not orthonormal")
+        _check_orthonormal(U, "U_tilde")
+        _check_orthonormal(V, "V_tilde")
         U.setflags(write=False)
         V.setflags(write=False)
         object.__setattr__(self, "U_tilde", U)
@@ -63,37 +61,16 @@ class CoverBasis:
         return (self.U_tilde.shape[0], self.V_tilde.shape[0])
 
 
-@dataclass(frozen=True)
-class StructuralMask:
-    """Block-diagonal zero/one mask with b x b all-ones blocks."""
+def make_mask(k: int, b: int) -> tuple[slice, ...]:
+    """Diagonal blocks of the structural mask of size k with block width b.
 
-    size: int
-    block: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = as_matrix(self.values, "mask values").copy()
-        if values.shape != (self.size, self.size):
-            raise ValidationError("mask values shape does not match size")
-        groups = np.arange(self.size) // self.block
-        expected = (groups[:, None] == groups[None, :]).astype(np.float64)
-        if not np.array_equal(values, expected):
-            raise ValidationError("mask is not block-diagonal ones of the stated block")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-
-def make_mask(k: int, b: int) -> StructuralMask:
-    """Block-diagonal ones mask of size k with block width b.
-
-    Entry (p, q) is 1 exactly when floor(p / b) == floor(q / b); the final
-    block is truncated when b does not divide k.
+    The mask keeps entry (p, q) exactly when floor(p / b) == floor(q / b);
+    its blocks are returned as the index ranges [0, b), [b, 2b), ..., the
+    final one truncated when b does not divide k.
     """
     if not 1 <= b <= k:
         raise ValidationError(f"block must be in [1, {k}], got {b}")
-    groups = np.arange(k) // b
-    values = (groups[:, None] == groups[None, :]).astype(np.float64)
-    return StructuralMask(size=k, block=b, values=values)
+    return tuple(slice(lo, min(lo + b, k)) for lo in range(0, k, b))
 
 
 def build_cover_basis(decomps) -> CoverBasis:
@@ -132,16 +109,19 @@ def project(delta, basis: CoverBasis) -> np.ndarray:
     return basis.U_tilde.T @ delta @ basis.V_tilde
 
 
-def back_project(M_merged, mask: StructuralMask, basis: CoverBasis) -> np.ndarray:
-    """Masked coordinates mapped back to weight space: U~ (M * mask) V~^T."""
+def back_project(M_merged, block: int, basis: CoverBasis) -> np.ndarray:
+    """Block-diagonal coordinates mapped back to weight space: U~ (M * mask) V~^T.
+
+    Only the ``make_mask(k, block)`` diagonal blocks of ``M_merged`` are
+    kept; everything else is zeroed before the single product.
+    """
     M_merged = as_matrix(M_merged, "M_merged")
     k = basis.k
     if M_merged.shape != (k, k):
         raise ValidationError(
             f"coordinate matrix must be {k} x {k}, got {M_merged.shape}"
         )
-    if mask.size != k:
-        raise ValidationError(
-            f"mask size {mask.size} does not match basis width {k}"
-        )
-    return basis.U_tilde @ (M_merged * mask.values) @ basis.V_tilde.T
+    kept = np.zeros_like(M_merged)
+    for blk in make_mask(k, block):
+        kept[blk, blk] = M_merged[blk, blk]
+    return basis.U_tilde @ kept @ basis.V_tilde.T

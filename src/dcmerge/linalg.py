@@ -84,11 +84,8 @@ class SvdTriplet:
         U = as_matrix(self.U, "U").copy()
         V = as_matrix(self.V, "V").copy()
         sigma = _checked_sigma(self.sigma, U.shape[1], V.shape[1])
-        r = sigma.size
-        for mat, label in ((U, "U"), (V, "V")):
-            gram = mat.T @ mat
-            if np.abs(gram - np.eye(r)).max() > _ORTHO_TOL:
-                raise ValidationError(f"{label} columns are not orthonormal")
+        _check_orthonormal(U, "U")
+        _check_orthonormal(V, "V")
         U, V = _sign_normalize(U, V)
         for arr in (U, sigma, V):
             arr.setflags(write=False)
@@ -113,6 +110,12 @@ class SvdTriplet:
         object.__setattr__(out, "sigma", sigma)
         object.__setattr__(out, "V", self.V)
         return out
+
+
+def _check_orthonormal(mat: np.ndarray, label: str) -> None:
+    """Reject ``mat`` unless its columns are orthonormal within ``_ORTHO_TOL``."""
+    if np.abs(mat.T @ mat - np.eye(mat.shape[1])).max() > _ORTHO_TOL:
+        raise ValidationError(f"{label} columns are not orthonormal")
 
 
 def _checked_sigma(sigma, u_cols: int, v_cols: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import TensorContainer
-from .cover import CoverBasis, back_project, build_cover_basis, make_mask, project
+from .cover import CoverBasis, back_project, build_cover_basis, project
 from .errors import ValidationError
 from .task_vector import (
     KnowledgeDecomposition,
@@ -55,7 +55,8 @@ class MergeConfig:
     ``rank=None`` means auto: the shared LoRA rank in lora mode, or
     max(1, min(m, n) // T) in fft mode. ``smoothing=None`` picks the mode
     default (averaging for lora, truncate_only for fft). ``mask_block=None``
-    uses the resolved rank as the block size.
+    uses the resolved rank as the block size; a block wider than the cover
+    basis is clamped to its width, which keeps every coordinate.
     """
 
     mode: str = "fft"
@@ -64,7 +65,6 @@ class MergeConfig:
     merger: str = "ta"
     ties_keep: float = 0.1
     mask_block: int | None = None
-    alpha: float = 1.0
 
     def __post_init__(self):
         if self.mode not in ("lora", "fft"):
@@ -83,8 +83,6 @@ class MergeConfig:
             raise ValidationError(
                 f"mask_block must be a positive int or None, got {self.mask_block!r}"
             )
-        if not self.alpha > 0:
-            raise ValidationError(f"alpha must be positive, got {self.alpha}")
 
     def resolved_smoothing(self) -> SmoothingStrategy:
         if self.smoothing is not None:
@@ -194,9 +192,9 @@ def merge_ties(mats: list[np.ndarray], keep: float) -> np.ndarray:
 def dc_merge(tasks: list[TaskVector], cfg: MergeConfig | None = None) -> np.ndarray:
     """Merge task vectors for one weight matrix.
 
-    Returns the merged ambient-space delta. The rescaling coefficient
-    ``cfg.alpha`` is deliberately not applied here; it belongs to model
-    assembly, so the same delta can be swept over several alphas.
+    Returns the merged ambient-space delta, unscaled: the rescaling
+    coefficient alpha belongs to model assembly (``assemble_model``), so
+    the same delta can be swept over several alphas.
     """
     if cfg is None:
         cfg = MergeConfig()
@@ -219,8 +217,7 @@ def dc_merge(tasks: list[TaskVector], cfg: MergeConfig | None = None) -> np.ndar
         merged = merge_ties(coords, cfg.ties_keep)
 
     block = cfg.mask_block if cfg.mask_block is not None else r
-    mask = make_mask(basis.k, min(block, basis.k))
-    return back_project(merged, mask, basis)
+    return back_project(merged, min(block, basis.k), basis)
 
 
 def assemble_model(

@@ -145,7 +145,8 @@ def optimize_cover_basis(
     if max(m, n) > cfg.dim_limit:
         raise ValidationError(
             f"ambient dimension {max(m, n)} exceeds the dense-exponential "
-            f"limit {cfg.dim_limit}; raise dim_limit to override"
+            f"limit {cfg.dim_limit}; only the Python API can raise it, "
+            f"through OptimizerConfig.dim_limit"
         )
 
     U0 = init.U_tilde

@@ -1,5 +1,6 @@
 import csv
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -492,3 +493,20 @@ def test_cli_start_up_does_not_import_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_optimize_basis_above_the_dimension_limit_exits_2(tmp_path, capsys):
+    gen = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"))
+    base_path, task_paths = gen["write_merge_set"](
+        tmp_path, seed=15, mode="fft", n_tasks=2, layers=1, d=96
+    )
+    rc = main(
+        ["optimize-basis", "--base", base_path, "--task", *task_paths,
+         "--tensor", "layers.0.attn.q.weight", "--eta", "1e-3", "--iters", "2",
+         "--out", str(tmp_path / "trace.csv")]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "ambient dimension 96 exceeds the dense-exponential limit 64" in err
+    assert "OptimizerConfig.dim_limit" in err
+    assert not (tmp_path / "trace.csv").exists()

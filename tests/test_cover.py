@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 from dcmerge.cover import (
     CoverBasis,
-    StructuralMask,
     back_project,
     build_cover_basis,
     make_mask,
@@ -134,7 +135,7 @@ def test_back_project_all_ones_mask():
     rng = np.random.default_rng(7)
     basis = build_cover_basis([random_decomp(rng, 7, 6, 3)])
     coords = rng.standard_normal((3, 3))
-    out = back_project(coords, make_mask(3, 3), basis)
+    out = back_project(coords, 3, basis)
     np.testing.assert_allclose(
         out, basis.U_tilde @ coords @ basis.V_tilde.T, atol=1e-12
     )
@@ -144,12 +145,11 @@ def test_back_project_mask_annihilation():
     rng = np.random.default_rng(8)
     kds = [random_decomp(rng, 8, 8, 2) for _ in range(2)]
     basis = build_cover_basis(kds)
-    mask = make_mask(4, 2)
     coords = np.zeros((4, 4))
     coords[0, 3] = 5.0  # entirely off the block diagonal
     coords[3, 1] = -2.0
     np.testing.assert_array_equal(
-        back_project(coords, mask, basis), np.zeros((8, 8))
+        back_project(coords, 2, basis), np.zeros((8, 8))
     )
 
 
@@ -157,35 +157,44 @@ def test_back_project_size_checks():
     rng = np.random.default_rng(9)
     basis = build_cover_basis([random_decomp(rng, 6, 6, 2)])
     with pytest.raises(ValidationError):
-        back_project(np.zeros((3, 3)), make_mask(3, 1), basis)
+        back_project(np.zeros((3, 3)), 1, basis)
+    # the block must fit the basis width
     with pytest.raises(ValidationError):
-        back_project(np.zeros((2, 2)), make_mask(3, 1), basis)
+        back_project(np.zeros((2, 2)), 3, basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 24),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_back_project_equals_the_dense_block_mask(k, data, seed):
+    b = data.draw(st.integers(1, k), label="b")
+    rng = np.random.default_rng(seed)
+    m, n = k + int(rng.integers(0, 4)), k + int(rng.integers(0, 4))
+    basis = CoverBasis(random_orthonormal(rng, m, k), random_orthonormal(rng, n, k))
+    M = rng.standard_normal((k, k))
+    groups = np.arange(k) // b
+    ref = (groups[:, None] == groups[None, :]).astype(np.float64)
+    want = basis.U_tilde @ (M * ref) @ basis.V_tilde.T
+    assert np.array_equal(back_project(M, b, basis), want)
 
 
 # make_mask
 
 
 def test_mask_two_by_two_blocks():
-    expected = np.array(
-        [
-            [1.0, 1.0, 0.0, 0.0],
-            [1.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 1.0],
-            [0.0, 0.0, 1.0, 1.0],
-        ]
-    )
-    np.testing.assert_array_equal(make_mask(4, 2).values, expected)
+    assert make_mask(4, 2) == (slice(0, 2), slice(2, 4))
 
 
 def test_mask_full_block_is_all_ones():
-    np.testing.assert_array_equal(make_mask(3, 3).values, np.ones((3, 3)))
+    assert make_mask(3, 3) == (slice(0, 3),)
 
 
 def test_mask_truncated_final_block():
-    mask = make_mask(5, 2).values
-    assert mask[4, 4] == 1.0
-    assert mask[4, 3] == 0.0 and mask[3, 4] == 0.0
-    np.testing.assert_array_equal(mask, mask.T)
+    assert make_mask(5, 2) == (slice(0, 2), slice(2, 4), slice(4, 5))
+    assert make_mask(7, 3)[-1] == slice(6, 7)
 
 
 def test_mask_block_out_of_range():
@@ -193,11 +202,6 @@ def test_mask_block_out_of_range():
         make_mask(4, 0)
     with pytest.raises(ValidationError):
         make_mask(4, 5)
-
-
-def test_mask_values_cannot_be_forged():
-    with pytest.raises(ValidationError):
-        StructuralMask(size=4, block=2, values=np.ones((4, 4)))
 
 
 # shared-geometry preservation (single instance; the sweep lives in acceptance)

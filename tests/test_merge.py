@@ -212,8 +212,6 @@ def test_merge_config_validation():
     with pytest.raises(ValidationError):
         MergeConfig(mask_block=0)
     with pytest.raises(ValidationError):
-        MergeConfig(alpha=0.0)
-    with pytest.raises(ValidationError):
         dc_merge([], MergeConfig())
 
 
