@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -64,23 +62,6 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _worker_count(flag: int | None) -> int:
-    env = os.environ.get("DCMERGE_THREADS")
-    if env is not None:
-        try:
-            count = int(env)
-        except ValueError:
-            raise ValidationError(f"DCMERGE_THREADS must be an integer, got {env!r}")
-        if count < 1:
-            raise ValidationError(f"DCMERGE_THREADS must be >= 1, got {count}")
-        return count
-    if flag is not None:
-        if flag < 1:
-            raise ValidationError(f"--threads must be >= 1, got {flag}")
-        return flag
-    return min(4, os.cpu_count() or 1)
-
-
 def _smoothing_from_flags(args) -> SmoothingStrategy | None:
     if args.smoothing is None:
         return None
@@ -125,19 +106,11 @@ def _cmd_merge(args) -> int:
         mask_block=args.mask_block,
     )
     matrix_names = sorted(extracts[0].matrices)
-
-    def merge_one(name):
-        return dc_merge([ex.matrices[name] for ex in extracts], cfg)
-
-    workers = _worker_count(args.threads)
-    if workers == 1 or len(matrix_names) <= 1:
-        deltas = {name: merge_one(name) for name in matrix_names}
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(merge_one, matrix_names)
-            deltas = dict(zip(matrix_names, results))
-
-    shared_vec = set.intersection(*(set(ex.vectors) for ex in extracts)) if extracts else set()
+    deltas = {
+        name: dc_merge([ex.matrices[name] for ex in extracts], cfg)
+        for name in matrix_names
+    }
+    shared_vec = set.intersection(*(set(ex.vectors) for ex in extracts))
     vector_deltas = {
         name: [ex.vectors[name] for ex in extracts] for name in sorted(shared_vec)
     }
@@ -407,8 +380,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="structural mask block size: 'auto' or a positive integer")
     p.add_argument("--alpha", type=float, default=1.0,
                    help="rescaling coefficient applied at assembly")
-    p.add_argument("--threads", type=int, default=None,
-                   help="per-tensor worker threads (DCMERGE_THREADS overrides)")
     p.add_argument("--seed", type=int, default=None,
                    help="accepted for interface stability; merging is deterministic")
     p.set_defaults(func=_cmd_merge)

@@ -85,16 +85,12 @@ def dir_sim(kdS: KnowledgeDecomposition, kdT: KnowledgeDecomposition) -> float:
     return float(R.sum() / np.sqrt(kdS.rank * kdT.rank))
 
 
-def projected_dir_sim(
-    kdTask: KnowledgeDecomposition,
-    merged,
-    r: int | None = None,
-) -> float:
+def projected_dir_sim(kdTask: KnowledgeDecomposition, merged) -> float:
     """Directional similarity after restricting ``merged`` to the task's subspace.
 
     Projects the merged delta onto the column space of the task's left
-    singular vectors, re-decomposes the projection at rank ``r`` (the
-    task's own rank by default), and measures dir_sim against the task.
+    singular vectors, re-decomposes the projection at the task's own rank,
+    and measures dir_sim against the task.
 
     Raises
     ------
@@ -109,14 +105,12 @@ def projected_dir_sim(
             f"merged shape {merged.shape} does not match task shape "
             f"{kdTask.source_shape}"
         )
-    if r is None:
-        r = kdTask.rank
     P = kdTask.U @ (kdTask.U.T @ merged)
     if np.linalg.norm(P) <= 1e-12 * max(1.0, np.linalg.norm(merged)):
         raise NumericalError(
             "merged vector has no component in the task's singular subspace"
         )
-    kdP = decompose(TaskVector("projection", P), r)
+    kdP = decompose(TaskVector("projection", P), kdTask.rank)
     return dir_sim(kdTask, kdP)
 
 

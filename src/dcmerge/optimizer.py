@@ -7,9 +7,11 @@ matrices applied to a fixed starting pair:
 
 so every iterate is exactly orthonormal and the ascent is unconstrained
 in A and B. Each step rebuilds the exponential from the accumulated A and
-B rather than retracting incrementally. This is a validation tool for the
-whitening construction, not a production path, so it is limited to small
-ambient dimensions where dense exponentials are cheap.
+B rather than retracting incrementally. The gradient is exact: each
+iteration costs two exponentials and two Frechet derivatives of the
+exponential, one m x m and one n x n, so O(m^3 + n^3). This is a validation
+tool for the whitening construction, not a production path, so it is
+limited to small ambient dimensions where dense exponentials are cheap.
 """
 
 from __future__ import annotations
@@ -26,15 +28,11 @@ from .task_vector import KnowledgeDecomposition, stack_bases
 
 __all__ = ["OptimizerConfig", "OptimizationTrace", "optimize_cover_basis"]
 
-_GRADIENT_MODES = ("finite_difference", "analytic")
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     learning_rate: float = 1e-2
     max_iters: int = 500
-    gradient_mode: str = "finite_difference"
-    fd_step: float = 1e-5
     log_every: int = 1
     dim_limit: int = 64
 
@@ -43,12 +41,6 @@ class OptimizerConfig:
             raise ValidationError(f"learning_rate must be positive, got {self.learning_rate}")
         if not isinstance(self.max_iters, int) or self.max_iters < 1:
             raise ValidationError(f"max_iters must be a positive int, got {self.max_iters!r}")
-        if self.gradient_mode not in _GRADIENT_MODES:
-            raise ValidationError(
-                f"gradient_mode must be one of {_GRADIENT_MODES}, got {self.gradient_mode!r}"
-            )
-        if not self.fd_step > 0:
-            raise ValidationError(f"fd_step must be positive, got {self.fd_step}")
         if not isinstance(self.log_every, int) or self.log_every < 1:
             raise ValidationError(f"log_every must be a positive int, got {self.log_every!r}")
         if not isinstance(self.dim_limit, int) or self.dim_limit < 1:
@@ -77,31 +69,6 @@ class OptimizationTrace:
 def _score(G: np.ndarray, H: np.ndarray) -> float:
     prod = G * H
     return float(np.sum(prod * prod))
-
-
-def _fd_side_gradient(A, orient, other_gram, cat, h):
-    """Central-difference gradient of the score w.r.t. one skew parameter.
-
-    Probes each strict upper-triangle entry of A both ways, rebuilding the
-    exponential from scratch; the opposite side's cross-Gram is a constant
-    during these probes, so only this side's Gram is recomputed.
-    """
-    d = A.shape[0]
-    grad = np.zeros_like(A)
-    for i in range(d):
-        for j in range(i + 1, d):
-            saved = A[i, j]
-            A[i, j] = saved + h
-            W = matrix_exp_skew(A) @ orient
-            f_plus = _score(W.T @ cat, other_gram)
-            A[i, j] = saved - h
-            W = matrix_exp_skew(A) @ orient
-            f_minus = _score(W.T @ cat, other_gram)
-            A[i, j] = saved
-            g = (f_plus - f_minus) / (2.0 * h)
-            grad[i, j] = g
-            grad[j, i] = -g
-    return grad
 
 
 def _analytic_side_gradient(A, orient, G, other_gram, cat):
@@ -164,12 +131,8 @@ def optimize_cover_basis(
         H = Wv.T @ V_cat
         if it % cfg.log_every == 0:
             points.append((it, _score(G, H), time.perf_counter() - start))
-        if cfg.gradient_mode == "finite_difference":
-            GA = _fd_side_gradient(A, U0, H, U_cat, cfg.fd_step)
-            GB = _fd_side_gradient(B, V0, G, V_cat, cfg.fd_step)
-        else:
-            GA = _analytic_side_gradient(A, U0, G, H, U_cat)
-            GB = _analytic_side_gradient(B, V0, H, G, V_cat)
+        GA = _analytic_side_gradient(A, U0, G, H, U_cat)
+        GB = _analytic_side_gradient(B, V0, H, G, V_cat)
         A += eta * GA
         B += eta * GB
 

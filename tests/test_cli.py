@@ -53,6 +53,12 @@ def write_fft_fixture(tmp_path, n_tasks=2, seed=0):
     return base_path, task_paths
 
 
+def write_merge_set(out_dir, **kwargs):
+    """The benchmark's seeded checkpoint set (``perfbench/gen.py``)."""
+    gen = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"))
+    return gen["write_merge_set"](out_dir, **kwargs)
+
+
 def merge_args(base, tasks, out, *extra):
     args = ["merge", "--base", str(base), "--task"]
     args += [str(t) for t in tasks]
@@ -95,16 +101,28 @@ def test_merge_double_run_is_bitwise_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_merge_output_independent_of_thread_count(tmp_path, monkeypatch):
-    base_path, task_paths = write_fft_fixture(tmp_path, n_tasks=3, seed=2)
-    out1 = tmp_path / "m1.dcm"
-    out2 = tmp_path / "m2.dcm"
-    out3 = tmp_path / "m3.dcm"
-    assert main(merge_args(base_path, task_paths, out1, "--threads", "1")) == 0
-    assert main(merge_args(base_path, task_paths, out2, "--threads", "4")) == 0
-    monkeypatch.setenv("DCMERGE_THREADS", "2")
-    assert main(merge_args(base_path, task_paths, out3)) == 0
-    assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()
+def _package_env(**extra):
+    src = str(Path(dcmerge.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **extra)
+
+
+def test_merge_output_independent_of_blas_threads(tmp_path):
+    # large enough that the BLAS products and SVDs run multi-threaded when allowed
+    base_path, task_paths = write_merge_set(
+        tmp_path, seed=2, mode="fft", n_tasks=3, layers=1, d=96
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"m{threads}.dcm"
+        env = _package_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "dcmerge.cli", *merge_args(base_path, task_paths, out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_merge_lora_checkpoints(tmp_path):
@@ -488,16 +506,14 @@ def test_cli_start_up_does_not_import_scipy():
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded[:5]\n"
     )
-    src = str(Path(dcmerge.__file__).resolve().parents[1])
-    path = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True
+    )
     assert proc.returncode == 0, proc.stderr
 
 
 def test_optimize_basis_above_the_dimension_limit_exits_2(tmp_path, capsys):
-    gen = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"))
-    base_path, task_paths = gen["write_merge_set"](
+    base_path, task_paths = write_merge_set(
         tmp_path, seed=15, mode="fft", n_tasks=2, layers=1, d=96
     )
     rc = main(
