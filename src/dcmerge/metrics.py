@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .linalg import as_matrix
-from .task_vector import KnowledgeDecomposition, TaskVector, decompose, stack_bases
+from .linalg import SvdTriplet, as_matrix, truncated_svd
+from .task_vector import KnowledgeDecomposition, stack_bases
 
 __all__ = [
     "RMatrix",
@@ -90,7 +90,9 @@ def projected_dir_sim(kdTask: KnowledgeDecomposition, merged) -> float:
 
     Projects the merged delta onto the column space of the task's left
     singular vectors, re-decomposes the projection at the task's own rank,
-    and measures dir_sim against the task.
+    and measures dir_sim against the task. The projection U (U^T merged)
+    is decomposed from the r x n matrix C = U^T merged: with C's rank-r
+    SVD U_c diag(sigma) V_c^T, the projection's is (U U_c) diag(sigma) V_c^T.
 
     Raises
     ------
@@ -105,12 +107,16 @@ def projected_dir_sim(kdTask: KnowledgeDecomposition, merged) -> float:
             f"merged shape {merged.shape} does not match task shape "
             f"{kdTask.source_shape}"
         )
-    P = kdTask.U @ (kdTask.U.T @ merged)
-    if np.linalg.norm(P) <= 1e-12 * max(1.0, np.linalg.norm(merged)):
+    C = kdTask.U.T @ merged
+    # ||C|| equals the projection's norm because U has orthonormal columns
+    if np.linalg.norm(C) <= 1e-12 * max(1.0, np.linalg.norm(merged)):
         raise NumericalError(
             "merged vector has no component in the task's singular subspace"
         )
-    kdP = decompose(TaskVector("projection", P), kdTask.rank)
+    core = truncated_svd(C, kdTask.rank)
+    kdP = KnowledgeDecomposition(
+        SvdTriplet(kdTask.U @ core.U, core.sigma, core.V), kdTask.source_shape
+    )
     return dir_sim(kdTask, kdP)
 
 

@@ -163,7 +163,7 @@ def test_back_project_size_checks():
         back_project(np.zeros((2, 2)), 3, basis)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     k=st.integers(1, 24),
     data=st.data(),

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcmerge.container import TensorContainer
 from dcmerge.errors import ValidationError
@@ -109,6 +113,46 @@ def test_ties_keep_validation():
         merge_ties([np.ones((2, 2))], keep=0.0)
     with pytest.raises(ValidationError):
         merge_ties([np.ones((2, 2))], keep=1.5)
+
+
+def argsort_ties(mats, keep):
+    """Reference TIES: trim each matrix by a full stable argsort of -|x|."""
+    total = mats[0].size
+    n_keep = math.ceil(keep * total)
+    trimmed = []
+    for m in mats:
+        flat = m.reshape(-1).astype(np.float64)
+        idx = np.argsort(-np.abs(flat), kind="stable")[:n_keep]
+        kept = np.zeros(total)
+        kept[idx] = flat[idx]
+        trimmed.append(kept)
+    stack = np.stack(trimmed)
+    gamma = np.sign(stack.sum(axis=0))
+    match = (np.sign(stack) == gamma) & (stack != 0) & (gamma != 0)
+    counts = match.sum(axis=0)
+    sums = np.where(match, stack, 0.0).sum(axis=0)
+    out = np.divide(sums, counts, out=np.zeros(total), where=counts > 0)
+    return out.reshape(mats[0].shape)
+
+
+@settings(max_examples=150)
+@given(
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 12),
+    tasks=st.integers(1, 6),
+    keep=st.floats(0.01, 1.0),
+    levels=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ties_selection_matches_a_full_argsort(rows, cols, tasks, keep, levels, seed):
+    # integer values in [-levels, levels] give many ties and zeros, -0.0 included
+    rng = np.random.default_rng(seed)
+    mats = [rng.integers(-levels, levels + 1, (rows, cols)) * 1.0 for _ in range(tasks)]
+    mats[0] = mats[0] * -1.0
+    out = merge_ties(mats, keep)
+    want = argsort_ties(mats, keep)
+    assert np.array_equal(out, want)
+    assert np.array_equal(np.signbit(out), np.signbit(want))
 
 
 # dc_merge

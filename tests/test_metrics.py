@@ -190,6 +190,18 @@ def test_projected_dir_sim_annihilates_foreign_component():
     np.testing.assert_allclose(value, 1.0, atol=1e-8)
 
 
+def test_projected_dir_sim_matches_the_dense_projection():
+    # reference: dense SVD of the m x n projection U (U^T merged)
+    rng = np.random.default_rng(16)
+    for m, n, r in ((12, 9, 3), (9, 12, 4), (10, 10, 1)):
+        kd = random_decomp(rng, m, n, r)
+        merged = rng.standard_normal((m, n))
+        P, _, Qt = np.linalg.svd(kd.U @ (kd.U.T @ merged), full_matrices=False)
+        want = np.sum((kd.U.T @ P[:, :r]) * (kd.V.T @ Qt[:r].T)) / r
+        value = projected_dir_sim(kd, merged)
+        np.testing.assert_allclose(value, want, rtol=1e-10, atol=1e-12)
+
+
 # alignment_score
 
 

@@ -117,7 +117,7 @@ def dense_twin(tv):
     return TaskVector(name=tv.name, delta=tv.delta, lora_rank=tv.lora_rank)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(
     m=st.integers(1, 40),
     n=st.integers(1, 40),
