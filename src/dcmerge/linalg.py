@@ -25,14 +25,14 @@ __all__ = [
 
 _ORTHO_TOL = 1e-8
 
-# Gram eigenvalue ratios at or below which the eigh fast paths give way to
-# the dense SVD: (sigma_{r-1} / sigma_0)^2 for truncated_svd and
-# lambda_min / lambda_max for whiten. A Gram squares the condition number;
-# at these bounds the fast paths measured within 1.0e-13 relative
-# (truncated_svd's rank-r part) and 4e-14 absolute (whiten) of the dense
-# SVD on synthetic spectra.
-_SVD_GRAM_MIN = 1e-6
-_WHITEN_GRAM_MIN = 1e-3
+# truncated_svd's eigh fast path gives way to the dense SVD unless the Gram
+# gap at the cut is wide enough: lambda_{r-1} - lambda_r must exceed
+# _SVD_GRAM_GAP * sigma_0 * sigma_{r-1}. The fast path's subspace error
+# grows as eps * lambda_0 / (lambda_{r-1} - lambda_r), so both a small
+# sigma_{r-1} / sigma_0 and a narrow gap fail the guard. Above the bound the
+# rank-r part measured within 3e-11 relative of the dense SVD on synthetic
+# spectra.
+_SVD_GRAM_GAP = 1e-4
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -161,17 +161,21 @@ def _gram_svd(M: np.ndarray, r: int):
     With A the taller of M and M^T, the r leading eigenvectors Q of A^T A
     are taken in stable descending order, so tied eigenvalues keep eigh's
     column order; the thin SVD of A Q (Rayleigh-Ritz) gives A's left factor
-    and spectrum and rotates Q into its right factor. None when the guard
-    fails or a LAPACK routine does not converge.
+    and spectrum and rotates Q into its right factor. None when r leaves no
+    column of A out (the small SVD would be as large as the dense one), the
+    guard fails, or a LAPACK routine does not converge.
     """
     m, n = M.shape
     A = M if m >= n else M.T
+    if r >= A.shape[1]:
+        return None
     try:
         w, Q = np.linalg.eigh(A.T @ A)
-        top = np.argsort(-w, kind="stable")[:r]
-        if not w[top[-1]] > _SVD_GRAM_MIN * w[top[0]]:
+        order = np.argsort(-w, kind="stable")
+        lead, cut, rest = w[order[0]], w[order[r - 1]], w[order[r]]
+        if not (cut > 0 and cut - rest > _SVD_GRAM_GAP * np.sqrt(lead * cut)):
             return None
-        Q = Q[:, top]
+        Q = Q[:, order[:r]]
         L, s, Wt = np.linalg.svd(A @ Q, full_matrices=False)
     except np.linalg.LinAlgError:
         return None
@@ -184,9 +188,10 @@ def truncated_svd(M, r: int) -> SvdTriplet:
 
     The factors come from an eigendecomposition of the smaller Gram matrix
     (M^T M or M M^T) followed by a Rayleigh-Ritz step: the thin SVD of M
-    times the r leading eigenvectors. When (sigma_{r-1} / sigma_0)^2 is at
-    or below ``_SVD_GRAM_MIN``, or the fast path does not converge, the
-    dense SVD of M is taken instead.
+    times the r leading eigenvectors. The dense SVD of M is taken instead
+    when r = min(m, n), when the Gram gap at the cut is at or below
+    ``_SVD_GRAM_GAP`` * sigma_0 * sigma_{r-1}, or when the fast path does
+    not converge.
 
     Parameters
     ----------
@@ -222,25 +227,15 @@ def whiten(M) -> np.ndarray:
     """Polar orthonormal factor: the closest matrix with orthonormal columns.
 
     With thin SVD M = P S Q^T the result is P Q^T. Among all d x k matrices
-    with orthonormal columns it maximizes trace(W^T M). It is computed as
-    M Q Lambda^{-1/2} Q^T from the eigendecomposition Q Lambda Q^T of the
-    k x k Gram matrix M^T M when lambda_min / lambda_max is above
-    ``_WHITEN_GRAM_MIN``; otherwise, or when eigh does not converge, from
-    the dense SVD. Rank-deficient input therefore always takes the SVD:
-    its factor is not unique, and the output is whatever the deterministic
-    SVD routine yields, which is reproducible but arbitrary in the null
-    directions.
+    with orthonormal columns it maximizes trace(W^T M). For rank-deficient
+    input the factor is not unique; the output is then whatever the
+    deterministic SVD routine yields, which is reproducible but arbitrary
+    in the null directions. A non-converging SVD is a NumericalError.
     """
     M = as_matrix(M, "M")
     d, k = M.shape
     if d < k:
         raise ValidationError(f"whiten needs d >= k, got shape {M.shape}")
-    try:
-        w, Q = np.linalg.eigh(M.T @ M)
-        if w[0] > _WHITEN_GRAM_MIN * w[-1]:
-            return M @ ((Q / np.sqrt(w)) @ Q.T)
-    except np.linalg.LinAlgError:
-        pass  # the dense SVD decides
     P, _, Qt = _dense_svd(M)
     return P @ Qt
 

@@ -158,7 +158,8 @@ def merge_ties(mats: list[np.ndarray], keep: float) -> np.ndarray:
     (ties broken toward earlier row-major positions) and drops the rest.
     Per entry, the elected sign is the sign of the summed survivors, and
     the output is the mean of the survivors that match it. Entries with
-    no survivors, or a zero elected sign, come out zero.
+    no survivors, or a zero elected sign, come out zero, and empty matrices
+    give an empty output.
     """
     if not mats:
         raise ValidationError("merge_ties needs at least one matrix")
@@ -169,6 +170,8 @@ def merge_ties(mats: list[np.ndarray], keep: float) -> np.ndarray:
         raise ValidationError(f"keep must be in (0, 1], got {keep}")
     shape = mats[0].shape
     total = mats[0].size
+    if total == 0:
+        return np.zeros(shape)
     n_keep = math.ceil(keep * total)
 
     trimmed = []

@@ -115,6 +115,11 @@ def test_ties_keep_validation():
         merge_ties([np.ones((2, 2))], keep=1.5)
 
 
+def test_ties_of_empty_matrices_is_empty():
+    out = merge_ties([np.zeros((0, 3)), np.zeros((0, 3))], keep=0.5)
+    assert out.shape == (0, 3)
+
+
 def argsort_ties(mats, keep):
     """Reference TIES: trim each matrix by a full stable argsort of -|x|."""
     total = mats[0].size
