@@ -2,7 +2,9 @@
 
 Subcommands: merge, report, inspect, perturb, optimize-basis,
 accuracy-report. Exit codes: 0 on success, 2 on input validation failure
-(including file problems), 3 on numerical failure.
+(including file problems), 3 on numerical failure. ``main`` runs a command
+whose first container holds only matrices smaller than 256 on one side with
+one BLAS thread (``_blas``), and restores the count when it returns.
 """
 
 from __future__ import annotations
@@ -10,9 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import warnings
 
 import numpy as np
 
+from ._blas import CommandThreads
 from .container import (
     TensorContainer,
     detect_mode,
@@ -62,6 +66,20 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _or_nan(metric, *args) -> float:
+    try:
+        return metric(*args)
+    except NumericalError:
+        return float("nan")
+
+
+def _nanmean(values) -> float:
+    """Mean of the defined values; nan, without a warning, when there are none."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return float(np.nanmean(values))
+
+
 def _smoothing_from_flags(args) -> SmoothingStrategy | None:
     if args.smoothing is None:
         return None
@@ -92,10 +110,11 @@ def _load_tasks(base, task_paths, mode=None):
     return extracts, mode
 
 
-def _cmd_merge(args) -> int:
+def _cmd_merge(args, threads: CommandThreads) -> int:
     if not args.alpha > 0:
         raise ValidationError(f"alpha must be positive, got {args.alpha}")
     base = read_container(args.base)
+    threads.fit(base)
     extracts, _ = _load_tasks(base, args.task, args.mode)
     cfg = MergeConfig(
         mode=args.mode,
@@ -123,8 +142,9 @@ def _cmd_merge(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args, threads: CommandThreads) -> int:
     base = read_container(args.base)
+    threads.fit(base)
     merged = read_container(args.merged)
     extracts, mode = _load_tasks(base, args.task)
     cfg = MergeConfig(mode=mode)
@@ -146,11 +166,9 @@ def _cmd_report(args) -> int:
         r = resolve_rank(tvs, cfg)
         decomps, basis = cover_space(tvs, r, SmoothingStrategy.truncate_only())
         for path, tv, kd in zip(args.task, tvs, decomps):
-            c = cos_sim(tv.delta, merged_delta)
-            try:
-                d = projected_dir_sim(kd, merged_delta)
-            except NumericalError:
-                d = float("nan")
+            # undefined where a task or the merge left the tensor at the base
+            c = _or_nan(cos_sim, tv.delta, merged_delta)
+            d = _or_nan(projected_dir_sim, kd, merged_delta)
             rows.append((name, path, "cos_sim", c))
             rows.append((name, path, "projected_dir_sim", d))
             per_task_cos[path].append(c)
@@ -170,10 +188,8 @@ def _cmd_report(args) -> int:
                 )
 
     for path in args.task:
-        rows.append(("ALL", path, "cos_sim", float(np.nanmean(per_task_cos[path]))))
-        rows.append(
-            ("ALL", path, "projected_dir_sim", float(np.nanmean(per_task_dir[path])))
-        )
+        rows.append(("ALL", path, "cos_sim", _nanmean(per_task_cos[path])))
+        rows.append(("ALL", path, "projected_dir_sim", _nanmean(per_task_dir[path])))
     rows.append(("ALL", "", "alignment_score", float(np.mean(align_values))))
 
     with open(args.out, "w", newline="") as fh:
@@ -185,8 +201,9 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_inspect(args) -> int:
+def _cmd_inspect(args, threads: CommandThreads) -> int:
     container = read_container(args.file)
+    threads.fit(container)
     dtype_names = {np.dtype("float32"): "F32", np.dtype("float64"): "F64"}
     for name in container.names():
         arr = container.tensors[name]
@@ -214,8 +231,9 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-def _cmd_perturb(args) -> int:
+def _cmd_perturb(args, threads: CommandThreads) -> int:
     base = read_container(args.base)
+    threads.fit(base)
     task = read_container(args.task)
     mode = detect_mode(task)
     extracted = extract_task_vectors(base, task, mode)
@@ -273,8 +291,9 @@ def _cmd_perturb(args) -> int:
     return 0
 
 
-def _cmd_optimize_basis(args) -> int:
+def _cmd_optimize_basis(args, threads: CommandThreads) -> int:
     base = read_container(args.base)
+    threads.fit(base)
     extracts, mode = _load_tasks(base, args.task)
     if args.tensor not in extracts[0].matrices:
         raise ValidationError(
@@ -309,7 +328,8 @@ def _cmd_optimize_basis(args) -> int:
     return 0
 
 
-def _cmd_accuracy_report(args) -> int:
+def _cmd_accuracy_report(args, threads: CommandThreads) -> int:
+    # reads no container, so the BLAS keeps its default threads
     with open(args.table, "r", newline="") as fh:
         reader = csv.reader(fh)
         raw = [row for row in reader if row and any(cell.strip() for cell in row)]
@@ -430,7 +450,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with CommandThreads() as threads:
+            return args.func(args, threads)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

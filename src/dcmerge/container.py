@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,21 +70,21 @@ class TensorContainer:
 def write_container(container: TensorContainer, path):
     """Serialize a container to ``path`` with the canonical byte layout."""
     header: dict = {}
-    blobs: list[bytes] = []
+    buffers: list[np.ndarray] = []
     offset = 0
     for name in container.names():
         arr = container.tensors[name]
         TensorContainer._check_entry(name, arr)
         dtype_name = _DTYPE_NAMES[arr.dtype]
+        # no copy for a C-contiguous array on a little-endian machine
         raw = np.ascontiguousarray(arr).astype(_DTYPES[dtype_name], copy=False)
-        data = raw.tobytes()
         header[name] = {
             "dtype": dtype_name,
             "shape": list(arr.shape),
-            "data_offsets": [offset, offset + len(data)],
+            "data_offsets": [offset, offset + raw.nbytes],
         }
-        blobs.append(data)
-        offset += len(data)
+        buffers.append(raw)
+        offset += raw.nbytes
     if container.metadata:
         header[_METADATA_KEY] = dict(sorted(container.metadata.items()))
     payload = json.dumps(
@@ -92,8 +93,8 @@ def write_container(container: TensorContainer, path):
     with open(path, "wb") as fh:
         fh.write(len(payload).to_bytes(8, "little"))
         fh.write(payload)
-        for blob in blobs:
-            fh.write(blob)
+        for raw in buffers:
+            fh.write(raw.data)
 
 
 def _parse_entry(name, entry, data_len) -> tuple[np.dtype, tuple, int, int]:
@@ -126,32 +127,24 @@ def _parse_entry(name, entry, data_len) -> tuple[np.dtype, tuple, int, int]:
     return _DTYPES[dtype_name], tuple(shape), start, end
 
 
-def read_container(path) -> TensorContainer:
-    """Parse a container file, validating layout before touching tensor bytes."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 8:
-        raise ContainerError("file too short for header length field")
-    header_len = int.from_bytes(raw[:8], "little")
-    if 8 + header_len > len(raw):
-        raise ContainerError("header extends past end of file")
+def _parse_header(payload: bytes, data_len: int) -> tuple[dict, dict]:
+    """Validated (tensor entries, metadata) of a header over ``data_len`` data bytes."""
     try:
-        header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
+        header = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerError(f"header is not valid UTF-8 JSON: {exc}") from None
     if not isinstance(header, dict):
         raise ContainerError("header must be a JSON object")
-    data = raw[8 + header_len :]
 
-    metadata_raw = header.pop(_METADATA_KEY, {})
-    if not isinstance(metadata_raw, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in metadata_raw.items()
+    metadata = header.pop(_METADATA_KEY, {})
+    if not isinstance(metadata, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
     ):
         raise ContainerError("__metadata__ must map strings to strings")
 
     parsed = {}
     for name, entry in header.items():
-        parsed[name] = _parse_entry(name, entry, len(data))
+        parsed[name] = _parse_entry(name, entry, data_len)
 
     # declared ranges must tile the data region: no overlap, no gap
     spans = sorted((s, e, name) for name, (_, _, s, e) in parsed.items() if e > s)
@@ -162,17 +155,39 @@ def read_container(path) -> TensorContainer:
         if start > cursor:
             raise ContainerError(f"gap of {start - cursor} bytes before tensor {name!r}")
         cursor = end
-    if cursor != len(data):
+    if cursor != data_len:
         raise ContainerError(
-            f"data region has {len(data) - cursor} trailing bytes not claimed "
+            f"data region has {data_len - cursor} trailing bytes not claimed "
             "by any tensor"
         )
+    return parsed, metadata
 
-    tensors = {}
-    for name, (dtype, shape, start, end) in parsed.items():
-        arr = np.frombuffer(data[start:end], dtype=dtype).reshape(shape)
-        tensors[name] = arr.astype(arr.dtype.newbyteorder("="), copy=True)
-    return TensorContainer(tensors=tensors, metadata=dict(metadata_raw))
+
+def read_container(path) -> TensorContainer:
+    """Parse a container file, validating layout before touching tensor bytes.
+
+    Each tensor is read from the file straight into its own array, so the
+    returned tensors are the only in-memory copy of the data.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(8)
+        if len(head) < 8:
+            raise ContainerError("file too short for header length field")
+        header_len = int.from_bytes(head, "little")
+        if 8 + header_len > size:
+            raise ContainerError("header extends past end of file")
+        data_start = 8 + header_len
+        parsed, metadata = _parse_header(fh.read(header_len), size - data_start)
+
+        tensors = {}
+        for name, (dtype, shape, start, end) in parsed.items():
+            arr = np.empty(shape, dtype=dtype)
+            fh.seek(data_start + start)
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != end - start:
+                raise ContainerError(f"tensor {name!r}: file ended while reading it")
+            tensors[name] = arr.astype(dtype.newbyteorder("="), copy=False)
+    return TensorContainer(tensors=tensors, metadata=dict(metadata))
 
 
 _LORA_B = ".lora_B"

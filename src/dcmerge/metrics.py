@@ -54,8 +54,10 @@ def cos_sim(A, B) -> float:
     B = as_matrix(B, "B")
     if A.shape != B.shape:
         raise ValidationError(f"shape mismatch: {A.shape} vs {B.shape}")
-    na = np.linalg.norm(A)
-    nb = np.linalg.norm(B)
+    # numpy's pairwise sums rather than BLAS dot, whose threads split the
+    # sum and so change the last bits with the thread count
+    na = np.sqrt(np.sum(A * A))
+    nb = np.sqrt(np.sum(B * B))
     if na == 0.0 or nb == 0.0:
         raise NumericalError("cosine undefined for a zero matrix")
     return float(np.sum(A * B) / (na * nb))
@@ -97,9 +99,10 @@ def projected_dir_sim(kdTask: KnowledgeDecomposition, merged) -> float:
     Raises
     ------
     NumericalError
-        If the projection is numerically zero; the task's directions are
-        then absent from the merge, which is different from directions
-        that cancel to similarity zero.
+        If the task's spectrum is all zero, so that its directions are
+        arbitrary. Also if the projection is numerically zero: the task's
+        directions are then absent from the merge, which is different from
+        directions that cancel to similarity zero.
     """
     merged = as_matrix(merged, "merged")
     if merged.shape != kdTask.source_shape:
@@ -107,6 +110,8 @@ def projected_dir_sim(kdTask: KnowledgeDecomposition, merged) -> float:
             f"merged shape {merged.shape} does not match task shape "
             f"{kdTask.source_shape}"
         )
+    if not np.any(kdTask.sigma):
+        raise NumericalError("task decomposition is zero; its directions are undefined")
     C = kdTask.U.T @ merged
     # ||C|| equals the projection's norm because U has orthonormal columns
     if np.linalg.norm(C) <= 1e-12 * max(1.0, np.linalg.norm(merged)):

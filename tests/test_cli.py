@@ -125,6 +125,66 @@ def test_merge_output_independent_of_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def _env_without_thread_variables(**extra):
+    env = _package_env(**extra)
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        if var not in extra:
+            env.pop(var, None)
+    return env
+
+
+def _run_python(args, env):
+    proc = subprocess.run(
+        [sys.executable, *map(str, args)], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_default_threads_match_explicit_counts_below_256(tmp_path):
+    # the CLI picks one BLAS thread here; merge and report bytes must not show it
+    base_path, task_paths = write_merge_set(
+        tmp_path, seed=2, mode="fft", n_tasks=3, layers=1, d=96
+    )
+    outputs = set()
+    for threads in (None, "1", "2"):
+        extra = {} if threads is None else {"OPENBLAS_NUM_THREADS": threads}
+        env = _env_without_thread_variables(**extra)
+        merged, report = tmp_path / f"m{threads}.dcm", tmp_path / f"r{threads}.csv"
+        _run_python(["-m", "dcmerge.cli", *merge_args(base_path, task_paths, merged)],
+                    env)
+        _run_python(["-m", "dcmerge.cli", "report", "--base", base_path,
+                     "--merged", merged, "--task", *task_paths, "--out", report], env)
+        outputs.add((merged.read_bytes(), report.read_bytes()))
+    assert len(outputs) == 1
+
+
+def test_default_threads_are_left_alone_from_256(tmp_path):
+    env = _env_without_thread_variables()
+    default = int(_run_python(
+        ["-c", "from dcmerge._blas import find_openblas\n"
+               "lib = find_openblas()\n"
+               "print(lib.get_threads() if lib else 0)\n"], env))
+    if default == 0:
+        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+    base_path, task_paths = write_merge_set(
+        tmp_path, seed=3, mode="fft", n_tasks=2, layers=1, d=256
+    )
+    # float64 copies: at this size the thread count moves the last bits of
+    # eigh, which a float32 output would round away
+    for path in [base_path, *task_paths]:
+        c = read_container(path)
+        tensors = {name: arr.astype(np.float64) for name, arr in c.tensors.items()}
+        write_container(TensorContainer(tensors=tensors), path)
+    outputs = []
+    for extra in ({}, {"OPENBLAS_NUM_THREADS": str(default)}):
+        out = tmp_path / f"m{len(outputs)}.dcm"
+        _run_python(["-m", "dcmerge.cli", *merge_args(base_path, task_paths, out)],
+                    _env_without_thread_variables(**extra))
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_merge_lora_checkpoints(tmp_path):
     rng = np.random.default_rng(3)
     base = TensorContainer(tensors={"q.weight": rng.standard_normal((8, 6))})
@@ -294,6 +354,29 @@ def test_report_csv_structure(tmp_path):
     assert "alignment_score" in metrics
     for row in rows[1:]:
         float(row[3])  # every value parses
+
+
+def test_report_writes_nan_for_a_frozen_layer(tmp_path):
+    rng = np.random.default_rng(4)
+    weight = rng.standard_normal((16, 12))
+    paths = [tmp_path / name for name in ("base.dcm", "frozen.dcm", "tuned.dcm")]
+    tuned_weight = weight + 0.1 * rng.standard_normal((16, 12))
+    for path, w in zip(paths, [weight, weight, tuned_weight]):
+        write_container(TensorContainer(tensors={"w": w}), path)
+    base_path, frozen, tuned = map(str, paths)
+    merged = str(tmp_path / "merged.dcm")
+    report = tmp_path / "report.csv"
+    assert main(merge_args(base_path, [frozen, tuned], merged)) == 0
+    rc = main(["report", "--base", base_path, "--merged", merged,
+               "--task", frozen, tuned, "--out", str(report)])
+    assert rc == 0
+    with open(report, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    for tensor in ("w", "ALL"):
+        for metric in ("cos_sim", "projected_dir_sim"):
+            values = {task: v for t, task, m, v in rows if (t, m) == (tensor, metric)}
+            assert values[frozen] == "nan"
+            assert np.isfinite(float(values[tuned]))
 
 
 def test_optimize_basis_trace_is_non_decreasing(tmp_path):

@@ -181,6 +181,13 @@ def test_projected_dir_sim_orthogonal_merged_errors():
         projected_dir_sim(kd, merged)
 
 
+def test_projected_dir_sim_of_a_zero_task_errors():
+    # a zero delta decomposes to arbitrary directions, which must not score
+    kd = decompose(TaskVector(name="a", delta=np.zeros((4, 4))), 2)
+    with pytest.raises(NumericalError, match="directions are undefined"):
+        projected_dir_sim(kd, np.eye(4))
+
+
 def test_projected_dir_sim_annihilates_foreign_component():
     rng = np.random.default_rng(8)
     kd = random_decomp(rng, 10, 8, 3)
