@@ -26,7 +26,7 @@ from .container import (
 )
 from .cover import CoverBasis, make_mask, project
 from .errors import NumericalError, ValidationError
-from .linalg import truncated_svd
+from .linalg import _dense_svd, truncated_svd
 from .merge import (
     MergeConfig,
     assemble_model,
@@ -210,7 +210,10 @@ def _cmd_inspect(args, threads: CommandThreads) -> int:
         print(f"{name}  {dtype_names[arr.dtype]}  {tuple(arr.shape)}")
         if arr.ndim != 2 or min(arr.shape) == 0:
             continue
-        sigma = np.linalg.svd(arr.astype(np.float64), compute_uv=False)
+        if not np.all(np.isfinite(arr)):
+            print("    spectrum: non-finite entries")
+            continue
+        sigma = _dense_svd(arr.astype(np.float64), compute_uv=False)
         total = float(sigma.sum())
         if total == 0.0:
             print("    spectrum: all zero")

@@ -122,8 +122,11 @@ class SvdTriplet:
 
 
 def _check_orthonormal(mat: np.ndarray, label: str) -> None:
-    """Reject ``mat`` unless its columns are orthonormal within ``_ORTHO_TOL``."""
-    if np.abs(mat.T @ mat - np.eye(mat.shape[1])).max() > _ORTHO_TOL:
+    """Reject ``mat`` unless its columns are orthonormal within ``_ORTHO_TOL``.
+
+    A NaN deviation fails the test too.
+    """
+    if not np.abs(mat.T @ mat - np.eye(mat.shape[1])).max() <= _ORTHO_TOL:
         raise ValidationError(f"{label} columns are not orthonormal")
 
 
@@ -147,10 +150,10 @@ def _checked_sigma(sigma, u_cols: int, v_cols: int) -> np.ndarray:
     return sigma
 
 
-def _dense_svd(M: np.ndarray):
-    """Thin SVD of M; non-convergence is a NumericalError."""
+def _dense_svd(M: np.ndarray, compute_uv: bool = True):
+    """Thin SVD of M, or its singular values alone; non-convergence is a NumericalError."""
     try:
-        return np.linalg.svd(M, full_matrices=False)
+        return np.linalg.svd(M, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from None
 
@@ -240,15 +243,51 @@ def whiten(M) -> np.ndarray:
     return P @ Qt
 
 
-def matrix_exp_skew(A) -> np.ndarray:
-    """Orthogonal matrix exp(A - A^T) for a square input A."""
-    # imported here so that commands other than optimize-basis never load scipy
-    import scipy.linalg
+def _skew_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unitary eigendecomposition of the skew matrix S = A - A^T.
 
+    Returns real ``w`` and unitary ``Q`` from the Hermitian eigenproblem of
+    i S, so that S = Q diag(-i w) Q^H. A non-converging ``eigh`` is a
+    NumericalError.
+    """
+    try:
+        return np.linalg.eigh(1j * (A - A.T))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigh did not converge: {exc}") from None
+
+
+def _skew_exp(w: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """exp(S) = Re(Q diag(e^{-i w}) Q^H) from ``_skew_eigh``'s factors."""
+    return ((Q * np.exp(-1j * w)) @ Q.conj().T).real
+
+
+def _skew_exp_adjoint(w: np.ndarray, Q: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Adjoint of exp's derivative at S, applied to E: Dexp(S^T)[E].
+
+    S^T = Q diag(i w) Q^H is normal, so its Frechet derivative is
+    Q (Phi o (Q^H E Q)) Q^H with the divided differences
+    Phi_jk = (e^{i w_j} - e^{i w_k}) / (i (w_j - w_k))
+           = e^{i (w_j + w_k) / 2} sinc((w_j - w_k) / (2 pi)),
+    whose diagonal is e^{i w_j}; the sinc form needs no branch for nearly
+    equal eigenvalues.
+    """
+    half = 0.5 * w
+    phi = np.exp(1j * (half[:, None] + half[None, :]))
+    phi *= np.sinc((w[:, None] - w[None, :]) / (2.0 * np.pi))
+    Qh = Q.conj().T
+    return (Q @ (phi * (Qh @ E @ Q)) @ Qh).real
+
+
+def matrix_exp_skew(A) -> np.ndarray:
+    """Orthogonal matrix exp(A - A^T) for a square input A.
+
+    Computed from one unitary eigendecomposition of the skew matrix
+    (``_skew_eigh``); a non-converging ``eigh`` is a NumericalError.
+    """
     A = as_matrix(A, "A")
     if A.shape[0] != A.shape[1]:
         raise ValidationError(f"square matrix required, got shape {A.shape}")
-    return scipy.linalg.expm(A - A.T)
+    return _skew_exp(*_skew_eigh(A))
 
 
 def orthogonal_complement_sample(U, count: int, seed: int) -> np.ndarray:

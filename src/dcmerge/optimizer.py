@@ -8,10 +8,12 @@ matrices applied to a fixed starting pair:
 so every iterate is exactly orthonormal and the ascent is unconstrained
 in A and B. Each step rebuilds the exponential from the accumulated A and
 B rather than retracting incrementally. The gradient is exact: each
-iteration costs two exponentials and two Frechet derivatives of the
-exponential, one m x m and one n x n, so O(m^3 + n^3). This is a validation
-tool for the whitening construction, not a production path, so it is
-limited to small ambient dimensions where dense exponentials are cheap.
+iteration takes one unitary eigendecomposition per side, of i (A - A^T)
+(m x m) and of i (B - B^T) (n x n), and that one decomposition gives both
+the exponential and the adjoint of its derivative, so O(m^3 + n^3). This is
+a validation tool for the whitening construction, not a production path, so
+it is limited to small ambient dimensions where dense exponentials are
+cheap.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cover import CoverBasis
-from .errors import ValidationError
-from .linalg import matrix_exp_skew
+from .errors import NumericalError, ValidationError
+from .linalg import _check_orthonormal, _skew_eigh, _skew_exp, _skew_exp_adjoint
 from .task_vector import KnowledgeDecomposition, stack_bases
 
 __all__ = ["OptimizerConfig", "OptimizationTrace", "optimize_cover_basis"]
@@ -71,23 +73,40 @@ def _score(G: np.ndarray, H: np.ndarray) -> float:
     return float(np.sum(prod * prod))
 
 
-def _analytic_side_gradient(A, orient, G, other_gram, cat):
+def _analytic_side_gradient(A, orient, G, other_gram, cat, eig=None):
     """Exact gradient via the adjoint of the exponential's derivative.
 
     With E = exp(S), S = A - A^T and W = E @ orient, the chain is
     dL/dW = cat @ (2 G * H * H)^T, dL/dE = dL/dW @ orient^T, and the
     adjoint of the exponential's directional derivative at S is the same
     map taken at S^T, so dL/dS = Dexp(S^T)[dL/dE]. Antisymmetrizing gives
-    the gradient in A.
+    the gradient in A. ``eig`` is ``_skew_eigh(A)`` when the caller has it.
     """
-    from scipy.linalg import expm_frechet  # kept out of the package's import time
-
+    if eig is None:
+        eig = _skew_eigh(A)
     dL_dG = 2.0 * G * other_gram * other_gram
     dL_dW = cat @ dL_dG.T
     dL_dE = dL_dW @ orient.T
-    S = A - A.T
-    dL_dS = expm_frechet(S.T, dL_dE, compute_expm=False)
+    dL_dS = _skew_exp_adjoint(*eig, dL_dE)
     return dL_dS - dL_dS.T
+
+
+def _iterate(A, orient, it: int, label: str):
+    """exp(A - A^T) @ orient and the eigenfactors of A - A^T behind it.
+
+    Raises NumericalError when A is non-finite or the iterate's columns are
+    not orthonormal, which is how a too-large step shows.
+    """
+    advice = "the step is too large; lower the learning rate (--eta)"
+    if not np.all(np.isfinite(A)):
+        raise NumericalError(f"iteration {it}: {label} parameters are non-finite; {advice}")
+    eig = _skew_eigh(A)
+    W = _skew_exp(*eig) @ orient
+    try:
+        _check_orthonormal(W, f"{label} iterate")
+    except ValidationError as exc:
+        raise NumericalError(f"iteration {it}: {exc}; {advice}") from None
+    return W, eig
 
 
 def optimize_cover_basis(
@@ -99,7 +118,9 @@ def optimize_cover_basis(
 
     Logs the score every ``cfg.log_every`` iterations before the update is
     applied, then appends one final point after the last step. Returns the
-    final basis (orthonormal by construction) and the trace.
+    final basis (orthonormal by construction) and the trace. Raises
+    NumericalError, naming the iteration, when a step leaves A or B
+    non-finite or an iterate outside the orthonormality tolerance.
     """
     if cfg is None:
         cfg = OptimizerConfig()
@@ -125,19 +146,17 @@ def optimize_cover_basis(
     start = time.perf_counter()
 
     for it in range(cfg.max_iters):
-        Wu = matrix_exp_skew(A) @ U0
-        Wv = matrix_exp_skew(B) @ V0
+        Wu, eig_a = _iterate(A, U0, it, "U")
+        Wv, eig_b = _iterate(B, V0, it, "V")
         G = Wu.T @ U_cat
         H = Wv.T @ V_cat
         if it % cfg.log_every == 0:
             points.append((it, _score(G, H), time.perf_counter() - start))
-        GA = _analytic_side_gradient(A, U0, G, H, U_cat)
-        GB = _analytic_side_gradient(B, V0, H, G, V_cat)
-        A += eta * GA
-        B += eta * GB
+        A += eta * _analytic_side_gradient(A, U0, G, H, U_cat, eig_a)
+        B += eta * _analytic_side_gradient(B, V0, H, G, V_cat, eig_b)
 
-    Wu = matrix_exp_skew(A) @ U0
-    Wv = matrix_exp_skew(B) @ V0
+    Wu, _ = _iterate(A, U0, cfg.max_iters, "U")
+    Wv, _ = _iterate(B, V0, cfg.max_iters, "V")
     final = _score(Wu.T @ U_cat, Wv.T @ V_cat)
     points.append((cfg.max_iters, final, time.perf_counter() - start))
     return CoverBasis(U_tilde=Wu, V_tilde=Wv), OptimizationTrace(points=tuple(points))

@@ -444,6 +444,30 @@ def test_inspect_missing_file_exits_2(tmp_path):
     assert main(["inspect", str(tmp_path / "ghost.dcm")]) == 2
 
 
+def test_inspect_reports_non_finite_tensor_and_goes_on(tmp_path, capsys):
+    bad = np.random.default_rng(18).standard_normal((16, 12)).astype(np.float32)
+    bad[3, 4] = np.nan
+    path = tmp_path / "nan.dcm"
+    tensors = {"q.weight": bad, "k.weight": np.eye(4, dtype=np.float32)}
+    write_container(TensorContainer(tensors=tensors), path)
+    assert main(["inspect", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "q.weight  F32  (16, 12)\n    spectrum: non-finite entries\n" in out
+    assert "k.weight  F32  (4, 4)\n    top-r energy fraction: " in out
+
+
+def test_inspect_svd_non_convergence_exits_3(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "w.dcm"
+    write_container(TensorContainer(tensors={"w": np.eye(4)}), path)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    assert main(["inspect", str(path)]) == 3
+    assert "SVD did not converge" in capsys.readouterr().err
+
+
 def test_report_to_unwritable_path_exits_2(tmp_path):
     base_path, task_paths = write_fft_fixture(tmp_path, seed=11)
     merged_path = tmp_path / "merged.dcm"
@@ -609,3 +633,46 @@ def test_optimize_basis_above_the_dimension_limit_exits_2(tmp_path, capsys):
     assert "ambient dimension 96 exceeds the dense-exponential limit 64" in err
     assert "OptimizerConfig.dim_limit" in err
     assert not (tmp_path / "trace.csv").exists()
+
+
+def test_optimize_basis_runs_without_scipy(tmp_path):
+    base_path, task_paths = write_merge_set(
+        tmp_path, seed=16, mode="fft", n_tasks=3, layers=1, d=32
+    )
+    trace_path = tmp_path / "trace.csv"
+    argv = ["optimize-basis", "--base", base_path, "--task", *task_paths,
+            "--tensor", "layers.0.attn.q.weight", "--eta", "1e-2", "--iters", "4",
+            "--out", str(trace_path)]
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+        "from dcmerge.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(trace_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["iter", "score"]
+    assert [int(r[0]) for r in rows[1:]] == [0, 1, 2, 3, 4]
+
+
+def test_optimize_basis_too_large_step_exits_3(tmp_path, capsys):
+    rng = np.random.default_rng(17)
+    weight = rng.standard_normal((16, 12))
+    tuned = weight + 0.1 * rng.standard_normal((16, 12))
+    write_container(TensorContainer(tensors={"q.weight": weight}), tmp_path / "base.dcm")
+    write_container(TensorContainer(tensors={"q.weight": tuned}), tmp_path / "task.dcm")
+    trace_path = tmp_path / "trace.csv"
+    rc = main(
+        ["optimize-basis", "--base", str(tmp_path / "base.dcm"),
+         "--task", str(tmp_path / "task.dcm"), "--tensor", "q.weight",
+         "--eta", "1e20", "--iters", "3", "--out", str(trace_path)]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: iteration ")
+    assert "lower the learning rate (--eta)" in err
+    assert not trace_path.exists()

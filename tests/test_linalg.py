@@ -7,6 +7,8 @@ from dcmerge.errors import NumericalError, ValidationError
 from dcmerge.linalg import (
     _SVD_GRAM_GAP,
     SvdTriplet,
+    _skew_eigh,
+    _skew_exp_adjoint,
     matrix_exp_skew,
     orthogonal_complement_sample,
     truncated_svd,
@@ -238,6 +240,40 @@ def test_matrix_exp_skew_orthogonal_unit_determinant():
 def test_matrix_exp_skew_rejects_non_square():
     with pytest.raises(ValidationError):
         matrix_exp_skew(np.ones((2, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 64),
+    log_norm=st.floats(-8.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_skew_kernels_agree_with_scipy(d, log_norm, seed):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((d, d))
+    S = G - G.T
+    norm = np.linalg.norm(S, 2)
+    if norm > 0:  # a 1 x 1 skew matrix is zero
+        S *= 10.0**log_norm / norm
+    A = 0.5 * S  # A - A^T reproduces S exactly
+    W = matrix_exp_skew(A)
+    # scipy's scaling-and-squaring error grows with the norm: 1.3e-12 at
+    # |S|_2 = 68, d = 2, where the eigendecomposition stays within 2e-15 of
+    # a 40-digit reference
+    tol = 1e-12 * max(1.0, 10.0**log_norm / 20.0)
+    assert np.abs(W - scipy_linalg.expm(S)).max() <= tol
+    assert np.abs(W.T @ W - np.eye(d)).max() <= 1e-13
+    E = rng.standard_normal((d, d))
+    got = _skew_exp_adjoint(*_skew_eigh(A), E)
+    want = scipy_linalg.expm_frechet(S.T, E, compute_expm=False)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_matrix_exp_skew_non_convergence_is_numerical_error(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericalError):
+        matrix_exp_skew(np.ones((3, 3)))
 
 
 # orthogonal_complement_sample

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dcmerge.cover import CoverBasis, build_cover_basis
-from dcmerge.errors import ValidationError
+from dcmerge.errors import NumericalError, ValidationError
 from dcmerge.linalg import matrix_exp_skew, truncated_svd
 from dcmerge.metrics import alignment_score
 from dcmerge.optimizer import (
@@ -147,6 +147,19 @@ def test_dimension_limit_enforced():
     # explicit override admits the same instance
     cfg = OptimizerConfig(max_iters=1, dim_limit=65)
     optimize_cover_basis(decomps, init, cfg)
+
+
+def test_too_large_step_is_numerical_error():
+    rng = np.random.default_rng(9)
+    decomps = [random_decomp(rng, 6, 6, 2) for _ in range(2)]
+    init = ta_init(decomps, 4)
+    with np.errstate(all="ignore"):
+        # A overflows to inf on the first step
+        with pytest.raises(NumericalError, match="iteration 1: U parameters are non-finite"):
+            optimize_cover_basis(decomps, init, OptimizerConfig(learning_rate=np.inf))
+        # A stays finite, but the iterate's phases are lost
+        with pytest.raises(NumericalError, match=r"iteration \d+: U iterate columns are not"):
+            optimize_cover_basis(decomps, init, OptimizerConfig(learning_rate=1e300))
 
 
 def test_input_validation():
