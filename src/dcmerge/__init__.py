@@ -47,7 +47,6 @@ from .metrics import (
 from .optimizer import OptimizationTrace, OptimizerConfig, optimize_cover_basis
 from .perturb import direction_perturb, energy_perturb
 from .task_vector import (
-    KnowledgeDecomposition,
     SmoothingStrategy,
     TaskVector,
     decompose,
@@ -66,7 +65,6 @@ __all__ = [
     "CoverBasis",
     "DcMergeError",
     "ExtractedVectors",
-    "KnowledgeDecomposition",
     "MergeConfig",
     "NumericalError",
     "OptimizationTrace",

@@ -26,7 +26,7 @@ from .container import (
 )
 from .cover import CoverBasis, make_mask, project
 from .errors import NumericalError, ValidationError
-from .linalg import _dense_svd, truncated_svd
+from .linalg import _dense_svd, as_matrix, truncated_svd
 from .merge import (
     MergeConfig,
     assemble_model,
@@ -92,6 +92,14 @@ def _smoothing_from_flags(args) -> SmoothingStrategy | None:
     return SmoothingStrategy.interpolate(args.tau)
 
 
+def _extract(base, task, mode, path):
+    """``extract_task_vectors``, with the task file's path leading any ValidationError."""
+    try:
+        return extract_task_vectors(base, task, mode)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
 def _load_tasks(base, task_paths, mode=None):
     """Task vectors against ``base`` and the mode (``None``: from the first file)."""
     extracts = []
@@ -99,7 +107,7 @@ def _load_tasks(base, task_paths, mode=None):
         task = read_container(path)
         if mode is None:
             mode = detect_mode(task)
-        extracts.append(extract_task_vectors(base, task, mode))
+        extracts.append(_extract(base, task, mode, path))
         del task  # hold one task container at a time
     names = [set(ex.matrices) for ex in extracts]
     if any(s != names[0] for s in names[1:]):
@@ -159,9 +167,9 @@ def _cmd_report(args, threads: CommandThreads) -> int:
             raise ValidationError(f"merged checkpoint is missing tensor {name!r}")
         if name not in base.tensors:
             raise ValidationError(f"base checkpoint is missing tensor {name!r}")
-        merged_delta = merged.tensors[name].astype(np.float64) - base.tensors[
-            name
-        ].astype(np.float64)
+        merged_delta = as_matrix(
+            merged.tensors[name], f"{args.merged}: tensor {name!r}"
+        ) - base.tensors[name].astype(np.float64)
         tvs = [ex.matrices[name] for ex in extracts]
         r = resolve_rank(tvs, cfg)
         decomps, basis = cover_space(tvs, r, SmoothingStrategy.truncate_only())
@@ -239,7 +247,7 @@ def _cmd_perturb(args, threads: CommandThreads) -> int:
     threads.fit(base)
     task = read_container(args.task)
     mode = detect_mode(task)
-    extracted = extract_task_vectors(base, task, mode)
+    extracted = _extract(base, task, mode, args.task)
     matrix_names = sorted(extracted.matrices)
     if not matrix_names:
         raise ValidationError("no matrix tensors found to perturb")
@@ -403,8 +411,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="structural mask block size: 'auto' or a positive integer")
     p.add_argument("--alpha", type=float, default=1.0,
                    help="rescaling coefficient applied at assembly")
-    p.add_argument("--seed", type=int, default=None,
-                   help="accepted for interface stability; merging is deterministic")
     p.set_defaults(func=_cmd_merge)
 
     p = sub.add_parser("report", help="similarity metrics for a merged model")

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContainerError, ValidationError
+from .linalg import as_matrix
 from .task_vector import TaskVector, from_fft_delta, from_lora_factors
 
 __all__ = [
@@ -230,7 +231,8 @@ def extract_task_vectors(
     In ``fft`` mode every 2-D tensor present in both containers yields the
     dense difference task - base. In ``lora`` mode every factor pair
     ``<p>.lora_B`` (m x r) and ``<p>.lora_A`` (r x n) yields the product
-    delta under the target name ``<p>.weight``. Either way, 1-D tensors
+    delta under the target name ``<p>.weight``. A non-finite matrix is a
+    ValidationError that names the tensor. Either way, 1-D tensors
     present in both containers are returned separately as plain deltas for
     the averaging path of model assembly.
     """
@@ -246,7 +248,9 @@ def extract_task_vectors(
                         f"tensor {name!r} has shape {t.shape} vs base {b.shape}"
                     )
                 matrices[name] = from_fft_delta(
-                    t.astype(np.float64), b.astype(np.float64), name=name
+                    as_matrix(t, f"tensor {name!r}"),
+                    as_matrix(b, f"base tensor {name!r}"),
+                    name=name,
                 )
     else:
         prefixes = set()
@@ -270,6 +274,8 @@ def extract_task_vectors(
                     f"A is {A.shape}"
                 )
             matrices[prefix + ".weight"] = from_lora_factors(
-                B.astype(np.float64), A.astype(np.float64), name=prefix + ".weight"
+                as_matrix(B, f"tensor {b_name!r}"),
+                as_matrix(A, f"tensor {a_name!r}"),
+                name=prefix + ".weight",
             )
     return ExtractedVectors(matrices, _vector_deltas(base, task))

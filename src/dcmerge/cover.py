@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import _check_orthonormal, as_matrix, whiten
-from .task_vector import KnowledgeDecomposition, stack_bases
+from .linalg import SvdTriplet, _check_orthonormal, as_matrix, whiten
+from .task_vector import stack_bases
 
 __all__ = [
     "CoverBasis",
@@ -91,11 +91,11 @@ def build_cover_basis(decomps) -> CoverBasis:
 def project(delta, basis: CoverBasis) -> np.ndarray:
     """Coordinates of a delta in the cover space: U~^T delta V~ (k x k).
 
-    ``delta`` is a dense matrix or a KnowledgeDecomposition; the latter is
+    ``delta`` is a dense matrix or an SvdTriplet; the latter is
     projected from its singular factors as (U~^T U) diag(sigma) (V^T V~),
     without forming the dense product.
     """
-    if isinstance(delta, KnowledgeDecomposition):
+    if isinstance(delta, SvdTriplet):
         shape = delta.source_shape
     else:
         delta = as_matrix(delta, "delta")
@@ -104,7 +104,7 @@ def project(delta, basis: CoverBasis) -> np.ndarray:
         raise ValidationError(
             f"delta shape {shape} does not match basis ambient {basis.shape}"
         )
-    if isinstance(delta, KnowledgeDecomposition):
+    if isinstance(delta, SvdTriplet):
         return ((basis.U_tilde.T @ delta.U) * delta.sigma) @ (delta.V.T @ basis.V_tilde)
     return basis.U_tilde.T @ delta @ basis.V_tilde
 

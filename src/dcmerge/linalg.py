@@ -1,7 +1,8 @@
 """Deterministic dense linear-algebra kernels.
 
 Everything downstream (decomposition, cover construction, the basis
-optimizer) is built on the four operations here. All kernels compute in
+optimizer) is built on the kernels here, and ``SvdTriplet`` is the one
+type for a rank-r decomposition. All kernels compute in
 64-bit floats regardless of the precision tensors were stored in, and all
 are pure: identical inputs give bitwise-identical outputs within a process.
 """
@@ -105,6 +106,11 @@ class SvdTriplet:
     @property
     def rank(self) -> int:
         return self.sigma.size
+
+    @property
+    def source_shape(self) -> tuple[int, int]:
+        """Shape (m, n) of the matrix U diag(sigma) V^T."""
+        return (self.U.shape[0], self.V.shape[0])
 
     def _with_sigma(self, sigma) -> "SvdTriplet":
         """This triplet's U and V, already validated and frozen, with a new spectrum.

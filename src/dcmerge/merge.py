@@ -28,8 +28,8 @@ import numpy as np
 from .container import TensorContainer
 from .cover import CoverBasis, back_project, build_cover_basis, project
 from .errors import ValidationError
+from .linalg import SvdTriplet
 from .task_vector import (
-    KnowledgeDecomposition,
     SmoothingStrategy,
     TaskVector,
     decompose,
@@ -132,7 +132,7 @@ def resolve_rank(tasks: list[TaskVector], cfg: MergeConfig) -> int:
 
 def cover_space(
     tasks: list[TaskVector], r: int, strategy: SmoothingStrategy
-) -> tuple[list[KnowledgeDecomposition], CoverBasis]:
+) -> tuple[list[SvdTriplet], CoverBasis]:
     """Rank-r decompositions of ``tasks``, smoothed per ``strategy``, and their cover basis."""
     decomps = [smooth_energy(decompose(tv, r), strategy) for tv in tasks]
     return decomps, build_cover_basis(decomps)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .linalg import SvdTriplet, as_matrix, truncated_svd
-from .task_vector import KnowledgeDecomposition, stack_bases
+from .task_vector import stack_bases
 
 __all__ = [
     "RMatrix",
@@ -63,20 +63,20 @@ def cos_sim(A, B) -> float:
     return float(np.sum(A * B) / (na * nb))
 
 
-def _check_same_ambient(kdS: KnowledgeDecomposition, kdT: KnowledgeDecomposition):
+def _check_same_ambient(kdS: SvdTriplet, kdT: SvdTriplet):
     if kdS.source_shape != kdT.source_shape:
         raise ValidationError(
             f"ambient shapes differ: {kdS.source_shape} vs {kdT.source_shape}"
         )
 
 
-def r_matrix(kdS: KnowledgeDecomposition, kdT: KnowledgeDecomposition) -> RMatrix:
+def r_matrix(kdS: SvdTriplet, kdT: SvdTriplet) -> RMatrix:
     """Directional overlap between all dyad pairs of two decompositions."""
     _check_same_ambient(kdS, kdT)
     return RMatrix((kdS.U.T @ kdT.U) * (kdS.V.T @ kdT.V))
 
 
-def dir_sim(kdS: KnowledgeDecomposition, kdT: KnowledgeDecomposition) -> float:
+def dir_sim(kdS: SvdTriplet, kdT: SvdTriplet) -> float:
     """Spectrum-free directional similarity: sum(R) / sqrt(r_s * r_t).
 
     Jointly negating any (u_j, v_j) column pair of either decomposition
@@ -87,7 +87,7 @@ def dir_sim(kdS: KnowledgeDecomposition, kdT: KnowledgeDecomposition) -> float:
     return float(R.sum() / np.sqrt(kdS.rank * kdT.rank))
 
 
-def projected_dir_sim(kdTask: KnowledgeDecomposition, merged) -> float:
+def projected_dir_sim(kdTask: SvdTriplet, merged) -> float:
     """Directional similarity after restricting ``merged`` to the task's subspace.
 
     Projects the merged delta onto the column space of the task's left
@@ -119,10 +119,7 @@ def projected_dir_sim(kdTask: KnowledgeDecomposition, merged) -> float:
             "merged vector has no component in the task's singular subspace"
         )
     core = truncated_svd(C, kdTask.rank)
-    kdP = KnowledgeDecomposition(
-        SvdTriplet(kdTask.U @ core.U, core.sigma, core.V), kdTask.source_shape
-    )
-    return dir_sim(kdTask, kdP)
+    return dir_sim(kdTask, SvdTriplet(kdTask.U @ core.U, core.sigma, core.V))
 
 
 def alignment_score(U_tilde, V_tilde, decomps) -> float:

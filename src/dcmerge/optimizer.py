@@ -25,8 +25,14 @@ import numpy as np
 
 from .cover import CoverBasis
 from .errors import NumericalError, ValidationError
-from .linalg import _check_orthonormal, _skew_eigh, _skew_exp, _skew_exp_adjoint
-from .task_vector import KnowledgeDecomposition, stack_bases
+from .linalg import (
+    SvdTriplet,
+    _check_orthonormal,
+    _skew_eigh,
+    _skew_exp,
+    _skew_exp_adjoint,
+)
+from .task_vector import stack_bases
 
 __all__ = ["OptimizerConfig", "OptimizationTrace", "optimize_cover_basis"]
 
@@ -110,7 +116,7 @@ def _iterate(A, orient, it: int, label: str):
 
 
 def optimize_cover_basis(
-    decomps: list[KnowledgeDecomposition],
+    decomps: list[SvdTriplet],
     init: CoverBasis,
     cfg: OptimizerConfig | None = None,
 ) -> tuple[CoverBasis, OptimizationTrace]:

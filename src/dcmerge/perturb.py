@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .linalg import SvdTriplet, orthogonal_complement_sample
-from .task_vector import KnowledgeDecomposition
 
 __all__ = ["energy_perturb", "direction_perturb"]
 
@@ -84,9 +83,7 @@ def energy_perturb(
     return norm * (p * s + np.sqrt(1.0 - p * p) * s_perp)
 
 
-def direction_perturb(
-    kd: KnowledgeDecomposition, p: float, seed: int
-) -> KnowledgeDecomposition:
+def direction_perturb(kd: SvdTriplet, p: float, seed: int) -> SvdTriplet:
     """Blend singular directions with fresh orthogonal-complement ones.
 
     Each side is replaced by sqrt(p) * original + sqrt(1 - p) * complement,
@@ -98,8 +95,8 @@ def direction_perturb(
 
     Needs ambient room for the complements: m >= 2r and n >= 2r.
     """
-    if not isinstance(kd, KnowledgeDecomposition):
-        raise ValidationError("kd must be a KnowledgeDecomposition")
+    if not isinstance(kd, SvdTriplet):
+        raise ValidationError("kd must be an SvdTriplet")
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p must be in [0, 1], got {p}")
     m, n = kd.source_shape
@@ -116,5 +113,4 @@ def direction_perturb(
     root_q = np.sqrt(1.0 - p)
     U_new = root_p * kd.U + root_q * U_perp
     V_new = root_p * kd.V + root_q * V_perp
-    triplet = SvdTriplet(U=U_new, sigma=kd.sigma, V=V_new)
-    return KnowledgeDecomposition(svd=triplet, source_shape=kd.source_shape)
+    return SvdTriplet(U=U_new, sigma=kd.sigma, V=V_new)

@@ -19,7 +19,6 @@ from .linalg import SvdTriplet, as_matrix, truncated_svd
 
 __all__ = [
     "TaskVector",
-    "KnowledgeDecomposition",
     "SmoothingStrategy",
     "from_fft_delta",
     "from_lora_factors",
@@ -67,39 +66,6 @@ class TaskVector:
     @property
     def shape(self) -> tuple[int, int]:
         return self.delta.shape
-
-
-@dataclass(frozen=True)
-class KnowledgeDecomposition:
-    """Rank-r SVD triplet of a task vector plus the source shape."""
-
-    svd: SvdTriplet
-    source_shape: tuple[int, int]
-
-    def __post_init__(self):
-        m, n = self.source_shape
-        if self.svd.U.shape[0] != m or self.svd.V.shape[0] != n:
-            raise ValidationError(
-                f"decomposition factors do not match source shape {self.source_shape}"
-            )
-        if self.rank > min(m, n):
-            raise ValidationError("rank exceeds min(source_shape)")
-
-    @property
-    def U(self) -> np.ndarray:
-        return self.svd.U
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return self.svd.sigma
-
-    @property
-    def V(self) -> np.ndarray:
-        return self.svd.V
-
-    @property
-    def rank(self) -> int:
-        return self.svd.rank
 
 
 _KINDS = ("truncate_only", "averaging", "linear", "interpolate")
@@ -190,8 +156,8 @@ def _factor_svd(B: np.ndarray, A: np.ndarray, r: int) -> SvdTriplet | None:
     return SvdTriplet(Q_B @ U_c[:, :r], s[:r], Q_A @ Vt_c[:r].T)
 
 
-def decompose(tv: TaskVector, r: int) -> KnowledgeDecomposition:
-    """Rank-r knowledge decomposition of a task vector.
+def decompose(tv: TaskVector, r: int) -> SvdTriplet:
+    """Rank-r knowledge decomposition of a task vector, as an SvdTriplet.
 
     A task vector with LoRA factors is decomposed from them in
     O((m + n) p^2 + p^3) for inner dimension p; it falls back to the dense
@@ -199,9 +165,7 @@ def decompose(tv: TaskVector, r: int) -> KnowledgeDecomposition:
     numerical rank is below r.
     """
     svd = _factor_svd(*tv.factors, r) if tv.factors is not None else None
-    if svd is None:
-        svd = truncated_svd(tv.delta, r)
-    return KnowledgeDecomposition(svd, tv.shape)
+    return svd if svd is not None else truncated_svd(tv.delta, r)
 
 
 def _linear_weights(sigma: np.ndarray, rho: float) -> np.ndarray:
@@ -215,9 +179,7 @@ def _linear_weights(sigma: np.ndarray, rho: float) -> np.ndarray:
     return w / w.sum()
 
 
-def smooth_energy(
-    kd: KnowledgeDecomposition, s: SmoothingStrategy
-) -> KnowledgeDecomposition:
+def smooth_energy(kd: SvdTriplet, s: SmoothingStrategy) -> SvdTriplet:
     """Return a copy of ``kd`` with its spectrum flattened per strategy ``s``.
 
     All strategies preserve the total energy (the plain sum of singular
@@ -240,11 +202,11 @@ def smooth_energy(
         new = sigma.sum() * _linear_weights(sigma, s.rho)
     else:
         new = s.tau * sigma + (1.0 - s.tau) * sigma.mean()
-    return KnowledgeDecomposition(kd.svd._with_sigma(new), kd.source_shape)
+    return kd._with_sigma(new)
 
 
-def reconstruct(kd: KnowledgeDecomposition) -> np.ndarray:
-    """Dense matrix U diag(sigma) V^T with the decomposition's source shape."""
+def reconstruct(kd: SvdTriplet) -> np.ndarray:
+    """Dense matrix U diag(sigma) V^T, of shape ``kd.source_shape``."""
     return (kd.U * kd.sigma) @ kd.V.T
 
 
@@ -254,10 +216,8 @@ def stack_bases(decomps) -> tuple[np.ndarray, np.ndarray]:
     if not decomps:
         raise ValidationError("at least one decomposition required")
     for kd in decomps:
-        if not isinstance(kd, KnowledgeDecomposition):
-            raise ValidationError(
-                f"expected KnowledgeDecomposition, got {type(kd).__name__}"
-            )
+        if not isinstance(kd, SvdTriplet):
+            raise ValidationError(f"expected SvdTriplet, got {type(kd).__name__}")
     shapes = {kd.source_shape for kd in decomps}
     if len(shapes) != 1:
         raise ValidationError(f"decompositions have mixed ambient shapes {sorted(shapes)}")

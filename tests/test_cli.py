@@ -96,9 +96,18 @@ def test_merge_double_run_is_bitwise_identical(tmp_path):
     base_path, task_paths = write_fft_fixture(tmp_path, seed=1)
     out1 = tmp_path / "m1.dcm"
     out2 = tmp_path / "m2.dcm"
-    assert main(merge_args(base_path, task_paths, out1, "--seed", "7")) == 0
-    assert main(merge_args(base_path, task_paths, out2, "--seed", "7")) == 0
+    assert main(merge_args(base_path, task_paths, out1)) == 0
+    assert main(merge_args(base_path, task_paths, out2)) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_merge_has_no_seed_option(tmp_path, capsys):
+    base_path, task_paths = write_fft_fixture(tmp_path, seed=1)
+    with pytest.raises(SystemExit) as exc:
+        main(merge_args(base_path, task_paths, tmp_path / "m.dcm", "--seed", "7"))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    assert not (tmp_path / "m.dcm").exists()
 
 
 def _package_env(**extra):
@@ -510,6 +519,47 @@ def write_lora_fixture(tmp_path, ranks, seed=12):
 def report_args(base, merged, tasks, out):
     return ["report", "--base", str(base), "--merged", str(merged),
             "--task", *map(str, tasks), "--out", str(out)]
+
+
+def _poison(path, name, value):
+    """Rewrite the container at ``path`` with one non-finite entry in tensor ``name``."""
+    container = read_container(path)
+    tensors = dict(container.tensors)
+    tensors[name] = tensors[name].copy()
+    tensors[name][1, 2] = value
+    write_container(TensorContainer(tensors=tensors, metadata=container.metadata), path)
+
+
+@pytest.mark.parametrize(
+    "write_fixture, mode, tensor",
+    [
+        (write_fft_fixture, "fft", "enc.weight"),
+        (lambda tmp_path: write_lora_fixture(tmp_path, ranks=[2, 2]), "lora", "q.lora_A"),
+    ],
+    ids=["fft", "lora"],
+)
+def test_merge_names_the_file_and_tensor_that_is_non_finite(
+    tmp_path, capsys, write_fixture, mode, tensor
+):
+    base_path, task_paths = write_fixture(tmp_path)
+    _poison(task_paths[1], tensor, np.inf)
+    merge = ["merge", "--base", str(base_path), "--task", *map(str, task_paths),
+             "--out", str(tmp_path / "m.dcm"), "--mode", mode]
+    assert main(merge) == 2
+    err = capsys.readouterr().err
+    assert f"error: {task_paths[1]}: tensor {tensor!r} contains non-finite entries" in err
+
+
+def test_report_names_the_file_and_tensor_that_is_non_finite(tmp_path, capsys):
+    base_path, task_paths = write_fft_fixture(tmp_path, seed=19)
+    merged_path = tmp_path / "merged.dcm"
+    assert main(merge_args(base_path, task_paths, merged_path)) == 0
+    _poison(merged_path, "enc.weight", np.nan)
+    rc = main(report_args(base_path, merged_path, task_paths, tmp_path / "r.csv"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: {merged_path}: tensor 'enc.weight' contains non-finite entries" in err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_report_measures_at_the_merge_rank_rule(tmp_path):

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 import dcmerge.task_vector
-from dcmerge.cover import build_cover_basis
+from dcmerge.cover import build_cover_basis, project
 from dcmerge.errors import NumericalError, ValidationError
-from dcmerge.linalg import truncated_svd
-from dcmerge.metrics import alignment_score
+from dcmerge.linalg import SvdTriplet, truncated_svd
+from dcmerge.metrics import alignment_score, dir_sim, r_matrix
 from dcmerge.optimizer import optimize_cover_basis
+from dcmerge.perturb import direction_perturb
 from dcmerge.task_vector import (
-    KnowledgeDecomposition,
     SmoothingStrategy,
     TaskVector,
     decompose,
@@ -329,8 +329,26 @@ def test_decomposition_rank_property():
     kd = make_kd([2.0, 1.0], m=5, n=6)
     assert kd.rank == 2
     assert kd.source_shape == (5, 6)
-    with pytest.raises(ValidationError):
-        KnowledgeDecomposition(svd=kd.svd, source_shape=(3, 3))
+
+
+@pytest.mark.parametrize(
+    "r, lora_rank",
+    [(3, None), (2, 3), (3, 2)],
+    ids=["fft", "lora factors", "lora dense fallback"],
+)
+def test_decompose_source_shape_is_the_task_shape(r, lora_rank):
+    # with r above the LoRA rank the factor path gives way to the dense SVD
+    rng = np.random.default_rng(8)
+    m, n = 7, 5
+    if lora_rank is None:
+        tv = from_fft_delta(rng.standard_normal((m, n)), np.zeros((m, n)))
+    else:
+        tv = from_lora_factors(
+            rng.standard_normal((m, lora_rank)), rng.standard_normal((lora_rank, n))
+        )
+    kd = decompose(tv, r)
+    assert isinstance(kd, SvdTriplet)
+    assert kd.rank == r and kd.source_shape == (m, n)
 
 
 # stack_bases
@@ -346,6 +364,40 @@ def test_stack_bases_concatenates_in_input_order():
     Ucat, Vcat = stack_bases(iter(kds))
     np.testing.assert_array_equal(Ucat, np.hstack([kds[0].U, kds[1].U]))
     np.testing.assert_array_equal(Vcat, np.hstack([kds[0].V, kds[1].V]))
+
+
+def _check_project(t):
+    basis = build_cover_basis([t, random_kd(5, 8, 6, 2)])
+    np.testing.assert_allclose(
+        project(t, basis), project(reconstruct(t), basis), rtol=0, atol=1e-12
+    )
+
+
+def _check_stack_bases(t):
+    Ucat, Vcat = stack_bases([t, t])
+    np.testing.assert_array_equal(Ucat, np.hstack([t.U, t.U]))
+    np.testing.assert_array_equal(Vcat, np.hstack([t.V, t.V]))
+
+
+def _check_dir_sim(t):
+    assert r_matrix(t, t).values.shape == (2, 2)
+    assert dir_sim(t, t) == pytest.approx(1.0, abs=1e-12)
+
+
+def _check_direction_perturb(t):
+    out = direction_perturb(t, 0.25, seed=3)
+    assert isinstance(out, SvdTriplet) and out.source_shape == t.source_shape
+    assert dir_sim(t, out) == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "check", [_check_project, _check_stack_bases, _check_dir_sim, _check_direction_perturb]
+)
+def test_a_truncated_svd_triplet_is_a_decomposition(check):
+    # a plain SvdTriplet needs no wrapper to be projected, stacked, compared
+    # or perturbed
+    rng = np.random.default_rng(9)
+    check(truncated_svd(rng.standard_normal((8, 6)), 2))
 
 
 BAD_DECOMPS = {
