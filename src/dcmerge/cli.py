@@ -2,9 +2,11 @@
 
 Subcommands: merge, report, inspect, perturb, optimize-basis,
 accuracy-report. Exit codes: 0 on success, 2 on input validation failure
-(including file problems), 3 on numerical failure. ``main`` runs a command
-whose first container holds only matrices smaller than 256 on one side with
-one BLAS thread (``_blas``), and restores the count when it returns.
+(including file problems), 3 on numerical failure. Importing this module
+before numpy loads numpy with one OpenBLAS thread (``_blas.start``); ``main``
+runs a command whose first container holds only matrices smaller than 256
+on one side with one BLAS thread and a larger one with the processor count
+(``_blas.CommandThreads``), and restores the count when it returns.
 """
 
 from __future__ import annotations
@@ -13,6 +15,11 @@ import argparse
 import csv
 import sys
 import warnings
+
+from . import _blas
+
+# before the first import of numpy, so that OpenBLAS starts with one thread
+_blas.start()
 
 import numpy as np
 
@@ -340,7 +347,7 @@ def _cmd_optimize_basis(args, threads: CommandThreads) -> int:
 
 
 def _cmd_accuracy_report(args, threads: CommandThreads) -> int:
-    # reads no container, so the BLAS keeps its default threads
+    # reads no container, so the BLAS keeps the count the process started with
     with open(args.table, "r", newline="") as fh:
         reader = csv.reader(fh)
         raw = [row for row in reader if row and any(cell.strip() for cell in row)]

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContainerError, ValidationError
-from .linalg import as_matrix
 from .task_vector import TaskVector, from_fft_delta, from_lora_factors
 
 __all__ = [
@@ -219,7 +218,7 @@ def _vector_deltas(base: TensorContainer, task: TensorContainer) -> dict:
                 raise ValidationError(
                     f"1-D tensor {name!r} has shape {t.shape} vs base {b.shape}"
                 )
-            out[name] = t.astype(np.float64) - b.astype(np.float64)
+            out[name] = np.subtract(t, b, dtype=np.float64)
     return out
 
 
@@ -248,9 +247,7 @@ def extract_task_vectors(
                         f"tensor {name!r} has shape {t.shape} vs base {b.shape}"
                     )
                 matrices[name] = from_fft_delta(
-                    as_matrix(t, f"tensor {name!r}"),
-                    as_matrix(b, f"base tensor {name!r}"),
-                    name=name,
+                    t, b, name, labels=(f"tensor {name!r}", f"base tensor {name!r}")
                 )
     else:
         prefixes = set()
@@ -274,8 +271,6 @@ def extract_task_vectors(
                     f"A is {A.shape}"
                 )
             matrices[prefix + ".weight"] = from_lora_factors(
-                as_matrix(B, f"tensor {b_name!r}"),
-                as_matrix(A, f"tensor {a_name!r}"),
-                name=prefix + ".weight",
+                B, A, prefix + ".weight", labels=(f"tensor {b_name!r}", f"tensor {a_name!r}")
             )
     return ExtractedVectors(matrices, _vector_deltas(base, task))

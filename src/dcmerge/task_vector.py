@@ -34,7 +34,9 @@ class TaskVector:
     """A named weight delta. ``lora_rank`` and ``factors`` are set when built from factors.
 
     ``delta`` is always the dense matrix; when ``factors`` = (B, A) is set,
-    it must equal B A, which ``from_lora_factors`` guarantees.
+    it must equal B A, which ``from_lora_factors`` guarantees. Arrays are
+    stored read-only: a read-only float64 C-contiguous array that owns its
+    data is kept as it is, and anything else is copied.
     """
 
     name: str
@@ -44,12 +46,10 @@ class TaskVector:
 
     def __post_init__(self):
         label = self.name or "task vector"
-        delta = as_matrix(self.delta, f"delta of {label}")
-        delta = delta.copy()
-        delta.setflags(write=False)
+        delta = _frozen(self.delta, f"delta of {label}")
         object.__setattr__(self, "delta", delta)
         if self.factors is not None:
-            B, A = (as_matrix(f, f"LoRA factor of {label}").copy() for f in self.factors)
+            B, A = (_frozen(f, f"LoRA factor of {label}") for f in self.factors)
             if (
                 B.shape[1] != A.shape[0]
                 or (B.shape[0], A.shape[1]) != delta.shape
@@ -59,13 +59,20 @@ class TaskVector:
                     f"LoRA factors {B.shape} x {A.shape} do not match delta "
                     f"shape {delta.shape} and lora_rank {self.lora_rank}"
                 )
-            B.setflags(write=False)
-            A.setflags(write=False)
             object.__setattr__(self, "factors", (B, A))
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.delta.shape
+
+
+def _frozen(a, label: str) -> np.ndarray:
+    """``as_matrix(a)`` as an array no one else can write through."""
+    arr = as_matrix(a, label)
+    if arr.flags.writeable or arr.base is not None:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
 
 
 _KINDS = ("truncate_only", "averaging", "linear", "interpolate")
@@ -108,26 +115,52 @@ class SmoothingStrategy:
         return cls("interpolate", tau=float(tau))
 
 
-def from_fft_delta(W_ft, W_0, name: str = "") -> TaskVector:
-    """Task vector from a fully fine-tuned weight and its base: W_ft - W_0."""
-    W_ft = as_matrix(W_ft, "W_ft")
-    W_0 = as_matrix(W_0, "W_0")
+def _built(inputs, labels, name, delta, lora_rank=None, factors=None) -> TaskVector:
+    """A TaskVector over arrays built here, made read-only so it keeps them uncopied.
+
+    A ValidationError names the first of ``inputs`` that is not a finite
+    matrix, by its entry in ``labels``.
+    """
+    for arr in (delta, *(factors or ())):
+        arr.setflags(write=False)
+    try:
+        return TaskVector(name, delta, lora_rank, factors)
+    except ValidationError:
+        for arr, label in zip(inputs, labels):
+            as_matrix(arr, label)
+        raise
+
+
+def from_fft_delta(W_ft, W_0, name: str = "", labels=("W_ft", "W_0")) -> TaskVector:
+    """Task vector from a fully fine-tuned weight and its base: W_ft - W_0.
+
+    The difference is taken in float64 without converting either input
+    first; ``labels`` name the inputs in error messages.
+    """
+    W_ft, W_0 = np.asarray(W_ft), np.asarray(W_0)
     if W_ft.shape != W_0.shape:
         raise ValidationError(
             f"shape mismatch: {W_ft.shape} vs {W_0.shape}"
         )
-    return TaskVector(name, W_ft - W_0)
+    with np.errstate(over="ignore", invalid="ignore"):  # _built reports a non-finite delta
+        delta = np.subtract(W_ft, W_0, dtype=np.float64)
+    return _built((W_ft, W_0), labels, name, delta)
 
 
-def from_lora_factors(B, A, name: str = "") -> TaskVector:
-    """Task vector from LoRA factors: delta = B A, with B m x r and A r x n."""
-    B = as_matrix(B, "B")
-    A = as_matrix(A, "A")
-    if B.shape[1] != A.shape[0]:
+def from_lora_factors(B, A, name: str = "", labels=("B", "A")) -> TaskVector:
+    """Task vector from LoRA factors: delta = B A, with B m x r and A r x n.
+
+    ``labels`` name the factors in error messages.
+    """
+    B = np.array(B, dtype=np.float64, order="C")
+    A = np.array(A, dtype=np.float64, order="C")
+    if B.ndim != 2 or A.ndim != 2 or B.shape[1] != A.shape[0]:
         raise ValidationError(
             f"inner dimensions differ: B is {B.shape}, A is {A.shape}"
         )
-    return TaskVector(name, B @ A, lora_rank=B.shape[1], factors=(B, A))
+    with np.errstate(over="ignore", invalid="ignore"):  # _built reports a non-finite delta
+        delta = B @ A
+    return _built((B, A), labels, name, delta, lora_rank=B.shape[1], factors=(B, A))
 
 
 def _factor_svd(B: np.ndarray, A: np.ndarray, r: int) -> SvdTriplet | None:

@@ -90,6 +90,39 @@ def test_lora_inner_dimension_mismatch():
         from_lora_factors(np.ones((4, 2)), np.ones((3, 3)))
 
 
+def test_fft_delta_of_float32_inputs_is_the_float64_difference():
+    rng = np.random.default_rng(5)
+    ft, base = (rng.standard_normal((6, 5)).astype(np.float32) for _ in range(2))
+    expected = ft.astype(np.float64) - base.astype(np.float64)
+    assert np.array_equal(from_fft_delta(ft, base).delta, expected)
+
+
+@pytest.mark.parametrize(
+    "labels, bad, message",
+    [(None, 0, "W_ft contains"), (None, 1, "W_0 contains"),
+     (("tensor 'w'", "base tensor 'w'"), 1, "base tensor 'w' contains")],
+)
+def test_fft_delta_names_the_non_finite_input(labels, bad, message):
+    inputs = [np.ones((3, 2)), np.ones((3, 2))]
+    inputs[bad][1, 1] = np.nan
+    kwargs = {} if labels is None else {"labels": labels}
+    with pytest.raises(ValidationError, match=message):
+        from_fft_delta(*inputs, **kwargs)
+
+
+def test_task_vector_copies_only_arrays_someone_else_can_write():
+    writable = np.ones((3, 2))
+    tv = TaskVector(name="t", delta=writable)
+    assert tv.delta is not writable and not tv.delta.flags.writeable
+    writable[0, 0] = 5.0
+    assert tv.delta[0, 0] == 1.0
+    view = writable[:]  # read-only, but its owner is writable
+    view.setflags(write=False)
+    assert TaskVector(name="t", delta=view).delta is not view
+    # a frozen array the package built is kept as it is
+    assert TaskVector(name="t", delta=tv.delta).delta is tv.delta
+
+
 # decompose
 
 
