@@ -31,7 +31,6 @@ _SUBMODULES = {
     "merge": (
         "MergeConfig",
         "assemble_model",
-        "assemble_sweep",
         "cover_space",
         "dc_merge",
         "merge_ta",

@@ -2,7 +2,7 @@
 
 On a merge of small matrices OpenBLAS's worker threads cost CPU and wall
 time. One thread was faster at a smaller side of 192, the two were at
-parity at 256 and the default threads won above it (README, "Kernels").
+parity at 256 and the default threads won above it (table in CHANGES.md).
 Below 256 the thread count moved float64 results of the measured sets by
 at most 2.3e-15 relative.
 

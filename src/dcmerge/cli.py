@@ -25,7 +25,9 @@ import numpy as np
 
 from ._blas import CommandThreads
 from .container import (
+    _DTYPE_NAMES,
     TensorContainer,
+    _factor_names,
     detect_mode,
     extract_task_vectors,
     read_container,
@@ -33,7 +35,7 @@ from .container import (
 )
 from .cover import CoverBasis, make_mask, project
 from .errors import NumericalError, ValidationError
-from .linalg import _dense_svd, as_matrix, truncated_svd
+from .linalg import _all_finite, _dense_svd, as_matrix, truncated_svd
 from .merge import (
     MergeConfig,
     assemble_model,
@@ -65,7 +67,7 @@ def _rank_arg(text: str):
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected 'auto' or an integer, got {text!r}")
     if value < 1:
-        raise argparse.ArgumentTypeError(f"rank must be positive, got {value}")
+        raise argparse.ArgumentTypeError(f"expected 'auto' or a positive integer, got {value}")
     return value
 
 
@@ -108,12 +110,14 @@ def _extract(base, task, mode, path):
 
 
 def _load_tasks(base, task_paths, mode=None):
-    """Task vectors against ``base`` and the mode (``None``: from the first file)."""
+    """Task vectors against ``base``, every file in the mode (``None``: the first file's)."""
     extracts = []
     for path in task_paths:
         task = read_container(path)
-        if mode is None:
-            mode = detect_mode(task)
+        found = detect_mode(task)
+        mode = mode or found
+        if found != mode:
+            raise ValidationError(f"{path}: holds {found} checkpoint tensors, not {mode}")
         extracts.append(_extract(base, task, mode, path))
         del task  # hold one task container at a time
     names = [set(ex.matrices) for ex in extracts]
@@ -122,12 +126,14 @@ def _load_tasks(base, task_paths, mode=None):
             "task checkpoints expose different matrix tensors; "
             "they must share one architecture"
         )
+    if not names[0]:
+        raise ValidationError("the task checkpoints share no matrix tensor with the base")
     return extracts, mode
 
 
 def _cmd_merge(args, threads: CommandThreads) -> int:
-    if not args.alpha > 0:
-        raise ValidationError(f"alpha must be positive, got {args.alpha}")
+    if not 0 < args.alpha < np.inf:
+        raise ValidationError(f"alpha must be positive and finite, got {args.alpha}")
     base = read_container(args.base)
     threads.fit(base)
     extracts, _ = _load_tasks(base, args.task, args.mode)
@@ -219,13 +225,12 @@ def _cmd_report(args, threads: CommandThreads) -> int:
 def _cmd_inspect(args, threads: CommandThreads) -> int:
     container = read_container(args.file)
     threads.fit(container)
-    dtype_names = {np.dtype("float32"): "F32", np.dtype("float64"): "F64"}
     for name in container.names():
         arr = container.tensors[name]
-        print(f"{name}  {dtype_names[arr.dtype]}  {tuple(arr.shape)}")
+        print(f"{name}  {_DTYPE_NAMES[arr.dtype]}  {tuple(arr.shape)}")
         if arr.ndim != 2 or min(arr.shape) == 0:
             continue
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             print("    spectrum: non-finite entries")
             continue
         sigma = _dense_svd(arr.astype(np.float64), compute_uv=False)
@@ -285,8 +290,7 @@ def _cmd_perturb(args, threads: CommandThreads) -> int:
         print(f"{name}: rank {r}, achieved similarity {achieved:.6f}")
 
         if mode == "lora":
-            prefix = name[: -len(".weight")]
-            b_name, a_name = prefix + ".lora_B", prefix + ".lora_A"
+            b_name, a_name = _factor_names(name)
             b_dtype = task.tensors[b_name].dtype
             a_dtype = task.tensors[a_name].dtype
             out_tensors[b_name] = (U_new * sigma_hat).astype(b_dtype)
@@ -323,7 +327,7 @@ def _cmd_optimize_basis(args, threads: CommandThreads) -> int:
     decomps, whitened = cover_space(tvs, r, SmoothingStrategy.truncate_only())
 
     # naive initialization: truncated SVD of the plain task-arithmetic sum
-    ta_sum = sum(tv.delta for tv in tvs)
+    ta_sum = merge_ta([tv.delta for tv in tvs])
     init_svd = truncated_svd(ta_sum, whitened.k)
     init = CoverBasis(U_tilde=init_svd.U, V_tilde=init_svd.V)
 

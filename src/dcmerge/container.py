@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContainerError, ValidationError
+from .linalg import _all_finite
 from .task_vector import TaskVector, from_fft_delta, from_lora_factors
 
 __all__ = [
@@ -192,6 +193,13 @@ def read_container(path) -> TensorContainer:
 
 _LORA_B = ".lora_B"
 _LORA_A = ".lora_A"
+_WEIGHT = ".weight"
+
+
+def _factor_names(target: str) -> tuple[str, str]:
+    """Names (``<p>.lora_B``, ``<p>.lora_A``) of the factors behind ``<p>.weight``."""
+    prefix = target[: -len(_WEIGHT)]
+    return prefix + _LORA_B, prefix + _LORA_A
 
 
 @dataclass(frozen=True)
@@ -219,6 +227,8 @@ def _vector_deltas(base: TensorContainer, task: TensorContainer) -> dict:
                     f"1-D tensor {name!r} has shape {t.shape} vs base {b.shape}"
                 )
             out[name] = np.subtract(t, b, dtype=np.float64)
+            if not _all_finite(out[name]):
+                raise ValidationError(f"1-D tensor {name!r} or its base is not finite")
     return out
 
 
@@ -242,35 +252,20 @@ def extract_task_vectors(
         for name in sorted(set(base.tensors) & set(task.tensors)):
             b, t = base.tensors[name], task.tensors[name]
             if b.ndim == 2 or t.ndim == 2:
-                if b.shape != t.shape:
-                    raise ValidationError(
-                        f"tensor {name!r} has shape {t.shape} vs base {b.shape}"
-                    )
                 matrices[name] = from_fft_delta(
                     t, b, name, labels=(f"tensor {name!r}", f"base tensor {name!r}")
                 )
     else:
-        prefixes = set()
-        for name in task.tensors:
-            if name.endswith(_LORA_B):
-                prefixes.add(name[: -len(_LORA_B)])
-            elif name.endswith(_LORA_A):
-                prefixes.add(name[: -len(_LORA_A)])
+        factors = [name for name in task.tensors if name.endswith((_LORA_A, _LORA_B))]
+        prefixes = {name.rsplit(".", 1)[0] for name in factors}
         for prefix in sorted(prefixes):
-            b_name, a_name = prefix + _LORA_B, prefix + _LORA_A
+            target = prefix + _WEIGHT
+            b_name, a_name = _factor_names(target)
             if b_name not in task.tensors or a_name not in task.tensors:
                 missing = a_name if a_name not in task.tensors else b_name
                 raise ValidationError(f"orphan LoRA factor: {missing!r} missing")
-            B = task.tensors[b_name]
-            A = task.tensors[a_name]
-            if B.ndim != 2 or A.ndim != 2:
-                raise ValidationError(f"LoRA factors for {prefix!r} must be 2-D")
-            if B.shape[1] != A.shape[0]:
-                raise ValidationError(
-                    f"LoRA rank mismatch for {prefix!r}: B is {B.shape}, "
-                    f"A is {A.shape}"
-                )
-            matrices[prefix + ".weight"] = from_lora_factors(
-                B, A, prefix + ".weight", labels=(f"tensor {b_name!r}", f"tensor {a_name!r}")
+            matrices[target] = from_lora_factors(
+                task.tensors[b_name], task.tensors[a_name], target,
+                labels=(f"tensor {b_name!r}", f"tensor {a_name!r}"),
             )
     return ExtractedVectors(matrices, _vector_deltas(base, task))

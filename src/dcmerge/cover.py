@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import SvdTriplet, _check_orthonormal, as_matrix, whiten
+from .linalg import SvdTriplet, _check_orthonormal, _frozen, as_matrix, whiten
 from .task_vector import stack_bases
 
 __all__ = [
@@ -33,8 +33,8 @@ class CoverBasis:
     V_tilde: np.ndarray
 
     def __post_init__(self):
-        U = as_matrix(self.U_tilde, "U_tilde").copy()
-        V = as_matrix(self.V_tilde, "V_tilde").copy()
+        U = _frozen(self.U_tilde, "U_tilde")
+        V = _frozen(self.V_tilde, "V_tilde")
         if U.shape[1] != V.shape[1]:
             raise ValidationError(
                 f"basis widths differ: {U.shape[1]} vs {V.shape[1]}"
@@ -47,8 +47,6 @@ class CoverBasis:
             )
         _check_orthonormal(U, "U_tilde")
         _check_orthonormal(V, "V_tilde")
-        U.setflags(write=False)
-        V.setflags(write=False)
         object.__setattr__(self, "U_tilde", U)
         object.__setattr__(self, "V_tilde", V)
 

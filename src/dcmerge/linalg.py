@@ -54,9 +54,23 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise ValidationError(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise ValidationError(f"{name} contains non-finite entries")
     return np.ascontiguousarray(arr)
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether no entry is NaN or Inf, from the extremes: no array-sized temporary."""
+    return arr.size == 0 or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
+
+
+def _frozen(a, label: str) -> np.ndarray:
+    """``as_matrix(a)``, copied and made read-only unless it is so and owns its data."""
+    arr = as_matrix(a, label)
+    if arr.flags.writeable or arr.base is not None:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
 
 
 def _sign_normalize(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -64,15 +78,16 @@ def _sign_normalize(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
     Ties are broken by the lowest row index (argmax returns the first hit).
     Flipping both sides of a pair leaves U diag(s) V^T unchanged, so this is
-    a pure gauge fix that makes factorizations reproducible.
+    a pure gauge fix that makes factorizations reproducible. Flipped pairs
+    come back as read-only copies.
     """
     idx = np.argmax(np.abs(U), axis=0)
     flip = U[idx, np.arange(U.shape[1])] < 0
     if np.any(flip):
-        U = U.copy()
-        V = V.copy()
-        U[:, flip] *= -1.0
-        V[:, flip] *= -1.0
+        signs = np.where(flip, -1.0, 1.0)
+        U, V = U * signs, V * signs
+        U.setflags(write=False)
+        V.setflags(write=False)
     return U, V
 
 
@@ -91,14 +106,12 @@ class SvdTriplet:
     V: np.ndarray
 
     def __post_init__(self):
-        U = as_matrix(self.U, "U").copy()
-        V = as_matrix(self.V, "V").copy()
+        U = _frozen(self.U, "U")
+        V = _frozen(self.V, "V")
         sigma = _checked_sigma(self.sigma, U.shape[1], V.shape[1])
         _check_orthonormal(U, "U")
         _check_orthonormal(V, "V")
         U, V = _sign_normalize(U, V)
-        for arr in (U, sigma, V):
-            arr.setflags(write=False)
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "V", V)
@@ -119,7 +132,6 @@ class SvdTriplet:
         shared columns keep it.
         """
         sigma = _checked_sigma(sigma, self.U.shape[1], self.V.shape[1])
-        sigma.setflags(write=False)
         out = object.__new__(SvdTriplet)
         object.__setattr__(out, "U", self.U)
         object.__setattr__(out, "sigma", sigma)
@@ -137,11 +149,11 @@ def _check_orthonormal(mat: np.ndarray, label: str) -> None:
 
 
 def _checked_sigma(sigma, u_cols: int, v_cols: int) -> np.ndarray:
-    """A float64 copy of ``sigma`` after the SvdTriplet spectrum checks."""
+    """A read-only float64 copy of ``sigma`` after the SvdTriplet spectrum checks."""
     sigma = np.array(sigma, dtype=np.float64)
     if sigma.ndim != 1:
         raise ValidationError("sigma must be a 1-D vector")
-    if not np.all(np.isfinite(sigma)):
+    if not _all_finite(sigma):
         raise ValidationError("sigma contains non-finite entries")
     r = sigma.size
     if u_cols != r or v_cols != r:
@@ -153,6 +165,7 @@ def _checked_sigma(sigma, u_cols: int, v_cols: int) -> np.ndarray:
         raise ValidationError("sigma entries must be non-negative")
     if np.any(np.diff(sigma) > 0):
         raise ValidationError("sigma must be sorted non-increasing")
+    sigma.setflags(write=False)
     return sigma
 
 

@@ -27,8 +27,8 @@ import numpy as np
 
 from .container import TensorContainer
 from .cover import CoverBasis, back_project, build_cover_basis, project
-from .errors import ValidationError
-from .linalg import SvdTriplet
+from .errors import NumericalError, ValidationError
+from .linalg import SvdTriplet, _all_finite
 from .task_vector import (
     SmoothingStrategy,
     TaskVector,
@@ -44,7 +44,6 @@ __all__ = [
     "merge_ties",
     "dc_merge",
     "assemble_model",
-    "assemble_sweep",
 ]
 
 
@@ -239,7 +238,8 @@ def assemble_model(
     1-D tensors named in ``vector_deltas`` get the mean of their per-task
     deltas, scaled the same way. Everything else is copied through
     verbatim. Each output tensor keeps the base dtype. ``alpha`` may be
-    zero here; that reproduces the base model exactly.
+    zero here; that reproduces the base model exactly. A merged or averaged
+    tensor that comes out NaN or Inf (in the base dtype) is a NumericalError.
     """
     if vector_deltas is None:
         vector_deltas = {}
@@ -254,8 +254,6 @@ def assemble_model(
                     f"merged delta for {name!r} has shape {delta.shape}, "
                     f"base is {arr.shape}"
                 )
-            updated = arr.astype(np.float64) + alpha * delta
-            out[name] = updated.astype(arr.dtype)
         elif name in vector_deltas:
             deltas = vector_deltas[name]
             if not deltas:
@@ -266,10 +264,14 @@ def assemble_model(
                         f"1-D delta for {name!r} has shape {d.shape}, "
                         f"base is {arr.shape}"
                     )
-            mean = np.mean(np.stack(deltas), axis=0)
-            out[name] = (arr.astype(np.float64) + alpha * mean).astype(arr.dtype)
+            delta = np.mean(np.stack(deltas), axis=0)
         else:
             out[name] = arr.copy()
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            out[name] = (arr.astype(np.float64) + alpha * delta).astype(arr.dtype)
+        if not _all_finite(out[name]):
+            raise NumericalError(f"tensor {name!r} is not finite after assembly at alpha {alpha}")
     missing = set(merged_deltas) - set(base.tensors)
     if missing:
         raise ValidationError(
@@ -277,22 +279,3 @@ def assemble_model(
         )
     return TensorContainer(tensors=out, metadata=dict(base.metadata))
 
-
-def assemble_sweep(
-    base: TensorContainer,
-    merged_deltas: dict[str, np.ndarray],
-    vector_deltas: dict[str, list[np.ndarray]] | None = None,
-    alphas: tuple[float, ...] = (1.0,),
-) -> dict[float, TensorContainer]:
-    """Assemble one model per alpha from a single set of merged deltas.
-
-    Picking the rescaling coefficient needs a validation sweep, which is
-    outside this package; this helper makes that sweep cheap by reusing
-    the (expensive) merged deltas across all requested alphas.
-    """
-    if not alphas:
-        raise ValidationError("alphas must be non-empty")
-    return {
-        float(a): assemble_model(base, merged_deltas, vector_deltas, alpha=float(a))
-        for a in alphas
-    }

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cover import CoverBasis
 from .errors import NumericalError, ValidationError
-from .linalg import SvdTriplet, as_matrix, truncated_svd
+from .linalg import SvdTriplet, _frozen, as_matrix, truncated_svd
 from .task_vector import stack_bases
 
 __all__ = [
@@ -41,10 +42,9 @@ class RMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        values = as_matrix(self.values, "R values").copy()
+        values = _frozen(self.values, "R values")
         if np.abs(values).max(initial=0.0) > 1.0 + 1e-9:
             raise ValidationError("R entries must lie in [-1, 1]")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
 
@@ -63,16 +63,12 @@ def cos_sim(A, B) -> float:
     return float(np.sum(A * B) / (na * nb))
 
 
-def _check_same_ambient(kdS: SvdTriplet, kdT: SvdTriplet):
+def r_matrix(kdS: SvdTriplet, kdT: SvdTriplet) -> RMatrix:
+    """Directional overlap between all dyad pairs of two decompositions."""
     if kdS.source_shape != kdT.source_shape:
         raise ValidationError(
             f"ambient shapes differ: {kdS.source_shape} vs {kdT.source_shape}"
         )
-
-
-def r_matrix(kdS: SvdTriplet, kdT: SvdTriplet) -> RMatrix:
-    """Directional overlap between all dyad pairs of two decompositions."""
-    _check_same_ambient(kdS, kdT)
     return RMatrix((kdS.U.T @ kdT.U) * (kdS.V.T @ kdT.V))
 
 
@@ -127,19 +123,15 @@ def alignment_score(U_tilde, V_tilde, decomps) -> float:
 
     Computes ``norm((U~^T [U_1..U_T]) * (V~^T [V_1..V_T]), 'fro')**2``,
     the closed form of the sum over tasks and dyads of the squared
-    diagonal coefficient vectors of each projected dyad.
+    diagonal coefficient vectors of each projected dyad. The pair must
+    pass the ``CoverBasis`` checks.
     """
-    U_tilde = as_matrix(U_tilde, "U_tilde")
-    V_tilde = as_matrix(V_tilde, "V_tilde")
+    basis = CoverBasis(U_tilde, V_tilde)
     Ucat, Vcat = stack_bases(decomps)
-    for mat, label in ((U_tilde, "U_tilde"), (V_tilde, "V_tilde")):
-        gram = mat.T @ mat
-        if np.abs(gram - np.eye(mat.shape[1])).max() > 1e-6:
-            raise ValidationError(f"{label} columns are not orthonormal")
-    if U_tilde.shape[0] != Ucat.shape[0] or V_tilde.shape[0] != Vcat.shape[0]:
+    if basis.shape != (Ucat.shape[0], Vcat.shape[0]):
         raise ValidationError("basis ambient dimensions do not match tasks")
-    G = U_tilde.T @ Ucat
-    H = V_tilde.T @ Vcat
+    G = basis.U_tilde.T @ Ucat
+    H = basis.V_tilde.T @ Vcat
     return float(np.sum((G * H) ** 2))
 
 

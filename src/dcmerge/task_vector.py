@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import SvdTriplet, as_matrix, truncated_svd
+from .linalg import SvdTriplet, _frozen, as_matrix, truncated_svd
 
 __all__ = [
     "TaskVector",
@@ -64,15 +64,6 @@ class TaskVector:
     @property
     def shape(self) -> tuple[int, int]:
         return self.delta.shape
-
-
-def _frozen(a, label: str) -> np.ndarray:
-    """``as_matrix(a)`` as an array no one else can write through."""
-    arr = as_matrix(a, label)
-    if arr.flags.writeable or arr.base is not None:
-        arr = arr.copy()
-        arr.setflags(write=False)
-    return arr
 
 
 _KINDS = ("truncate_only", "averaging", "linear", "interpolate")
@@ -140,7 +131,7 @@ def from_fft_delta(W_ft, W_0, name: str = "", labels=("W_ft", "W_0")) -> TaskVec
     W_ft, W_0 = np.asarray(W_ft), np.asarray(W_0)
     if W_ft.shape != W_0.shape:
         raise ValidationError(
-            f"shape mismatch: {W_ft.shape} vs {W_0.shape}"
+            f"{labels[0]} has shape {W_ft.shape} vs {labels[1]} {W_0.shape}"
         )
     with np.errstate(over="ignore", invalid="ignore"):  # _built reports a non-finite delta
         delta = np.subtract(W_ft, W_0, dtype=np.float64)
@@ -156,7 +147,7 @@ def from_lora_factors(B, A, name: str = "", labels=("B", "A")) -> TaskVector:
     A = np.array(A, dtype=np.float64, order="C")
     if B.ndim != 2 or A.ndim != 2 or B.shape[1] != A.shape[0]:
         raise ValidationError(
-            f"inner dimensions differ: B is {B.shape}, A is {A.shape}"
+            f"{labels[0]} {B.shape} and {labels[1]} {A.shape} are not 2-D factors of one product"
         )
     with np.errstate(over="ignore", invalid="ignore"):  # _built reports a non-finite delta
         delta = B @ A

@@ -239,6 +239,62 @@ def test_merge_alpha_zero_rejected(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("alpha", ["inf", "nan"])
+def test_merge_non_finite_alpha_exits_2(tmp_path, alpha):
+    base_path, task_paths = write_fft_fixture(tmp_path, seed=4)
+    out_path = tmp_path / "m.dcm"
+    assert main(merge_args(base_path, task_paths, out_path, "--alpha", alpha)) == 2
+    assert not out_path.exists()
+
+
+def test_merge_alpha_that_overflows_the_base_dtype_exits_3(tmp_path, capsys):
+    base_path, task_paths = write_fft_fixture(tmp_path, seed=4)
+    for path in [base_path, *task_paths]:  # a float32 cast of base + 1e300 * delta is Inf
+        tensors = read_container(path).tensors
+        float32 = {name: arr.astype(np.float32) for name, arr in tensors.items()}
+        write_container(TensorContainer(float32), path)
+    out_path = tmp_path / "m.dcm"
+    rc = main(merge_args(base_path, task_paths, out_path, "--alpha", "1e300"))
+    assert rc == 3
+    assert "tensor 'enc.bias' is not finite" in capsys.readouterr().err  # first by name
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("written, asked", [("fft", "lora"), ("lora", "fft")])
+def test_merge_in_a_mode_the_checkpoints_do_not_hold_exits_2(tmp_path, capsys, written, asked):
+    if written == "fft":
+        base_path, task_paths = write_fft_fixture(tmp_path)
+    else:
+        base_path, task_paths = write_lora_fixture(tmp_path, ranks=[2, 2])
+    out_path = tmp_path / "m.dcm"
+    rc = main(["merge", "--base", str(base_path), "--task", *map(str, task_paths),
+               "--out", str(out_path), "--mode", asked])
+    assert rc == 2
+    assert f"{task_paths[0]}: holds {written} checkpoint tensors" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_merge_of_checkpoints_without_a_shared_matrix_exits_2(tmp_path, capsys):
+    base = TensorContainer(tensors={"enc.weight": np.ones((4, 3)), "enc.bias": np.ones(4)})
+    write_container(base, tmp_path / "base.dcm")
+    task = TensorContainer(tensors={"dec.weight": np.ones((4, 3)), "enc.bias": np.zeros(4)})
+    write_container(task, tmp_path / "task.dcm")
+    out_path = tmp_path / "m.dcm"
+    assert main(merge_args(tmp_path / "base.dcm", [tmp_path / "task.dcm"], out_path)) == 2
+    assert "share no matrix tensor" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_mask_block_zero_names_its_flag(tmp_path, capsys):
+    base_path, task_paths = write_fft_fixture(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(merge_args(base_path, task_paths, tmp_path / "m.dcm", "--mask-block", "0"))
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --mask-block: expected 'auto' or a positive integer, got 0" in err
+    assert "rank" not in err.splitlines()[-1]
+
+
 def test_missing_input_file_exits_2(tmp_path):
     rc = main(
         merge_args(tmp_path / "nope.dcm", [tmp_path / "also-nope.dcm"], tmp_path / "m.dcm")
@@ -548,6 +604,16 @@ def test_merge_names_the_file_and_tensor_that_is_non_finite(
     assert main(merge) == 2
     err = capsys.readouterr().err
     assert f"error: {task_paths[1]}: tensor {tensor!r} contains non-finite entries" in err
+
+
+def test_merge_names_the_file_and_1d_tensor_that_is_non_finite(tmp_path, capsys):
+    base_path, task_paths = write_fft_fixture(tmp_path)
+    tensors = dict(read_container(task_paths[1]).tensors)
+    tensors["enc.bias"] = np.where(np.arange(8) == 3, np.nan, tensors["enc.bias"])
+    write_container(TensorContainer(tensors), task_paths[1])
+    assert main(merge_args(base_path, task_paths, tmp_path / "m.dcm")) == 2
+    err = capsys.readouterr().err
+    assert f"error: {task_paths[1]}: 1-D tensor 'enc.bias' or its base is not finite" in err
 
 
 def test_report_names_the_file_and_tensor_that_is_non_finite(tmp_path, capsys):

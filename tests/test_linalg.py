@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from dcmerge.linalg import (
     SvdTriplet,
     _skew_eigh,
     _skew_exp_adjoint,
+    as_matrix,
     matrix_exp_skew,
     orthogonal_complement_sample,
     truncated_svd,
@@ -151,6 +154,32 @@ def test_truncated_svd_rejects_non_finite():
     m = np.array([[1.0, np.nan], [0.0, 1.0]])
     with pytest.raises(ValidationError):
         truncated_svd(m, 1)
+
+
+# as_matrix
+
+
+def test_as_matrix_checks_finiteness_without_an_input_sized_temporary():
+    big = np.ones((2048, 2048))
+    tracemalloc.start()
+    try:
+        assert as_matrix(big) is big
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the boolean mask of the input would be 4 MiB
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_as_matrix_rejects_each_non_finite_value(bad):
+    m = np.ones((3, 4))
+    m[2, 1] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        as_matrix(m)
+
+
+def test_as_matrix_accepts_an_empty_matrix():
+    assert as_matrix(np.zeros((0, 3))).shape == (0, 3)
 
 
 # whiten

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcmerge.container import TensorContainer
-from dcmerge.errors import ValidationError
+from dcmerge.errors import NumericalError, ValidationError
 from dcmerge.merge import (
     MergeConfig,
     assemble_model,
-    assemble_sweep,
     dc_merge,
     merge_ta,
     merge_ties,
@@ -295,6 +294,13 @@ def test_assemble_applies_scaled_delta():
     np.testing.assert_allclose(out.tensors["w"], 0.5 * delta, rtol=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [1e300, np.inf])
+def test_assemble_rejects_a_tensor_that_turns_non_finite(alpha):
+    base = TensorContainer(tensors={"w": np.ones((2, 2), dtype=np.float32)})
+    with pytest.raises(NumericalError, match="tensor 'w' is not finite"):
+        assemble_model(base, {"w": np.ones((2, 2))}, alpha=alpha)
+
+
 def test_assemble_vector_deltas_use_mean():
     base = TensorContainer(tensors={"v": np.zeros(2)})
     out = assemble_model(
@@ -328,14 +334,3 @@ def test_assemble_errors():
         assemble_model(base, {"w": np.zeros((3, 3))})
     with pytest.raises(ValidationError):
         assemble_model(base, {"w": np.zeros((2, 2))}, alpha=-1.0)
-
-
-def test_assemble_sweep_matches_individual_calls():
-    rng = np.random.default_rng(14)
-    base = TensorContainer(tensors={"w": rng.standard_normal((3, 3))})
-    deltas = {"w": rng.standard_normal((3, 3))}
-    sweep = assemble_sweep(base, deltas, None, alphas=[0.0, 0.5, 1.0])
-    assert set(sweep) == {0.0, 0.5, 1.0}
-    for alpha, out in sweep.items():
-        single = assemble_model(base, deltas, alpha=alpha)
-        assert np.array_equal(out.tensors["w"], single.tensors["w"])

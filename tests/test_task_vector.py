@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 import dcmerge.task_vector
-from dcmerge.cover import build_cover_basis, project
+from dcmerge.cover import CoverBasis, build_cover_basis, project
 from dcmerge.errors import NumericalError, ValidationError
 from dcmerge.linalg import SvdTriplet, truncated_svd
 from dcmerge.metrics import alignment_score, dir_sim, r_matrix
@@ -110,17 +110,38 @@ def test_fft_delta_names_the_non_finite_input(labels, bad, message):
         from_fft_delta(*inputs, **kwargs)
 
 
-def test_task_vector_copies_only_arrays_someone_else_can_write():
-    writable = np.ones((3, 2))
-    tv = TaskVector(name="t", delta=writable)
-    assert tv.delta is not writable and not tv.delta.flags.writeable
+# the array each type stores; np.eye(3, 2) is an orthonormal, sign-normalized factor
+STORES = {
+    "TaskVector": lambda a: TaskVector(name="t", delta=a).delta,
+    "SvdTriplet": lambda a: SvdTriplet(a, [2.0, 1.0], np.eye(2)).U,
+    "CoverBasis": lambda a: CoverBasis(a, np.eye(3, 2)).U_tilde,
+}
+
+
+@pytest.mark.parametrize("store", STORES.values(), ids=STORES.keys())
+def test_task_vector_copies_only_arrays_someone_else_can_write(store):
+    writable = np.eye(3, 2)
+    kept = store(writable)
+    assert kept is not writable and not kept.flags.writeable
     writable[0, 0] = 5.0
-    assert tv.delta[0, 0] == 1.0
-    view = writable[:]  # read-only, but its owner is writable
+    assert kept[0, 0] == 1.0
+    view = np.eye(3, 2)[:]  # read-only, but its owner is writable
     view.setflags(write=False)
-    assert TaskVector(name="t", delta=view).delta is not view
+    assert store(view) is not view
     # a frozen array the package built is kept as it is
-    assert TaskVector(name="t", delta=tv.delta).delta is tv.delta
+    assert store(kept) is kept
+
+
+@pytest.mark.parametrize(
+    "build, inputs",
+    [(from_fft_delta, (np.ones((3, 2)), np.ones((2, 3)))),
+     (from_lora_factors, (np.ones((4, 2)), np.ones((3, 3)))),
+     (from_lora_factors, (np.ones(4), np.ones((1, 3))))],
+    ids=["fft", "lora-inner", "lora-1d"],
+)
+def test_a_shape_error_names_both_inputs(build, inputs):
+    with pytest.raises(ValidationError, match="first .* second "):
+        build(*inputs, labels=("first", "second"))
 
 
 # decompose
