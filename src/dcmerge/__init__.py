@@ -1,6 +1,7 @@
 """dcmerge: directional-consistent merging of task-adapted model weights.
 
-The names below load their submodule on first use (PEP 562), so
+The names below, and the submodules themselves as attributes
+(``dcmerge.metrics``), load their submodule on first use (PEP 562), so
 ``import dcmerge`` imports no numpy. ``python -m dcmerge.cli`` and the
 ``dcmerge`` command run this file first, and the CLI must be the one to
 load numpy, after it has chosen OpenBLAS's start-up thread count
@@ -62,6 +63,8 @@ _SUBMODULES = {
     ),
 }
 _EXPORTS = {name: module for module, names in _SUBMODULES.items() for name in names}
+# every submodule, those that export no name here included
+_MODULES = frozenset({*_SUBMODULES, "_blas", "cli"})
 
 __version__ = "0.1.0"
 
@@ -69,6 +72,8 @@ __all__ = [*sorted(_EXPORTS), "__version__"]
 
 
 def __getattr__(name):
+    if name in _MODULES:
+        return importlib.import_module(f".{name}", __name__)
     module = _EXPORTS.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -78,4 +83,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted({*globals(), *_EXPORTS})
+    return sorted({*globals(), *_EXPORTS, *_MODULES})

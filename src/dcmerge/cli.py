@@ -7,12 +7,17 @@ before numpy loads numpy with one OpenBLAS thread (``_blas.start``); ``main``
 runs a command whose first container holds only matrices smaller than 256
 on one side with one BLAS thread and a larger one with the processor count
 (``_blas.CommandThreads``), and restores the count when it returns.
+
+``run`` is the process entry and ``main(argv)`` the in-process one. The
+modules every data command reads with load here; ``metrics``, ``optimizer``,
+``perturb`` and ``csv`` load inside the handlers that use them, so ``--help``
+and ``merge`` do not load them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import gc
 import sys
 import warnings
 
@@ -44,19 +49,9 @@ from .merge import (
     merge_ta,
     resolve_rank,
 )
-from .metrics import (
-    TaskAccuracy,
-    accuracy_report,
-    alignment_score,
-    cos_sim,
-    dir_sim,
-    projected_dir_sim,
-)
-from .optimizer import OptimizerConfig, optimize_cover_basis
-from .perturb import direction_perturb, energy_perturb
 from .task_vector import SmoothingStrategy, decompose
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 
 def _rank_arg(text: str):
@@ -164,6 +159,10 @@ def _cmd_merge(args, threads: CommandThreads) -> int:
 
 
 def _cmd_report(args, threads: CommandThreads) -> int:
+    import csv
+
+    from .metrics import alignment_score, cos_sim, projected_dir_sim
+
     base = read_container(args.base)
     threads.fit(base)
     merged = read_container(args.merged)
@@ -255,6 +254,9 @@ def _cmd_inspect(args, threads: CommandThreads) -> int:
 
 
 def _cmd_perturb(args, threads: CommandThreads) -> int:
+    from .metrics import dir_sim
+    from .perturb import direction_perturb, energy_perturb
+
     base = read_container(args.base)
     threads.fit(base)
     task = read_container(args.task)
@@ -266,6 +268,7 @@ def _cmd_perturb(args, threads: CommandThreads) -> int:
 
     out_tensors = {name: arr.copy() for name, arr in task.tensors.items()}
     children = np.random.SeedSequence(args.seed).spawn(len(matrix_names))
+    unchanged = 0
     for name, child in zip(matrix_names, children):
         tv = extracted.matrices[name]
         m, n = tv.shape
@@ -273,6 +276,11 @@ def _cmd_perturb(args, threads: CommandThreads) -> int:
         auto = tv.lora_rank if tv.lora_rank is not None else max(1, min(m, n) // 4)
         r = min(args.rank if args.rank is not None else auto, min(m, n))
         kd = decompose(tv, r)
+        if not kd.sigma.any():
+            # no energy or direction to perturb: the task's own tensors go out
+            print(f"{name}: zero delta, left unchanged")
+            unchanged += 1
+            continue
         sub_seed = int(child.generate_state(1, dtype=np.uint64)[0])
         if args.kind == "energy":
             sigma_hat = energy_perturb(kd.sigma, args.p, fallback_seed=sub_seed)
@@ -309,11 +317,16 @@ def _cmd_perturb(args, threads: CommandThreads) -> int:
         }
     )
     write_container(TensorContainer(tensors=out_tensors, metadata=metadata), args.out)
-    print(f"perturbed {len(matrix_names)} tensors -> {args.out}")
+    print(f"perturbed {len(matrix_names) - unchanged} tensors -> {args.out}")
     return 0
 
 
 def _cmd_optimize_basis(args, threads: CommandThreads) -> int:
+    import csv
+
+    from .metrics import alignment_score
+    from .optimizer import OptimizerConfig, optimize_cover_basis
+
     base = read_container(args.base)
     threads.fit(base)
     extracts, mode = _load_tasks(base, args.task)
@@ -351,6 +364,10 @@ def _cmd_optimize_basis(args, threads: CommandThreads) -> int:
 
 
 def _cmd_accuracy_report(args, threads: CommandThreads) -> int:
+    import csv
+
+    from .metrics import TaskAccuracy, accuracy_report
+
     # reads no container, so the BLAS keeps the count the process started with
     with open(args.table, "r", newline="") as fh:
         reader = csv.reader(fh)
@@ -483,5 +500,17 @@ def main(argv=None) -> int:
         return 2
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry of the ``dcmerge`` script and ``python -m dcmerge.cli``.
+
+    Freezes the objects that exist once the modules are loaded, so the
+    collections at interpreter exit skip numpy's and the package's import-time
+    heap; atexit handlers, stream flushes and finalizers still run. ``main``
+    is the entry for in-process callers and leaves the collector alone.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -52,7 +52,7 @@ class MergeConfig:
     """Knobs for one dc_merge run.
 
     ``rank=None`` means auto: the shared LoRA rank in lora mode, or
-    max(1, min(m, n) // T) in fft mode. ``smoothing=None`` picks the mode
+    min(m, n) // T in fft mode. ``smoothing=None`` picks the mode
     default (averaging for lora, truncate_only for fft). ``mask_block=None``
     uses the resolved rank as the block size; a block wider than the cover
     basis is clamped to its width, which keeps every coordinate.
@@ -94,9 +94,16 @@ class MergeConfig:
 def resolve_rank(tasks: list[TaskVector], cfg: MergeConfig) -> int:
     """Working rank for one tensor's tasks: ``cfg.rank`` or the auto rule.
 
-    Rejects a rank above min(m, n); clips r * T > min(m, n) with a warning.
+    Rejects more tasks T than min(m, n), since the cover basis holds at
+    least one direction per task, and a rank above min(m, n); clips
+    r * T > min(m, n) with a warning.
     """
     m, n = tasks[0].shape
+    if len(tasks) > min(m, n):
+        raise ValidationError(
+            f"{len(tasks)} tasks exceed min(m, n) = {min(m, n)} for shape ({m}, {n}); "
+            f"a cover basis holds at least one direction per task"
+        )
     if cfg.rank is not None:
         r = cfg.rank
         if r > min(m, n):
@@ -116,10 +123,10 @@ def resolve_rank(tasks: list[TaskVector], cfg: MergeConfig) -> int:
                 f"LoRA rank {r} exceeds min(m, n) = {min(m, n)}"
             )
     else:
-        r = max(1, min(m, n) // len(tasks))
+        r = min(m, n) // len(tasks)
     # keep the stacked basis width T*r inside the ambient bound
     if r * len(tasks) > min(m, n):
-        clipped = max(1, min(m, n) // len(tasks))
+        clipped = min(m, n) // len(tasks)
         warnings.warn(
             f"rank {r} with {len(tasks)} tasks exceeds the cover-basis bound "
             f"min(m, n) = {min(m, n)}; clipping to rank {clipped}",

@@ -3,6 +3,7 @@ import os
 import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -302,34 +303,34 @@ def test_missing_input_file_exits_2(tmp_path):
     assert rc == 2
 
 
-def test_perturb_zero_delta_exits_3(tmp_path):
+@pytest.mark.parametrize("kind", ["energy", "direction"])
+@pytest.mark.parametrize("mode", ["fft", "lora"])
+def test_perturb_leaves_a_zero_delta_unchanged(tmp_path, capsys, mode, kind):
+    # w is a frozen layer (fft) or a LoRA pair with B = 0; v carries a delta
     rng = np.random.default_rng(5)
-    base = TensorContainer(tensors={"w.weight": rng.standard_normal((6, 6))})
-    base_path = tmp_path / "base.dcm"
-    write_container(base, base_path)
-    task_path = tmp_path / "task.dcm"
-    write_container(
-        TensorContainer(tensors={"w.weight": base.tensors["w.weight"].copy()}),
-        task_path,
-    )
-    rc = main(
-        [
-            "perturb",
-            "--task",
-            str(task_path),
-            "--base",
-            str(base_path),
-            "--kind",
-            "energy",
-            "--p",
-            "0.5",
-            "--seed",
-            "0",
-            "--out",
-            str(tmp_path / "out.dcm"),
-        ]
-    )
-    assert rc == 3
+    base = {name: rng.standard_normal((16, 12)) for name in ("v.weight", "w.weight")}
+    if mode == "fft":
+        task = {"v.weight": base["v.weight"] + rng.standard_normal((16, 12)),
+                "w.weight": base["w.weight"].copy()}
+        zero, moved = ["w.weight"], "v.weight"
+    else:
+        task = {"v.lora_B": rng.standard_normal((16, 2)), "v.lora_A": rng.standard_normal((2, 12)),
+                "w.lora_B": np.zeros((16, 2)), "w.lora_A": rng.standard_normal((2, 12))}
+        zero, moved = ["w.lora_B", "w.lora_A"], "v.lora_B"
+    write_container(TensorContainer(tensors=base), tmp_path / "base.dcm")
+    write_container(TensorContainer(tensors=task), tmp_path / "task.dcm")
+    out_path = tmp_path / "out.dcm"
+    rc = main(["perturb", "--task", str(tmp_path / "task.dcm"), "--base", str(tmp_path / "base.dcm"),
+               "--kind", kind, "--p", "0.5", "--seed", "0", "--out", str(out_path)])
+    assert rc == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("v.weight: rank ")
+    assert printed[1:] == ["w.weight: zero delta, left unchanged",
+                           f"perturbed 1 tensors -> {out_path}"]
+    got = read_container(out_path).tensors
+    for name in zero:
+        assert np.array_equal(got[name], task[name])
+    assert not np.allclose(got[moved], task[moved])
 
 
 def test_perturb_direction_records_metadata(tmp_path, capsys):
@@ -628,6 +629,28 @@ def test_report_names_the_file_and_tensor_that_is_non_finite(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_merge_of_more_tasks_than_min_dim_exits_2_without_a_clip_warning(tmp_path, capsys):
+    rng = np.random.default_rng(13)
+    base = rng.standard_normal((4, 3))
+    write_container(TensorContainer(tensors={"enc.weight": base}), tmp_path / "base.dcm")
+    task_paths = []
+    for i in range(5):
+        task_paths.append(tmp_path / f"task{i}.dcm")
+        write_container(
+            TensorContainer(tensors={"enc.weight": base + rng.standard_normal((4, 3))}),
+            task_paths[-1],
+        )
+    for rank in ("auto", "2"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(merge_args(tmp_path / "base.dcm", task_paths, tmp_path / "m.dcm",
+                                 "--rank", rank))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: 5 tasks exceed min(m, n) = 3 for shape (4, 3)" in err
+        assert not (tmp_path / "m.dcm").exists()
+
+
 def test_report_measures_at_the_merge_rank_rule(tmp_path):
     # LoRA rank 3 with three tasks overflows min(8, 6) = 6 and clips to 2
     base_path, task_paths = write_lora_fixture(tmp_path, ranks=[3, 3, 3])
@@ -717,22 +740,63 @@ def test_merge_lora_from_factors_matches_the_dense_pipeline(tmp_path, merger):
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
-def test_cli_start_up_does_not_import_scipy():
+def test_cli_start_up_does_not_import_scipy(tmp_path):
+    # nor, for --help and merge, the modules only the other subcommands use
+    base_path, task_paths = write_fft_fixture(tmp_path)
+    merge = merge_args(base_path, task_paths, tmp_path / "m.dcm")
     code = (
         "import contextlib, io, sys\n"
         "import dcmerge.cli\n"
+        "LAZY = ('dcmerge.metrics', 'dcmerge.optimizer', 'dcmerge.perturb')\n"
+        "def check(after):\n"
+        "    loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in LAZY)\n"
+        "    assert not loaded, (after, loaded[:5])\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    try:\n"
         "        dcmerge.cli.main(['--help'])\n"
         "    except SystemExit:\n"
         "        pass\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "assert not loaded, loaded[:5]\n"
+        "    check('--help')\n"
+        f"    assert dcmerge.cli.main({merge!r}) == 0\n"
+        "check('merge')\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("code", [0, 2, 3])
+def test_run_freezes_the_heap_before_main_and_exits_with_its_code(monkeypatch, code):
+    from dcmerge import cli
+
+    calls = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or code)
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == code
+    assert calls == ["freeze", "main"]
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["merge"], 2)],
+                         ids=["help", "usage-error"])
+def test_the_module_entry_keeps_exit_codes_output_and_atexit(argv, code):
+    # runs cli.py as __main__, like python -m dcmerge.cli; the handler runs at exit
+    script = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+        f"sys.argv = ['dcmerge', *{argv!r}]\n"
+        "runpy.run_module('dcmerge.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=_package_env(), capture_output=True, text=True
+    )
+    assert proc.returncode == code
+    usage = proc.stdout if code == 0 else proc.stderr
+    assert usage.startswith("usage: dcmerge"), (proc.stdout, proc.stderr)
+    frozen = proc.stderr.splitlines()[-1].split()
+    assert frozen[0] == "frozen" and int(frozen[1]) > 0, proc.stderr
 
 
 def test_optimize_basis_above_the_dimension_limit_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,15 @@ def test_merge_rank_clip_warns():
     with pytest.warns(UserWarning):
         merged = dc_merge(tasks, MergeConfig(rank=3))
     assert merged.shape == (6, 6)
+
+
+@pytest.mark.parametrize("rank", [None, 2], ids=["auto", "rank2"])
+def test_merge_rejects_more_tasks_than_min_dim_without_a_clip_warning(rank):
+    tasks = make_tasks(np.random.default_rng(12), 4, 3, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"^5 tasks exceed min\(m, n\) = 3 "):
+            dc_merge(tasks, MergeConfig(rank=rank))
 
 
 def test_merge_auto_rank_lora_mode():
