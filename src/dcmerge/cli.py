@@ -257,6 +257,8 @@ def _cmd_perturb(args, threads: CommandThreads) -> int:
     from .metrics import dir_sim
     from .perturb import direction_perturb, energy_perturb
 
+    if not 0.0 <= args.p <= 1.0:
+        raise ValidationError(f"p must be in [0, 1], got {args.p}")
     base = read_container(args.base)
     threads.fit(base)
     task = read_container(args.task)
@@ -283,7 +285,10 @@ def _cmd_perturb(args, threads: CommandThreads) -> int:
             continue
         sub_seed = int(child.generate_state(1, dtype=np.uint64)[0])
         if args.kind == "energy":
-            sigma_hat = energy_perturb(kd.sigma, args.p, fallback_seed=sub_seed)
+            try:
+                sigma_hat = energy_perturb(kd.sigma, args.p, fallback_seed=sub_seed)
+            except ValidationError as exc:  # p is valid, so: a one-entry spectrum
+                raise ValidationError(f"{name}: {exc}; pass --rank 2 or more") from None
             U_new, V_new = kd.U, kd.V
             achieved = float(
                 kd.sigma
@@ -339,8 +344,9 @@ def _cmd_optimize_basis(args, threads: CommandThreads) -> int:
     r = resolve_rank(tvs, MergeConfig(mode=mode, rank=args.rank))
     decomps, whitened = cover_space(tvs, r, SmoothingStrategy.truncate_only())
 
-    # naive initialization: truncated SVD of the plain task-arithmetic sum
-    ta_sum = merge_ta([tv.delta for tv in tvs])
+    # naive initialization: truncated SVD of the plain task-arithmetic sum,
+    # which holds one LoRA product at a time
+    ta_sum = merge_ta(tv.delta for tv in tvs)
     init_svd = truncated_svd(ta_sum, whitened.k)
     init = CoverBasis(U_tilde=init_svd.U, V_tilde=init_svd.V)
 

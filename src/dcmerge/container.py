@@ -239,9 +239,10 @@ def extract_task_vectors(
 
     In ``fft`` mode every 2-D tensor present in both containers yields the
     dense difference task - base. In ``lora`` mode every factor pair
-    ``<p>.lora_B`` (m x r) and ``<p>.lora_A`` (r x n) yields the product
-    delta under the target name ``<p>.weight``. A non-finite matrix is a
-    ValidationError that names the tensor. Either way, 1-D tensors
+    ``<p>.lora_B`` (m x r) and ``<p>.lora_A`` (r x n), r >= 1, yields a
+    task vector that keeps the factors, not their product, under the
+    target name ``<p>.weight``. A non-finite matrix, or a product that
+    overflows, is a ValidationError that names the tensor. Either way, 1-D tensors
     present in both containers are returned separately as plain deltas for
     the averaging path of model assembly.
     """

@@ -144,16 +144,17 @@ def cover_space(
     return decomps, build_cover_basis(decomps)
 
 
-def merge_ta(mats: list[np.ndarray]) -> np.ndarray:
-    """Element-wise sum of equally shaped coordinate matrices."""
-    if not mats:
-        raise ValidationError("merge_ta needs at least one matrix")
-    shapes = {m.shape for m in mats}
-    if len(shapes) != 1:
-        raise ValidationError(f"merge_ta got mixed shapes {sorted(shapes)}")
-    out = np.zeros(mats[0].shape, dtype=np.float64)
+def merge_ta(mats) -> np.ndarray:
+    """Element-wise sum of equally shaped matrices, taken one at a time from an iterable."""
+    out = None
     for m in mats:
+        if out is None:
+            out = np.zeros(m.shape, dtype=np.float64)
+        elif m.shape != out.shape:
+            raise ValidationError(f"merge_ta got mixed shapes {sorted({out.shape, m.shape})}")
         out += m
+    if out is None:
+        raise ValidationError("merge_ta needs at least one matrix")
     return out
 
 

@@ -27,6 +27,7 @@ from .cover import CoverBasis
 from .errors import NumericalError, ValidationError
 from .linalg import (
     SvdTriplet,
+    _all_finite,
     _check_orthonormal,
     _skew_eigh,
     _skew_exp,
@@ -104,7 +105,7 @@ def _iterate(A, orient, it: int, label: str):
     not orthonormal, which is how a too-large step shows.
     """
     advice = "the step is too large; lower the learning rate (--eta)"
-    if not np.all(np.isfinite(A)):
+    if not _all_finite(A):
         raise NumericalError(f"iteration {it}: {label} parameters are non-finite; {advice}")
     eig = _skew_eigh(A)
     W = _skew_exp(*eig) @ orient

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .linalg import SvdTriplet, orthogonal_complement_sample
+from .linalg import SvdTriplet, _all_finite, orthogonal_complement_sample
 
 __all__ = ["energy_perturb", "direction_perturb"]
 
@@ -33,7 +33,9 @@ def energy_perturb(
     the unit spectrum and s_perp is the unit component of ``sigma_ref``
     orthogonal to s (default reference: the flat spectrum mean(sigma) * 1).
     By construction the output has the same Euclidean norm as the input
-    and cosine exactly p against it.
+    and cosine exactly p against it. At p = 1 the input comes back
+    unchanged; below 1 a one-entry spectrum, which has no orthogonal
+    direction, is a ValidationError.
 
     When the reference is parallel to the spectrum there is no orthogonal
     component to rotate toward; with ``fallback_seed`` set, a seeded
@@ -43,7 +45,7 @@ def energy_perturb(
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.ndim != 1 or sigma.size == 0:
         raise ValidationError("sigma must be a non-empty 1-D array")
-    if not np.all(np.isfinite(sigma)):
+    if not _all_finite(sigma):
         raise ValidationError("sigma must be finite")
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p must be in [0, 1], got {p}")
@@ -60,8 +62,12 @@ def energy_perturb(
             raise ValidationError(
                 f"sigma_ref shape {ref.shape} does not match sigma {sigma.shape}"
             )
-        if not np.all(np.isfinite(ref)):
+        if not _all_finite(ref):
             raise ValidationError("sigma_ref must be finite")
+    if p == 1.0:
+        return sigma.copy()
+    if sigma.size == 1:
+        raise ValidationError("a one-entry spectrum has no direction to rotate toward below p = 1")
 
     resid = ref - (ref @ s) * s
     ref_scale = max(np.linalg.norm(ref), 1.0)

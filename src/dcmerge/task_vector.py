@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import SvdTriplet, _frozen, as_matrix, truncated_svd
+from .linalg import SvdTriplet, _all_finite, _frozen, as_matrix, truncated_svd
 
 __all__ = [
     "TaskVector",
@@ -29,41 +29,76 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TaskVector:
-    """A named weight delta. ``lora_rank`` and ``factors`` are set when built from factors.
+    """A named weight delta, held as a dense matrix or as LoRA factors (B, A).
 
-    ``delta`` is always the dense matrix; when ``factors`` = (B, A) is set,
-    it must equal B A, which ``from_lora_factors`` guarantees. Arrays are
-    stored read-only: a read-only float64 C-contiguous array that owns its
-    data is kept as it is, and anything else is copied.
+    Give exactly one of ``delta`` and ``factors``. A factor-backed task
+    vector keeps B (m x p) and A (p x n), with ``lora_rank`` = p, and not
+    their product: ``delta`` builds B A on each read and does not keep it.
+    Its finiteness is checked here, from the bound p max|B| max|A| on every
+    entry, and B A is formed only when the bound does not rule out an
+    overflow. Arrays are stored read-only: a read-only float64 C-contiguous
+    array that owns its data is kept as it is, and anything else is copied.
     """
 
     name: str
-    delta: np.ndarray
-    lora_rank: int | None = None
-    factors: tuple[np.ndarray, np.ndarray] | None = None
+    lora_rank: int | None
+    factors: tuple[np.ndarray, np.ndarray] | None
+    _dense: np.ndarray | None
 
-    def __post_init__(self):
-        label = self.name or "task vector"
-        delta = _frozen(self.delta, f"delta of {label}")
-        object.__setattr__(self, "delta", delta)
-        if self.factors is not None:
-            B, A = (_frozen(f, f"LoRA factor of {label}") for f in self.factors)
-            if (
-                B.shape[1] != A.shape[0]
-                or (B.shape[0], A.shape[1]) != delta.shape
-                or self.lora_rank != B.shape[1]
-            ):
+    def __init__(self, name: str, delta=None, lora_rank: int | None = None, factors=None):
+        label = name or "task vector"
+        if (delta is None) == (factors is None):
+            raise ValidationError(f"{label}: give exactly one of delta and factors")
+        if factors is not None:
+            B, A = (_frozen(f, f"LoRA factor of {label}") for f in factors)
+            p = B.shape[1]
+            if p != A.shape[0] or p == 0 or lora_rank != p:
                 raise ValidationError(
-                    f"LoRA factors {B.shape} x {A.shape} do not match delta "
-                    f"shape {delta.shape} and lora_rank {self.lora_rank}"
+                    f"LoRA factors {B.shape} x {A.shape} of {label} do not match "
+                    f"lora_rank {lora_rank}"
                 )
-            object.__setattr__(self, "factors", (B, A))
+            if not p * _abs_max(B) * _abs_max(A) <= _PRODUCT_BOUND:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    finite = _all_finite(B @ A)
+                if not finite:
+                    raise ValidationError(f"delta of {label} contains non-finite entries")
+            factors = (B, A)
+        else:
+            delta = _frozen(delta, f"delta of {label}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "lora_rank", lora_rank)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "_dense", delta)
+
+    @property
+    def delta(self) -> np.ndarray:
+        """The dense matrix, read-only; built as B A on each read when factor-backed."""
+        if self.factors is None:
+            return self._dense
+        B, A = self.factors
+        delta = B @ A
+        delta.setflags(write=False)
+        return delta
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.delta.shape
+        if self.factors is None:
+            return self._dense.shape
+        B, A = self.factors
+        return B.shape[0], A.shape[1]
+
+
+# every entry of B A is at most p max|B| max|A| in magnitude, and the
+# computed one exceeds that by at most a factor 1 + p eps, so a bound at
+# or below half the largest float64 rules out an overflow
+_PRODUCT_BOUND = np.finfo(np.float64).max / 2
+
+
+def _abs_max(arr: np.ndarray) -> float:
+    """max|arr| (0 for an empty array), without an array-sized temporary."""
+    return max(-float(arr.min()), float(arr.max())) if arr.size else 0.0
 
 
 _KINDS = ("truncate_only", "averaging", "linear", "interpolate")
@@ -106,14 +141,15 @@ class SmoothingStrategy:
         return cls("interpolate", tau=float(tau))
 
 
-def _built(inputs, labels, name, delta, lora_rank=None, factors=None) -> TaskVector:
+def _built(inputs, labels, name, delta=None, lora_rank=None, factors=None) -> TaskVector:
     """A TaskVector over arrays built here, made read-only so it keeps them uncopied.
 
     A ValidationError names the first of ``inputs`` that is not a finite
     matrix, by its entry in ``labels``.
     """
     for arr in (delta, *(factors or ())):
-        arr.setflags(write=False)
+        if arr is not None:
+            arr.setflags(write=False)
     try:
         return TaskVector(name, delta, lora_rank, factors)
     except ValidationError:
@@ -139,9 +175,10 @@ def from_fft_delta(W_ft, W_0, name: str = "", labels=("W_ft", "W_0")) -> TaskVec
 
 
 def from_lora_factors(B, A, name: str = "", labels=("B", "A")) -> TaskVector:
-    """Task vector from LoRA factors: delta = B A, with B m x r and A r x n.
+    """Task vector from LoRA factors B (m x p) and A (p x n), with delta = B A.
 
-    ``labels`` name the factors in error messages.
+    ``labels`` name the factors in error messages. The product is not
+    formed here (see ``TaskVector``).
     """
     B = np.array(B, dtype=np.float64, order="C")
     A = np.array(A, dtype=np.float64, order="C")
@@ -149,9 +186,11 @@ def from_lora_factors(B, A, name: str = "", labels=("B", "A")) -> TaskVector:
         raise ValidationError(
             f"{labels[0]} {B.shape} and {labels[1]} {A.shape} are not 2-D factors of one product"
         )
-    with np.errstate(over="ignore", invalid="ignore"):  # _built reports a non-finite delta
-        delta = B @ A
-    return _built((B, A), labels, name, delta, lora_rank=B.shape[1], factors=(B, A))
+    if B.shape[1] == 0:
+        raise ValidationError(
+            f"{labels[0]} {B.shape} and {labels[1]} {A.shape} have inner dimension 0"
+        )
+    return _built((B, A), labels, name, lora_rank=B.shape[1], factors=(B, A))
 
 
 def _factor_svd(B: np.ndarray, A: np.ndarray, r: int) -> SvdTriplet | None:

@@ -333,6 +333,22 @@ def test_perturb_leaves_a_zero_delta_unchanged(tmp_path, capsys, mode, kind):
     assert not np.allclose(got[moved], task[moved])
 
 
+def test_perturb_energy_at_working_rank_one(tmp_path, capsys):
+    # the auto rank of an 8 x 6 fft task is max(1, 6 // 4) = 1
+    base_path, task_paths = write_fft_fixture(tmp_path, n_tasks=1, seed=8)
+    out_path = tmp_path / "out.dcm"
+    perturb = ["perturb", "--base", str(base_path), "--task", str(task_paths[0]),
+               "--kind", "energy", "--seed", "0", "--out", str(out_path)]
+    assert main(perturb + ["--p", "1"]) == 0
+    assert capsys.readouterr().out.startswith("enc.weight: rank 1, achieved similarity 1.000000\n")
+    out_path.unlink()
+    assert main(perturb + ["--p", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: enc.weight: a one-entry spectrum") and "--rank 2" in err
+    assert not out_path.exists()
+    assert main(perturb + ["--p", "0.5", "--rank", "2"]) == 0
+
+
 def test_perturb_direction_records_metadata(tmp_path, capsys):
     base_path, task_paths = write_fft_fixture(tmp_path, n_tasks=1, seed=6)
     out_path = tmp_path / "pert.dcm"
@@ -605,6 +621,32 @@ def test_merge_names_the_file_and_tensor_that_is_non_finite(
     assert main(merge) == 2
     err = capsys.readouterr().err
     assert f"error: {task_paths[1]}: tensor {tensor!r} contains non-finite entries" in err
+
+
+def test_merge_names_the_file_and_tensor_whose_lora_product_overflows(tmp_path, capsys):
+    base_path, task_paths = write_lora_fixture(tmp_path, ranks=[2, 2])
+    huge = {"q.lora_B": np.full((8, 2), 1e200), "q.lora_A": np.full((2, 6), 1e200)}
+    write_container(TensorContainer(tensors=huge), task_paths[1])
+    merge = ["merge", "--base", str(base_path), "--task", *map(str, task_paths),
+             "--out", str(tmp_path / "m.dcm"), "--mode", "lora"]
+    assert main(merge) == 2
+    err = capsys.readouterr().err
+    assert f"error: {task_paths[1]}: delta of q.weight contains non-finite entries" in err
+    assert not (tmp_path / "m.dcm").exists()
+
+
+def test_merge_rejects_zero_width_lora_factors_by_file_and_tensor(tmp_path, capsys):
+    base_path, task_paths = write_lora_fixture(tmp_path, ranks=[2, 2])
+    empty = {"q.lora_B": np.zeros((8, 0)), "q.lora_A": np.zeros((0, 6))}
+    write_container(TensorContainer(tensors=empty), task_paths[0])
+    merge = ["merge", "--base", str(base_path), "--task", *map(str, task_paths),
+             "--out", str(tmp_path / "m.dcm"), "--mode", "lora"]
+    assert main(merge) == 2
+    err = capsys.readouterr().err
+    assert (
+        f"error: {task_paths[0]}: tensor 'q.lora_B' (8, 0) and tensor 'q.lora_A' (0, 6) "
+        "have inner dimension 0"
+    ) in err
 
 
 def test_merge_names_the_file_and_1d_tensor_that_is_non_finite(tmp_path, capsys):

@@ -20,6 +20,14 @@ def test_energy_p_one_is_identity():
     np.testing.assert_allclose(out, sigma, rtol=1e-12)
 
 
+def test_energy_of_a_one_entry_spectrum_is_unchanged_at_p_one_and_rejected_below():
+    sigma = np.array([3.0])
+    assert np.array_equal(energy_perturb(sigma, 1.0, fallback_seed=0), sigma)
+    for ref in (None, np.array([1.0])):
+        with pytest.raises(ValidationError, match="one-entry spectrum"):
+            energy_perturb(sigma, 0.5, sigma_ref=ref, fallback_seed=0)
+
+
 def test_energy_p_zero_lands_in_orthogonal_direction():
     sigma = np.array([4.0, 2.0, 1.0])
     out = energy_perturb(sigma, 0.0)

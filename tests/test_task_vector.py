@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,6 +241,55 @@ def test_factors_must_match_delta_and_lora_rank():
     tv = from_lora_factors(B, A)
     with pytest.raises(ValueError):
         tv.factors[0][0, 0] = 5.0
+
+
+def test_factor_backed_delta_is_built_on_each_read_and_read_only():
+    rng = np.random.default_rng(22)
+    B, A = rng.standard_normal((9, 3)), rng.standard_normal((3, 7))
+    tv = from_lora_factors(B, A)
+    assert tv.shape == (9, 7)
+    first = tv.delta
+    assert np.array_equal(first, B @ A) and not first.flags.writeable
+    assert tv.delta is not first  # not cached on the task vector
+
+
+def test_from_lora_factors_does_not_form_the_product():
+    rng = np.random.default_rng(23)
+    B, A = rng.standard_normal((2048, 8)), rng.standard_normal((8, 2048))
+    tracemalloc.start()
+    try:
+        tv = from_lora_factors(B, A)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tv.shape == (2048, 2048)
+    assert peak < 2 * 2**20  # the float64 product alone is 32 MiB
+
+
+def test_factor_finiteness_comes_from_the_bound_and_else_from_the_product():
+    # p max|B| max|A| = 1e308 is above the bound, but the product is finite
+    big = from_lora_factors(np.full((2, 1), 1e154), np.full((1, 3), 1e154))
+    assert np.array_equal(big.delta, np.full((2, 3), 1e308))
+    with pytest.raises(ValidationError, match="delta of w contains non-finite entries"):
+        from_lora_factors(np.full((2, 2), 1e200), np.full((2, 3), 1e200), "w")
+    # float32 factors always pass the bound
+    top = np.finfo(np.float32).max
+    tv = from_lora_factors(np.full((2, 4), top, np.float32), np.full((4, 3), top, np.float32))
+    assert np.isfinite(tv.delta).all()
+
+
+def test_task_vector_takes_delta_or_factors_and_a_matching_lora_rank():
+    B, A = np.ones((4, 2)), np.ones((2, 3))
+    with pytest.raises(ValidationError, match="exactly one of delta and factors"):
+        TaskVector(name="t")
+    with pytest.raises(ValidationError, match="exactly one of delta and factors"):
+        TaskVector(name="t", delta=B @ A, lora_rank=2, factors=(B, A))
+    with pytest.raises(ValidationError, match="lora_rank 3"):
+        TaskVector(name="t", lora_rank=3, factors=(B, A))
+    with pytest.raises(ValidationError, match="have inner dimension 0"):
+        from_lora_factors(np.ones((4, 0)), np.ones((0, 3)))
+    tv = TaskVector(name="t", lora_rank=2, factors=(B, A))
+    assert tv.factors[0] is not B and np.array_equal(tv.delta, B @ A)
 
 
 # smoothing
