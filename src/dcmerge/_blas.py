@@ -13,9 +13,12 @@ numpy, so OpenBLAS loads with one thread and starts no worker thread, which
 would otherwise busy-wait through the rest of start-up. ``CommandThreads``
 then sets one thread for a command whose first container holds only
 matrices with a smaller side below 256 and the processor count otherwise,
-and restores the previous count when the command ends. Every other module
-leaves process-wide BLAS state alone; in a process that imported numpy
-before ``dcmerge.cli``, OpenBLAS starts with its default count.
+and restores the previous count when the command ends. Where it set one
+thread, its ``width`` is the processor count, the number of Python threads
+the command may run its per-tensor work on; everywhere else it is 1. Every
+other module leaves process-wide BLAS state alone; in a process that
+imported numpy before ``dcmerge.cli``, OpenBLAS starts with its default
+count.
 
 This module does not import numpy: ``start`` must run before it loads.
 """
@@ -121,9 +124,16 @@ class CommandThreads:
     def __init__(self):
         self._lib: OpenBLAS | None = None
         self._previous = 0
+        self._width = 1
 
     def __enter__(self) -> CommandThreads:
         return self
+
+    @property
+    def width(self) -> int:
+        """Threads for independent per-tensor work: the processor count where
+        ``fit`` set one BLAS thread, else 1, so the two never multiply."""
+        return self._width
 
     def fit(self, container) -> None:
         if self._lib is not None or _user_chose_threads():
@@ -133,11 +143,14 @@ class CommandThreads:
             return
         matrices = [a for a in container.tensors.values() if a.ndim == 2]
         small = all(min(a.shape) < SMALL_SIDE for a in matrices)
+        procs = lib.get_num_procs()
         self._previous = lib.get_threads()
-        lib.set_threads(1 if small else lib.get_num_procs())
+        lib.set_threads(1 if small else procs)
         self._lib = lib
+        self._width = procs if small else 1
 
     def __exit__(self, *exc) -> None:
         if self._lib is not None:
             self._lib.set_threads(self._previous)
             self._lib = None
+            self._width = 1

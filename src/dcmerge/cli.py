@@ -8,6 +8,12 @@ runs a command whose first container holds only matrices smaller than 256
 on one side with one BLAS thread and a larger one with the processor count
 (``_blas.CommandThreads``), and restores the count when it returns.
 
+``merge`` and ``report`` work on their tensors in sorted-name order on
+``threads.width`` threads (``_per_tensor``): the processor count where the
+BLAS runs on one thread, else one. Ranks are resolved, and inputs checked,
+in the calling thread first, so warnings and validation errors come out in
+name order whatever the width.
+
 ``run`` is the process entry and ``main(argv)`` the in-process one. The
 modules every data command reads with load here; ``metrics``, ``optimizer``,
 ``perturb`` and ``csv`` load inside the handlers that use them, so ``--help``
@@ -17,8 +23,10 @@ and ``merge`` do not load them.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import sys
+import threading
 import warnings
 
 from . import _blas
@@ -40,7 +48,7 @@ from .container import (
 )
 from .cover import CoverBasis, make_mask, project
 from .errors import NumericalError, ValidationError
-from .linalg import _all_finite, _dense_svd, as_matrix, truncated_svd
+from .linalg import _all_finite, _checked_matrix, _dense_svd, truncated_svd
 from .merge import (
     MergeConfig,
     assemble_model,
@@ -96,6 +104,52 @@ def _smoothing_from_flags(args) -> SmoothingStrategy | None:
     return SmoothingStrategy.interpolate(args.tau)
 
 
+def _per_tensor(fn, names, width: int) -> dict:
+    """``{name: fn(name)}`` over ``names`` in sorted order, on up to ``width`` threads.
+
+    The calling thread is one of them, and every thread takes the next name
+    in order. After an exception (a Ctrl-C in the calling thread included)
+    no further name is started; once the started ones end, the exception of
+    the first failing name in sorted order is raised, which is the one a
+    single thread would have raised.
+    """
+    names = sorted(names)
+    results: dict = {}
+    errors: dict[int, BaseException] = {}
+    pending = iter(enumerate(names))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                item = None if errors else next(pending, None)
+            if item is None:
+                return
+            i, name = item
+            try:
+                results[name] = fn(name)
+            except BaseException as exc:
+                with lock:
+                    errors[i] = exc
+
+    helpers = []
+    try:
+        for _ in range(min(width, len(names)) - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        work()
+    except BaseException as exc:  # a Ctrl-C between two names stops the helpers too
+        errors[-1] = exc
+        raise
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return {name: results[name] for name in names}
+
+
 def _extract(base, task, mode, path):
     """``extract_task_vectors``, with the task file's path leading any ValidationError."""
     try:
@@ -114,7 +168,7 @@ def _load_tasks(base, task_paths, mode=None):
         if found != mode:
             raise ValidationError(f"{path}: holds {found} checkpoint tensors, not {mode}")
         extracts.append(_extract(base, task, mode, path))
-        del task  # hold one task container at a time
+        del task  # fft task vectors keep its matrix tensors, nothing else of it
     names = [set(ex.matrices) for ex in extracts]
     if any(s != names[0] for s in names[1:]):
         raise ValidationError(
@@ -141,10 +195,14 @@ def _cmd_merge(args, threads: CommandThreads) -> int:
         mask_block=args.mask_block,
     )
     matrix_names = sorted(extracts[0].matrices)
-    deltas = {
-        name: dc_merge([ex.matrices[name] for ex in extracts], cfg)
+    tasks = {name: [ex.matrices[name] for ex in extracts] for name in matrix_names}
+    # resolved here, in name order: each worker's dc_merge then takes the rank as given
+    cfgs = {
+        name: dataclasses.replace(cfg, rank=resolve_rank(tasks[name], cfg))
         for name in matrix_names
     }
+    deltas = _per_tensor(lambda name: dc_merge(tasks[name], cfgs[name]), matrix_names,
+                         threads.width)
     shared_vec = set.intersection(*(set(ex.vectors) for ex in extracts))
     vector_deltas = {
         name: [ex.vectors[name] for ex in extracts] for name in sorted(shared_vec)
@@ -170,32 +228,37 @@ def _cmd_report(args, threads: CommandThreads) -> int:
     cfg = MergeConfig(mode=mode)
     matrix_names = sorted(extracts[0].matrices)
 
-    rows = []
-    per_task_cos = {path: [] for path in args.task}
-    per_task_dir = {path: [] for path in args.task}
-    align_values = []
+    # every input check and rank, in name order, before any tensor's metrics
+    ranks = {}
     for name in matrix_names:
         if name not in merged.tensors:
             raise ValidationError(f"merged checkpoint is missing tensor {name!r}")
         if name not in base.tensors:
             raise ValidationError(f"base checkpoint is missing tensor {name!r}")
-        merged_delta = as_matrix(
-            merged.tensors[name], f"{args.merged}: tensor {name!r}"
-        ) - base.tensors[name].astype(np.float64)
+        label = f"{args.merged}: tensor {name!r}"
+        shape = _checked_matrix(merged.tensors[name], label).shape
+        if shape != base.tensors[name].shape:
+            raise ValidationError(
+                f"{label} has shape {shape}, base is {base.tensors[name].shape}"
+            )
+        ranks[name] = resolve_rank([ex.matrices[name] for ex in extracts], cfg)
+
+    def tensor_rows(name):
+        merged_delta = merged.tensors[name].astype(np.float64) - base.tensors[name].astype(
+            np.float64
+        )
         tvs = [ex.matrices[name] for ex in extracts]
-        r = resolve_rank(tvs, cfg)
+        r = ranks[name]
         decomps, basis = cover_space(tvs, r, SmoothingStrategy.truncate_only())
+        rows = []
         for path, tv, kd in zip(args.task, tvs, decomps):
             # undefined where a task or the merge left the tensor at the base
-            c = _or_nan(cos_sim, tv.delta, merged_delta)
-            d = _or_nan(projected_dir_sim, kd, merged_delta)
-            rows.append((name, path, "cos_sim", c))
-            rows.append((name, path, "projected_dir_sim", d))
-            per_task_cos[path].append(c)
-            per_task_dir[path].append(d)
+            rows.append((name, path, "cos_sim", _or_nan(cos_sim, tv.delta, merged_delta)))
+            rows.append(
+                (name, path, "projected_dir_sim", _or_nan(projected_dir_sim, kd, merged_delta))
+            )
         a = alignment_score(basis.U_tilde, basis.V_tilde, decomps)
         rows.append((name, "", "alignment_score", a))
-        align_values.append(a)
 
         # block structure of the aggregated coordinates: one block per task
         summed = merge_ta([project(kd, basis) for kd in decomps])
@@ -206,11 +269,18 @@ def _cmd_report(args, threads: CommandThreads) -> int:
                 rows.append(
                     (name, "", f"block_mean_abs[{i},{j}]", float(np.mean(np.abs(block))))
                 )
+        return rows
 
-    for path in args.task:
-        rows.append(("ALL", path, "cos_sim", _nanmean(per_task_cos[path])))
-        rows.append(("ALL", path, "projected_dir_sim", _nanmean(per_task_dir[path])))
-    rows.append(("ALL", "", "alignment_score", float(np.mean(align_values))))
+    rows = [row for rs in _per_tensor(tensor_rows, matrix_names, threads.width).values()
+            for row in rs]
+
+    def column(task, metric):
+        return [value for _, t, m, value in rows if t == task and m == metric]
+
+    summary = [("ALL", path, metric, _nanmean(column(path, metric)))
+               for path in args.task for metric in ("cos_sim", "projected_dir_sim")]
+    align = float(np.mean(column("", "alignment_score")))
+    rows += summary + [("ALL", "", "alignment_score", align)]
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

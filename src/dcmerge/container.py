@@ -168,7 +168,8 @@ def read_container(path) -> TensorContainer:
     """Parse a container file, validating layout before touching tensor bytes.
 
     Each tensor is read from the file straight into its own array, so the
-    returned tensors are the only in-memory copy of the data.
+    returned tensors are the only in-memory copy of the data. They are
+    read-only, so task vectors can keep them without a copy.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -187,7 +188,9 @@ def read_container(path) -> TensorContainer:
             fh.seek(data_start + start)
             if fh.readinto(arr.reshape(-1).view(np.uint8)) != end - start:
                 raise ContainerError(f"tensor {name!r}: file ended while reading it")
-            tensors[name] = arr.astype(dtype.newbyteorder("="), copy=False)
+            arr = arr.astype(dtype.newbyteorder("="), copy=False)
+            arr.setflags(write=False)
+            tensors[name] = arr
     return TensorContainer(tensors=tensors, metadata=dict(metadata))
 
 

@@ -51,7 +51,10 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     ValidationError
         If the value is not 2-D or contains NaN/Inf entries.
     """
-    arr = np.asarray(a, dtype=np.float64)
+    return _checked_matrix(np.asarray(a, dtype=np.float64), name)
+
+
+def _checked_matrix(arr: np.ndarray, name: str) -> np.ndarray:
     if arr.ndim != 2:
         raise ValidationError(f"{name} must be 2-D, got shape {arr.shape}")
     if not _all_finite(arr):
@@ -64,9 +67,13 @@ def _all_finite(arr: np.ndarray) -> bool:
     return arr.size == 0 or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
 
 
-def _frozen(a, label: str) -> np.ndarray:
-    """``as_matrix(a)``, copied and made read-only unless it is so and owns its data."""
-    arr = as_matrix(a, label)
+def _frozen(a, label: str, keep=()) -> np.ndarray:
+    """``as_matrix(a)``, copied and made read-only unless it is so and owns its data.
+
+    An array whose dtype is in ``keep`` is checked the same way but keeps its dtype.
+    """
+    arr = np.asarray(a)
+    arr = _checked_matrix(arr, label) if arr.dtype in keep else as_matrix(arr, label)
     if arr.flags.writeable or arr.base is not None:
         arr = arr.copy()
         arr.setflags(write=False)

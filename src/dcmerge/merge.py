@@ -94,10 +94,19 @@ class MergeConfig:
 def resolve_rank(tasks: list[TaskVector], cfg: MergeConfig) -> int:
     """Working rank for one tensor's tasks: ``cfg.rank`` or the auto rule.
 
-    Rejects more tasks T than min(m, n), since the cover basis holds at
-    least one direction per task, and a rank above min(m, n); clips
-    r * T > min(m, n) with a warning.
+    Rejects an empty list, anything but TaskVectors and mixed shapes; then
+    more tasks T than min(m, n), since the cover basis holds at least one
+    direction per task, and a rank above min(m, n). Clips r * T > min(m, n)
+    with a warning.
     """
+    if not tasks:
+        raise ValidationError("dc_merge needs at least one task vector")
+    for tv in tasks:
+        if not isinstance(tv, TaskVector):
+            raise ValidationError(f"expected TaskVector, got {type(tv).__name__}")
+    shapes = {tv.shape for tv in tasks}
+    if len(shapes) != 1:
+        raise ValidationError(f"task vectors have mixed shapes {sorted(shapes)}")
     m, n = tasks[0].shape
     if len(tasks) > min(m, n):
         raise ValidationError(
@@ -212,15 +221,6 @@ def dc_merge(tasks: list[TaskVector], cfg: MergeConfig | None = None) -> np.ndar
     """
     if cfg is None:
         cfg = MergeConfig()
-    if not tasks:
-        raise ValidationError("dc_merge needs at least one task vector")
-    for tv in tasks:
-        if not isinstance(tv, TaskVector):
-            raise ValidationError(f"expected TaskVector, got {type(tv).__name__}")
-    shapes = {tv.shape for tv in tasks}
-    if len(shapes) != 1:
-        raise ValidationError(f"task vectors have mixed shapes {sorted(shapes)}")
-
     r = resolve_rank(tasks, cfg)
     smoothed, basis = cover_space(tasks, r, cfg.resolved_smoothing())
     coords = [project(kd, basis) for kd in smoothed]

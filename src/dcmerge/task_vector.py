@@ -40,12 +40,15 @@ class TaskVector:
     entry, and B A is formed only when the bound does not rule out an
     overflow. Arrays are stored read-only: a read-only float64 C-contiguous
     array that owns its data is kept as it is, and anything else is copied.
+    ``from_fft_delta`` makes a third kind, which keeps the fine-tuned
+    weight and its base and takes their difference on each read.
     """
 
     name: str
     lora_rank: int | None
     factors: tuple[np.ndarray, np.ndarray] | None
     _dense: np.ndarray | None
+    _inputs: tuple[np.ndarray, np.ndarray] | None
 
     def __init__(self, name: str, delta=None, lora_rank: int | None = None, factors=None):
         label = name or "task vector"
@@ -59,41 +62,61 @@ class TaskVector:
                     f"LoRA factors {B.shape} x {A.shape} of {label} do not match "
                     f"lora_rank {lora_rank}"
                 )
-            if not p * _abs_max(B) * _abs_max(A) <= _PRODUCT_BOUND:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    finite = _all_finite(B @ A)
-                if not finite:
-                    raise ValidationError(f"delta of {label} contains non-finite entries")
-            factors = (B, A)
+            self._set(name, lora_rank, (B, A), None, None)
+            self._check_finite(p * _abs_max(B) * _abs_max(A))
         else:
-            delta = _frozen(delta, f"delta of {label}")
+            self._set(name, lora_rank, None, _frozen(delta, f"delta of {label}"), None)
+
+    def _set(self, name, lora_rank, factors, dense, inputs) -> None:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "lora_rank", lora_rank)
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "_dense", delta)
+        object.__setattr__(self, "_dense", dense)
+        object.__setattr__(self, "_inputs", inputs)
+
+    def _check_finite(self, bound: float) -> None:
+        """Reject a non-finite ``delta``, built to check only if ``bound`` may overflow.
+
+        ``bound`` bounds the magnitude of every entry of the exact delta.
+        """
+        if not bound <= _DELTA_BOUND:
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = _all_finite(self.delta)
+            if not finite:
+                label = self.name or "task vector"
+                raise ValidationError(f"delta of {label} contains non-finite entries")
 
     @property
     def delta(self) -> np.ndarray:
-        """The dense matrix, read-only; built as B A on each read when factor-backed."""
-        if self.factors is None:
+        """The dense float64 matrix, read-only; built on each read unless stored.
+
+        A factor-backed task vector builds B A; one from ``from_fft_delta``
+        builds W_ft - W_0 in float64.
+        """
+        if self._dense is not None:
             return self._dense
-        B, A = self.factors
-        delta = B @ A
+        if self.factors is not None:
+            B, A = self.factors
+            delta = B @ A
+        else:
+            delta = np.subtract(*self._inputs, dtype=np.float64)
         delta.setflags(write=False)
         return delta
 
     @property
     def shape(self) -> tuple[int, int]:
-        if self.factors is None:
-            return self._dense.shape
-        B, A = self.factors
-        return B.shape[0], A.shape[1]
+        if self.factors is not None:
+            B, A = self.factors
+            return B.shape[0], A.shape[1]
+        return (self._dense if self._dense is not None else self._inputs[0]).shape
 
 
 # every entry of B A is at most p max|B| max|A| in magnitude, and the
-# computed one exceeds that by at most a factor 1 + p eps, so a bound at
-# or below half the largest float64 rules out an overflow
-_PRODUCT_BOUND = np.finfo(np.float64).max / 2
+# computed one exceeds that by at most a factor 1 + p eps; every entry of
+# W_ft - W_0 is at most max|W_ft| + max|W_0|, and rounds to within a factor
+# 1 + eps of that. So a bound at or below half the largest float64 rules
+# out an overflow
+_DELTA_BOUND = np.finfo(np.float64).max / 2
 
 
 def _abs_max(arr: np.ndarray) -> float:
@@ -141,37 +164,33 @@ class SmoothingStrategy:
         return cls("interpolate", tau=float(tau))
 
 
-def _built(inputs, labels, name, delta=None, lora_rank=None, factors=None) -> TaskVector:
-    """A TaskVector over arrays built here, made read-only so it keeps them uncopied.
-
-    A ValidationError names the first of ``inputs`` that is not a finite
-    matrix, by its entry in ``labels``.
-    """
-    for arr in (delta, *(factors or ())):
-        if arr is not None:
-            arr.setflags(write=False)
-    try:
-        return TaskVector(name, delta, lora_rank, factors)
-    except ValidationError:
-        for arr, label in zip(inputs, labels):
-            as_matrix(arr, label)
-        raise
+# dtypes an fft input is kept in; any other is converted to float64, which
+# leaves the float64 difference unchanged
+_STORED = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 def from_fft_delta(W_ft, W_0, name: str = "", labels=("W_ft", "W_0")) -> TaskVector:
     """Task vector from a fully fine-tuned weight and its base: W_ft - W_0.
 
-    The difference is taken in float64 without converting either input
-    first; ``labels`` name the inputs in error messages.
+    Keeps both inputs, not their difference: ``delta`` takes the difference
+    in float64 on each read, without converting either input first. A
+    float32 or float64 input keeps its dtype, and one that is read-only,
+    C-contiguous and owns its data (as ``read_container`` returns them) is
+    kept uncopied, so a base shared by several tasks is held once. Each
+    input must be a finite matrix; the difference is formed here only when
+    max|W_ft| + max|W_0| does not rule out an overflow. ``labels`` name the
+    inputs in error messages.
     """
     W_ft, W_0 = np.asarray(W_ft), np.asarray(W_0)
     if W_ft.shape != W_0.shape:
         raise ValidationError(
             f"{labels[0]} has shape {W_ft.shape} vs {labels[1]} {W_0.shape}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):  # _built reports a non-finite delta
-        delta = np.subtract(W_ft, W_0, dtype=np.float64)
-    return _built((W_ft, W_0), labels, name, delta)
+    W_ft, W_0 = _frozen(W_ft, labels[0], _STORED), _frozen(W_0, labels[1], _STORED)
+    tv = object.__new__(TaskVector)
+    tv._set(name, None, None, None, (W_ft, W_0))
+    tv._check_finite(_abs_max(W_ft) + _abs_max(W_0))
+    return tv
 
 
 def from_lora_factors(B, A, name: str = "", labels=("B", "A")) -> TaskVector:
@@ -190,7 +209,15 @@ def from_lora_factors(B, A, name: str = "", labels=("B", "A")) -> TaskVector:
         raise ValidationError(
             f"{labels[0]} {B.shape} and {labels[1]} {A.shape} have inner dimension 0"
         )
-    return _built((B, A), labels, name, lora_rank=B.shape[1], factors=(B, A))
+    # read-only, so the TaskVector keeps them uncopied
+    B.setflags(write=False)
+    A.setflags(write=False)
+    try:
+        return TaskVector(name, lora_rank=B.shape[1], factors=(B, A))
+    except ValidationError:  # name the first factor that is not finite
+        for arr, label in zip((B, A), labels):
+            as_matrix(arr, label)
+        raise
 
 
 def _factor_svd(B: np.ndarray, A: np.ndarray, r: int) -> SvdTriplet | None:

@@ -89,6 +89,27 @@ def test_an_empty_thread_variable_counts_as_unset(fake, monkeypatch):
     assert fake.calls == [1, 4]
 
 
+def test_the_pool_width_is_the_processor_count_only_where_blas_runs_on_one_thread(
+    fake, monkeypatch
+):
+    fake.procs = 6
+    widths = []
+    for shapes, user in ([(16, 16)], None), ([(300, 300)], None), ([(16, 16)], "3"):
+        if user is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", user)
+        with _blas.CommandThreads() as threads:
+            assert threads.width == 1
+            threads.fit(_container(*shapes))
+            widths.append(threads.width)
+        assert threads.width == 1
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    monkeypatch.setattr(_blas, "find_openblas", lambda: None)
+    with _blas.CommandThreads() as threads:
+        threads.fit(_container((16, 16)))
+        widths.append(threads.width)
+    assert widths == [6, 1, 1, 1]
+
+
 def _fixture(tmp_path, task_shape=(8, 6), base_shape=(8, 6)):
     rng = np.random.default_rng(0)
     base = rng.standard_normal(base_shape)

@@ -671,6 +671,25 @@ def test_report_names_the_file_and_tensor_that_is_non_finite(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("shape", [(1, 6), (6, 8)])
+def test_report_rejects_a_merged_tensor_of_another_shape(tmp_path, capsys, shape):
+    rng = np.random.default_rng(32)
+    base = rng.standard_normal((8, 6))
+    write_container(TensorContainer(tensors={"q.weight": base}), tmp_path / "base.dcm")
+    task_paths = []
+    for i in range(2):
+        task_paths.append(tmp_path / f"task{i}.dcm")
+        tuned = base + 0.1 * rng.standard_normal((8, 6))
+        write_container(TensorContainer(tensors={"q.weight": tuned}), task_paths[-1])
+    merged = tmp_path / "merged.dcm"
+    write_container(TensorContainer(tensors={"q.weight": np.ones(shape)}), merged)
+    rc = main(report_args(tmp_path / "base.dcm", merged, task_paths, tmp_path / "r.csv"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: {merged}: tensor 'q.weight' has shape {shape}, base is (8, 6)" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_merge_of_more_tasks_than_min_dim_exits_2_without_a_clip_warning(tmp_path, capsys):
     rng = np.random.default_rng(13)
     base = rng.standard_normal((4, 3))
@@ -783,13 +802,15 @@ def test_merge_lora_from_factors_matches_the_dense_pipeline(tmp_path, merger):
 
 
 def test_cli_start_up_does_not_import_scipy(tmp_path):
-    # nor, for --help and merge, the modules only the other subcommands use
+    # nor, for --help and merge, the modules only the other subcommands use,
+    # nor the ones concurrent.futures would bring in: the tensor pool is threading
     base_path, task_paths = write_fft_fixture(tmp_path)
     merge = merge_args(base_path, task_paths, tmp_path / "m.dcm")
     code = (
         "import contextlib, io, sys\n"
         "import dcmerge.cli\n"
-        "LAZY = ('dcmerge.metrics', 'dcmerge.optimizer', 'dcmerge.perturb')\n"
+        "LAZY = ('dcmerge.metrics', 'dcmerge.optimizer', 'dcmerge.perturb',\n"
+        "        'concurrent.futures', 'logging')\n"
         "def check(after):\n"
         "    loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in LAZY)\n"
         "    assert not loaded, (after, loaded[:5])\n"

@@ -213,6 +213,17 @@ def test_read_accepts_metadata_block(tmp_path):
     assert out.tensors["w"][0] == 2.5
 
 
+def test_read_tensors_are_read_only_and_own_their_data(tmp_path):
+    path = tmp_path / "ro.dcm"
+    tensors = {"w": np.ones((3, 2), np.float32), "b": np.arange(4.0)}
+    write_container(TensorContainer(tensors=tensors), path)
+    out = read_container(path)
+    for arr in out.tensors.values():
+        assert not arr.flags.writeable and arr.base is None
+        with pytest.raises(ValueError):
+            arr[0] = 7.0
+
+
 # task-vector extraction
 
 

@@ -278,6 +278,65 @@ def test_factor_finiteness_comes_from_the_bound_and_else_from_the_product():
     assert np.isfinite(tv.delta).all()
 
 
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+def test_fft_delta_is_built_on_each_read_from_the_inputs_in_their_dtype():
+    rng = np.random.default_rng(24)
+    W_0 = _read_only(rng.standard_normal((9, 7)).astype(np.float32))
+    W_ft = _read_only((W_0 + 0.1 * rng.standard_normal((9, 7))).astype(np.float32))
+    tv = from_fft_delta(W_ft, W_0)
+    assert tv.shape == (9, 7) and tv.lora_rank is None and tv.factors is None
+    first = tv.delta
+    assert first.dtype == np.float64 and not first.flags.writeable
+    assert first.tobytes() == np.subtract(W_ft, W_0, dtype=np.float64).tobytes()
+    second = tv.delta
+    assert second is not first  # not cached on the task vector
+    assert second.tobytes() == first.tobytes()
+
+
+def test_from_fft_delta_keeps_read_only_float32_inputs_without_a_float64_copy():
+    rng = np.random.default_rng(25)
+    W_0 = _read_only(rng.standard_normal((2048, 2048), dtype=np.float32))
+    W_ft = _read_only(rng.standard_normal((2048, 2048), dtype=np.float32))
+    tracemalloc.start()
+    try:
+        tv = from_fft_delta(W_ft, W_0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tv.shape == (2048, 2048)
+    assert peak < 2 * 2**20  # the float64 difference alone is 32 MiB
+
+
+def test_from_fft_delta_copies_writable_inputs():
+    W_0, W_ft = np.zeros((3, 4), np.float32), np.ones((3, 4), np.float32)
+    tv = from_fft_delta(W_ft, W_0)
+    W_ft[0, 0] = 5.0
+    assert np.array_equal(tv.delta, np.ones((3, 4)))
+
+
+def test_fft_finiteness_comes_from_the_inputs_and_the_bound():
+    ok = np.ones((2, 3))
+    with pytest.raises(ValidationError, match="^W_ft contains non-finite entries"):
+        from_fft_delta(np.full((2, 3), np.nan), np.full((2, 3), np.inf))
+    with pytest.raises(ValidationError, match="^W_0 contains non-finite entries"):
+        from_fft_delta(ok, np.full((2, 3), -np.inf))
+    with pytest.raises(ValidationError, match="^W_ft must be 2-D"):
+        from_fft_delta(np.ones(3), np.ones(3))
+    # max|W_ft| + max|W_0| is above the bound, but the difference is finite
+    big = from_fft_delta(np.full((2, 3), 1e308), np.full((2, 3), 1e308))
+    assert np.array_equal(big.delta, np.zeros((2, 3)))
+    with pytest.raises(ValidationError, match="delta of w contains non-finite entries"):
+        from_fft_delta(np.full((2, 3), 1e308), np.full((2, 3), -1e308), "w")
+    # float32 inputs always pass the bound
+    top = np.finfo(np.float32).max
+    tv = from_fft_delta(np.full((2, 3), top, np.float32), np.full((2, 3), -top, np.float32))
+    assert np.isfinite(tv.delta).all()
+
+
 def test_task_vector_takes_delta_or_factors_and_a_matching_lora_rank():
     B, A = np.ones((4, 2)), np.ones((2, 3))
     with pytest.raises(ValidationError, match="exactly one of delta and factors"):
