@@ -3,16 +3,16 @@
 Subcommands: merge, report, inspect, perturb, optimize-basis,
 accuracy-report. Exit codes: 0 on success, 2 on input validation failure
 (including file problems), 3 on numerical failure. Importing this module
-before numpy loads numpy with one OpenBLAS thread (``_blas.start``); ``main``
-runs a command whose first container holds only matrices smaller than 256
-on one side with one BLAS thread and a larger one with the processor count
-(``_blas.CommandThreads``), and restores the count when it returns.
+before numpy loads numpy with one OpenBLAS thread and sets the width of the
+tensor pool to the processor count (``_blas.start``); where numpy was
+loaded first, the user chose a thread count or numpy uses another BLAS, the
+width is 1 and the BLAS keeps its own count.
 
-``merge`` and ``report`` work on their tensors in sorted-name order on
-``threads.width`` threads (``_per_tensor``): the processor count where the
-BLAS runs on one thread, else one. Ranks are resolved, and inputs checked,
-in the calling thread first, so warnings and validation errors come out in
-name order whatever the width.
+``merge``, ``report``, ``perturb`` and ``inspect`` work on their tensors in
+sorted-name order on the pool (``_per_tensor``). Ranks are resolved, and
+inputs checked, in the calling thread first, and each command prints and
+writes its per-tensor results in name order once every tensor is done, so
+warnings, errors, stdout and output bytes do not depend on the width.
 
 ``run`` is the process entry and ``main(argv)`` the in-process one. The
 modules every data command reads with load here; ``metrics``, ``optimizer``,
@@ -32,11 +32,10 @@ import warnings
 from . import _blas
 
 # before the first import of numpy, so that OpenBLAS starts with one thread
-_blas.start()
+_pool_width = _blas.start()
 
 import numpy as np
 
-from ._blas import CommandThreads
 from .container import (
     _DTYPE_NAMES,
     TensorContainer,
@@ -180,11 +179,10 @@ def _load_tasks(base, task_paths, mode=None):
     return extracts, mode
 
 
-def _cmd_merge(args, threads: CommandThreads) -> int:
+def _cmd_merge(args) -> int:
     if not 0 < args.alpha < np.inf:
         raise ValidationError(f"alpha must be positive and finite, got {args.alpha}")
     base = read_container(args.base)
-    threads.fit(base)
     extracts, _ = _load_tasks(base, args.task, args.mode)
     cfg = MergeConfig(
         mode=args.mode,
@@ -202,7 +200,7 @@ def _cmd_merge(args, threads: CommandThreads) -> int:
         for name in matrix_names
     }
     deltas = _per_tensor(lambda name: dc_merge(tasks[name], cfgs[name]), matrix_names,
-                         threads.width)
+                         _pool_width)
     shared_vec = set.intersection(*(set(ex.vectors) for ex in extracts))
     vector_deltas = {
         name: [ex.vectors[name] for ex in extracts] for name in sorted(shared_vec)
@@ -216,13 +214,12 @@ def _cmd_merge(args, threads: CommandThreads) -> int:
     return 0
 
 
-def _cmd_report(args, threads: CommandThreads) -> int:
+def _cmd_report(args) -> int:
     import csv
 
     from .metrics import alignment_score, cos_sim, projected_dir_sim
 
     base = read_container(args.base)
-    threads.fit(base)
     merged = read_container(args.merged)
     extracts, mode = _load_tasks(base, args.task)
     cfg = MergeConfig(mode=mode)
@@ -244,9 +241,7 @@ def _cmd_report(args, threads: CommandThreads) -> int:
         ranks[name] = resolve_rank([ex.matrices[name] for ex in extracts], cfg)
 
     def tensor_rows(name):
-        merged_delta = merged.tensors[name].astype(np.float64) - base.tensors[name].astype(
-            np.float64
-        )
+        merged_delta = np.subtract(merged.tensors[name], base.tensors[name], dtype=np.float64)
         tvs = [ex.matrices[name] for ex in extracts]
         r = ranks[name]
         decomps, basis = cover_space(tvs, r, SmoothingStrategy.truncate_only())
@@ -271,7 +266,7 @@ def _cmd_report(args, threads: CommandThreads) -> int:
                 )
         return rows
 
-    rows = [row for rs in _per_tensor(tensor_rows, matrix_names, threads.width).values()
+    rows = [row for rs in _per_tensor(tensor_rows, matrix_names, _pool_width).values()
             for row in rs]
 
     def column(task, metric):
@@ -291,22 +286,20 @@ def _cmd_report(args, threads: CommandThreads) -> int:
     return 0
 
 
-def _cmd_inspect(args, threads: CommandThreads) -> int:
+def _cmd_inspect(args) -> int:
     container = read_container(args.file)
-    threads.fit(container)
-    for name in container.names():
+
+    def describe(name):
         arr = container.tensors[name]
-        print(f"{name}  {_DTYPE_NAMES[arr.dtype]}  {tuple(arr.shape)}")
+        head = f"{name}  {_DTYPE_NAMES[arr.dtype]}  {tuple(arr.shape)}"
         if arr.ndim != 2 or min(arr.shape) == 0:
-            continue
+            return [head]
         if not _all_finite(arr):
-            print("    spectrum: non-finite entries")
-            continue
+            return [head, "    spectrum: non-finite entries"]
         sigma = _dense_svd(arr.astype(np.float64), compute_uv=False)
         total = float(sigma.sum())
         if total == 0.0:
-            print("    spectrum: all zero")
-            continue
+            return [head, "    spectrum: all zero"]
         full = sigma.size
         marks = []
         r = 1
@@ -315,7 +308,10 @@ def _cmd_inspect(args, threads: CommandThreads) -> int:
             r *= 2
         marks.append(full)
         parts = [f"r={r} {float(sigma[:r].sum()) / total:.4f}" for r in marks]
-        print("    top-r energy fraction: " + ", ".join(parts))
+        return [head, "    top-r energy fraction: " + ", ".join(parts)]
+
+    for lines in _per_tensor(describe, container.names(), _pool_width).values():
+        print("\n".join(lines))
     if container.metadata:
         print("metadata:")
         for key in sorted(container.metadata):
@@ -323,14 +319,13 @@ def _cmd_inspect(args, threads: CommandThreads) -> int:
     return 0
 
 
-def _cmd_perturb(args, threads: CommandThreads) -> int:
+def _cmd_perturb(args) -> int:
     from .metrics import dir_sim
     from .perturb import direction_perturb, energy_perturb
 
     if not 0.0 <= args.p <= 1.0:
         raise ValidationError(f"p must be in [0, 1], got {args.p}")
     base = read_container(args.base)
-    threads.fit(base)
     task = read_container(args.task)
     mode = detect_mode(task)
     extracted = _extract(base, task, mode, args.task)
@@ -338,10 +333,13 @@ def _cmd_perturb(args, threads: CommandThreads) -> int:
     if not matrix_names:
         raise ValidationError("no matrix tensors found to perturb")
 
-    out_tensors = {name: arr.copy() for name, arr in task.tensors.items()}
+    # one seed per tensor in sorted-name order, whichever thread perturbs it
     children = np.random.SeedSequence(args.seed).spawn(len(matrix_names))
-    unchanged = 0
-    for name, child in zip(matrix_names, children):
+    seeds = {name: int(child.generate_state(1, dtype=np.uint64)[0])
+             for name, child in zip(matrix_names, children)}
+
+    def perturb_tensor(name):
+        """The line to print and the output tensors that replace the task's."""
         tv = extracted.matrices[name]
         m, n = tv.shape
         # a single checkpoint has no task count, so merge's rank rule does not apply
@@ -350,13 +348,10 @@ def _cmd_perturb(args, threads: CommandThreads) -> int:
         kd = decompose(tv, r)
         if not kd.sigma.any():
             # no energy or direction to perturb: the task's own tensors go out
-            print(f"{name}: zero delta, left unchanged")
-            unchanged += 1
-            continue
-        sub_seed = int(child.generate_state(1, dtype=np.uint64)[0])
+            return f"{name}: zero delta, left unchanged", {}
         if args.kind == "energy":
             try:
-                sigma_hat = energy_perturb(kd.sigma, args.p, fallback_seed=sub_seed)
+                sigma_hat = energy_perturb(kd.sigma, args.p, fallback_seed=seeds[name])
             except ValidationError as exc:  # p is valid, so: a one-entry spectrum
                 raise ValidationError(f"{name}: {exc}; pass --rank 2 or more") from None
             U_new, V_new = kd.U, kd.V
@@ -366,22 +361,28 @@ def _cmd_perturb(args, threads: CommandThreads) -> int:
                 / (np.linalg.norm(kd.sigma) * np.linalg.norm(sigma_hat))
             )
         else:
-            kd_new = direction_perturb(kd, args.p, sub_seed)
+            kd_new = direction_perturb(kd, args.p, seeds[name])
             U_new, V_new = kd_new.U, kd_new.V
             sigma_hat = kd_new.sigma
             achieved = dir_sim(kd, kd_new)
-        print(f"{name}: rank {r}, achieved similarity {achieved:.6f}")
-
+        line = f"{name}: rank {r}, achieved similarity {achieved:.6f}"
         if mode == "lora":
             b_name, a_name = _factor_names(name)
-            b_dtype = task.tensors[b_name].dtype
-            a_dtype = task.tensors[a_name].dtype
-            out_tensors[b_name] = (U_new * sigma_hat).astype(b_dtype)
-            out_tensors[a_name] = V_new.T.astype(a_dtype)
-        else:
-            delta_hat = (U_new * sigma_hat) @ V_new.T
-            restored = base.tensors[name].astype(np.float64) + delta_hat
-            out_tensors[name] = restored.astype(task.tensors[name].dtype)
+            return line, {
+                b_name: (U_new * sigma_hat).astype(task.tensors[b_name].dtype),
+                a_name: V_new.T.astype(task.tensors[a_name].dtype),
+            }
+        delta_hat = (U_new * sigma_hat) @ V_new.T
+        restored = base.tensors[name].astype(np.float64) + delta_hat
+        return line, {name: restored.astype(task.tensors[name].dtype)}
+
+    out_tensors = dict(task.tensors)
+    unchanged = 0
+    for line, tensors in _per_tensor(perturb_tensor, matrix_names, _pool_width).values():
+        print(line)
+        out_tensors.update(tensors)
+        if not tensors:
+            unchanged += 1
 
     metadata = dict(task.metadata)
     metadata.update(
@@ -396,14 +397,13 @@ def _cmd_perturb(args, threads: CommandThreads) -> int:
     return 0
 
 
-def _cmd_optimize_basis(args, threads: CommandThreads) -> int:
+def _cmd_optimize_basis(args) -> int:
     import csv
 
     from .metrics import alignment_score
     from .optimizer import OptimizerConfig, optimize_cover_basis
 
     base = read_container(args.base)
-    threads.fit(base)
     extracts, mode = _load_tasks(base, args.task)
     if args.tensor not in extracts[0].matrices:
         raise ValidationError(
@@ -439,12 +439,11 @@ def _cmd_optimize_basis(args, threads: CommandThreads) -> int:
     return 0
 
 
-def _cmd_accuracy_report(args, threads: CommandThreads) -> int:
+def _cmd_accuracy_report(args) -> int:
     import csv
 
     from .metrics import TaskAccuracy, accuracy_report
 
-    # reads no container, so the BLAS keeps the count the process started with
     with open(args.table, "r", newline="") as fh:
         reader = csv.reader(fh)
         raw = [row for row in reader if row and any(cell.strip() for cell in row)]
@@ -563,8 +562,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        with CommandThreads() as threads:
-            return args.func(args, threads)
+        return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -169,29 +169,26 @@ def test_default_threads_match_explicit_counts_below_256(tmp_path):
     assert len(outputs) == 1
 
 
-def test_default_threads_are_left_alone_from_256(tmp_path):
-    env = _env_without_thread_variables()
-    default = int(_run_python(
-        ["-c", "from dcmerge._blas import find_openblas\n"
-               "lib = find_openblas()\n"
-               "print(lib.get_threads() if lib else 0)\n"], env))
-    if default == 0:
-        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+def test_float64_bytes_from_256_match_one_blas_thread(tmp_path):
+    # the pool's width follows the processor count, the BLAS stays on one
+    # thread; float64 copies, since a float32 output would round away the
+    # last bits of eigh and svd that OpenBLAS's thread count moves at this size
     base_path, task_paths = write_merge_set(
         tmp_path, seed=3, mode="fft", n_tasks=2, layers=1, d=256
     )
-    # float64 copies: at this size the thread count moves the last bits of
-    # eigh, which a float32 output would round away
     for path in [base_path, *task_paths]:
         c = read_container(path)
         tensors = {name: arr.astype(np.float64) for name, arr in c.tensors.items()}
         write_container(TensorContainer(tensors=tensors), path)
     outputs = []
-    for extra in ({}, {"OPENBLAS_NUM_THREADS": str(default)}):
-        out = tmp_path / f"m{len(outputs)}.dcm"
-        _run_python(["-m", "dcmerge.cli", *merge_args(base_path, task_paths, out)],
-                    _env_without_thread_variables(**extra))
-        outputs.append(out.read_bytes())
+    for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        env = _env_without_thread_variables(**extra)
+        merged = tmp_path / f"m{len(outputs)}.dcm"
+        report = tmp_path / f"r{len(outputs)}.csv"
+        _run_python(["-m", "dcmerge.cli", *merge_args(base_path, task_paths, merged)], env)
+        _run_python(["-m", "dcmerge.cli", *report_args(base_path, merged, task_paths, report)],
+                    env)
+        outputs.append((merged.read_bytes(), report.read_bytes()))
     assert outputs[0] == outputs[1]
 
 

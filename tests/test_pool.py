@@ -1,9 +1,12 @@
-"""``merge`` and ``report`` on a pool of threads: ``cli._per_tensor``.
+"""Per-tensor commands on a pool of threads: ``cli._per_tensor``.
 
-The width comes from ``CommandThreads.width``; these tests set it in-process
-by replacing that property with a constant.
+The width is the processor count in a CLI process that started OpenBLAS on
+one thread, and 1 under a thread variable the user set (``_blas.start``).
+Tests that compare widths run the CLI in new processes, with and without
+``OPENBLAS_NUM_THREADS=1``; in-process tests set ``cli._pool_width``.
 """
 
+import subprocess
 import sys
 import threading
 import time
@@ -13,11 +16,21 @@ import numpy as np
 import pytest
 
 from dcmerge import cli
-from dcmerge._blas import CommandThreads
 from dcmerge.container import TensorContainer, read_container, write_container
 from dcmerge.errors import NumericalError, ValidationError
 
-from test_cli import merge_args, report_args, write_merge_set
+from test_cli import _env_without_thread_variables, merge_args, report_args, write_merge_set
+
+# a new CLI process at the processor count, then at width 1
+WIDTHS = ({}, {"OPENBLAS_NUM_THREADS": "1"})
+
+
+def _cli(argv, env_extra, code="import sys; from dcmerge import cli; sys.exit(cli.main())"):
+    """(exit code, stdout, stderr) of ``code`` run as the CLI on ``argv``."""
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                          env=_env_without_thread_variables(**env_extra),
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def _rewrite_as_float64(paths):
@@ -28,19 +41,34 @@ def _rewrite_as_float64(paths):
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_merge_and_report_bytes_do_not_depend_on_the_pool_width(tmp_path, monkeypatch, dtype):
+def test_merge_and_report_bytes_do_not_depend_on_the_pool_width(tmp_path, dtype):
     base_path, task_paths = write_merge_set(
         tmp_path, seed=4, mode="fft", n_tasks=4, layers=1, d=192
     )
     if dtype == "float64":
         _rewrite_as_float64([base_path, *task_paths])
     outputs = []
-    for width in (1, 2):
-        monkeypatch.setattr(CommandThreads, "width", width)
-        merged, report = tmp_path / f"m{width}.dcm", tmp_path / f"r{width}.csv"
-        assert cli.main(merge_args(base_path, task_paths, merged)) == 0
-        assert cli.main(report_args(base_path, merged, task_paths, report)) == 0
+    for i, extra in enumerate(WIDTHS):
+        merged, report = tmp_path / f"m{i}.dcm", tmp_path / f"r{i}.csv"
+        assert _cli(merge_args(base_path, task_paths, merged), extra)[0] == 0
+        assert _cli(report_args(base_path, merged, task_paths, report), extra)[0] == 0
         outputs.append((merged.read_bytes(), report.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("kind", ["energy", "direction"])
+def test_perturb_and_inspect_output_does_not_depend_on_the_pool_width(tmp_path, kind):
+    base_path, (task_path,) = write_merge_set(
+        tmp_path, seed=5, mode="fft", n_tasks=1, layers=2, d=48
+    )
+    outputs = []
+    for i, extra in enumerate(WIDTHS):
+        out = tmp_path / f"p{i}.dcm"
+        perturbed = _cli(["perturb", "--base", base_path, "--task", task_path, "--kind", kind,
+                          "--p", "0.6", "--seed", "11", "--out", out], extra)
+        inspected = _cli(["inspect", out], extra)
+        assert perturbed[0] == inspected[0] == 0, perturbed[2] + inspected[2]
+        outputs.append((perturbed[1].replace(str(out), "OUT"), inspected[1], out.read_bytes()))
     assert outputs[0] == outputs[1]
 
 
@@ -118,7 +146,7 @@ def test_the_first_failing_tensor_in_name_order_is_reported(tmp_path, monkeypatc
         return real(tasks, cfg)
 
     monkeypatch.setattr(cli, "dc_merge", dc_merge)
-    monkeypatch.setattr(CommandThreads, "width", 2)
+    monkeypatch.setattr(cli, "_pool_width", 2)
     for _ in range(5):
         assert cli.main(merge_args(base_path, task_paths, tmp_path / "m.dcm")) == 3
         err = capsys.readouterr().err
@@ -128,7 +156,7 @@ def test_the_first_failing_tensor_in_name_order_is_reported(tmp_path, monkeypatc
 
 def test_rank_clip_warnings_come_in_name_order(tmp_path, monkeypatch):
     base_path, task_paths = _three_tensor_fixture(tmp_path)
-    monkeypatch.setattr(CommandThreads, "width", 2)
+    monkeypatch.setattr(cli, "_pool_width", 2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = cli.main(merge_args(base_path, task_paths, tmp_path / "m.dcm", "--rank", "5"))
@@ -137,3 +165,42 @@ def test_rank_clip_warnings_come_in_name_order(tmp_path, monkeypatch):
               if "clipping to rank" in str(w.message)]
     assert bounds == ["6", "7", "8"]
 
+
+def test_perturb_reports_the_first_failing_tensor_in_name_order(tmp_path):
+    # a one-entry spectrum has no direction to move energy to: every tensor fails
+    base_path, task_paths = _three_tensor_fixture(tmp_path)
+    out = tmp_path / "p.dcm"
+    argv = ["perturb", "--base", base_path, "--task", task_paths[0], "--kind", "energy",
+            "--p", "0.5", "--seed", "1", "--rank", "1", "--out", out]
+    results = {_cli(argv, extra) for extra in WIDTHS}
+    assert len(results) == 1
+    ((rc, stdout, stderr),) = results
+    assert (rc, stdout) == (2, "")
+    assert stderr.startswith("error: a.weight: a one-entry spectrum") and "b.weight" not in stderr
+    assert not out.exists()
+
+
+_INSPECT_FAILING = """
+import sys, time
+from dcmerge import cli
+from dcmerge.errors import NumericalError
+real_svd = cli._dense_svd
+
+def dense_svd(a, compute_uv=True):
+    if a.shape[1] == 7:  # b.weight fails after c.weight has
+        time.sleep(0.05)
+        raise NumericalError("b did not converge")
+    if a.shape[1] == 8:
+        raise NumericalError("c did not converge")
+    return real_svd(a, compute_uv)
+
+cli._dense_svd = dense_svd
+sys.exit(cli.main())
+"""
+
+
+def test_inspect_reports_the_first_failing_tensor_in_name_order(tmp_path):
+    base_path, _ = _three_tensor_fixture(tmp_path)
+    results = {_cli(["inspect", base_path], extra, _INSPECT_FAILING) for extra in WIDTHS * 3}
+    # the error alone: no tensor's lines print when one of them fails
+    assert results == {(3, "", "numerical error: b did not converge\n")}
