@@ -9,10 +9,11 @@ loaded first, the user chose a thread count or numpy uses another BLAS, the
 width is 1 and the BLAS keeps its own count.
 
 ``merge``, ``report``, ``perturb`` and ``inspect`` work on their tensors in
-sorted-name order on the pool (``_per_tensor``). Ranks are resolved, and
-inputs checked, in the calling thread first, and each command prints and
-writes its per-tensor results in name order once every tensor is done, so
-warnings, errors, stdout and output bytes do not depend on the width.
+sorted-name order on the pool (``_per_tensor``). Ranks are resolved, in one
+plan (``_plan``), and inputs checked, in the calling thread first, and each
+command prints and writes its per-tensor results in name order once every
+tensor is done, so warnings, errors, stdout and output bytes do not depend
+on the width.
 
 ``run`` is the process entry and ``main(argv)`` the in-process one. The
 modules every data command reads with load here; ``metrics``, ``optimizer``,
@@ -157,8 +158,14 @@ def _extract(base, task, mode, path):
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def _load_tasks(base, task_paths, mode=None):
-    """Task vectors against ``base``, every file in the mode (``None``: the first file's)."""
+def _plan(base, task_paths, mode=None, rank=None, tensor=None):
+    """``({name: (task vectors, rank)}, each file's 1-D deltas)`` of the task files.
+
+    Every file is read in the mode (``None``: the first file's) and must hold
+    the same matrix tensors. The plan lists them, or ``tensor`` alone, in name
+    order, with one task vector per file and the rank from ``resolve_rank``,
+    resolved here in the calling thread so warnings and errors keep that order.
+    """
     extracts = []
     for path in task_paths:
         task = read_container(path)
@@ -168,48 +175,49 @@ def _load_tasks(base, task_paths, mode=None):
             raise ValidationError(f"{path}: holds {found} checkpoint tensors, not {mode}")
         extracts.append(_extract(base, task, mode, path))
         del task  # fft task vectors keep its matrix tensors, nothing else of it
-    names = [set(ex.matrices) for ex in extracts]
-    if any(s != names[0] for s in names[1:]):
+    names = sorted(extracts[0].matrices)
+    if any(ex.matrices.keys() != extracts[0].matrices.keys() for ex in extracts[1:]):
         raise ValidationError(
             "task checkpoints expose different matrix tensors; "
             "they must share one architecture"
         )
-    if not names[0]:
+    if not names:
         raise ValidationError("the task checkpoints share no matrix tensor with the base")
-    return extracts, mode
+    if tensor is not None and tensor not in names:
+        raise ValidationError(f"tensor {tensor!r} not found among merged matrices {names}")
+    cfg = MergeConfig(mode=mode, rank=rank)
+    plan = {}
+    for name in names if tensor is None else [tensor]:
+        tasks = [ex.matrices[name] for ex in extracts]
+        plan[name] = tasks, resolve_rank(tasks, cfg)
+    return plan, [ex.vectors for ex in extracts]
 
 
 def _cmd_merge(args) -> int:
     if not 0 < args.alpha < np.inf:
         raise ValidationError(f"alpha must be positive and finite, got {args.alpha}")
+    cfg = MergeConfig(mode=args.mode, smoothing=_smoothing_from_flags(args), merger=args.merger,
+                      ties_keep=args.ties_keep, mask_block=args.mask_block)
     base = read_container(args.base)
-    extracts, _ = _load_tasks(base, args.task, args.mode)
-    cfg = MergeConfig(
-        mode=args.mode,
-        rank=args.rank,
-        smoothing=_smoothing_from_flags(args),
-        merger=args.merger,
-        ties_keep=args.ties_keep,
-        mask_block=args.mask_block,
-    )
-    matrix_names = sorted(extracts[0].matrices)
-    tasks = {name: [ex.matrices[name] for ex in extracts] for name in matrix_names}
-    # resolved here, in name order: each worker's dc_merge then takes the rank as given
-    cfgs = {
-        name: dataclasses.replace(cfg, rank=resolve_rank(tasks[name], cfg))
-        for name in matrix_names
-    }
-    deltas = _per_tensor(lambda name: dc_merge(tasks[name], cfgs[name]), matrix_names,
-                         _pool_width)
-    shared_vec = set.intersection(*(set(ex.vectors) for ex in extracts))
-    vector_deltas = {
-        name: [ex.vectors[name] for ex in extracts] for name in sorted(shared_vec)
-    }
+    plan, vectors = _plan(base, args.task, args.mode, args.rank)
+    # a 1-D tensor of one task file is averaged over all of them, so each must hold it
+    vector_names = sorted(set().union(*vectors))
+    for path, deltas in zip(args.task, vectors):
+        lost = [name for name in vector_names if name not in deltas]
+        if lost:
+            raise ValidationError(f"{path}: lacks 1-D tensor {lost[0]!r}, which another task has")
+
+    def merge_tensor(name):
+        tasks, r = plan[name]
+        return dc_merge(tasks, dataclasses.replace(cfg, rank=r))
+
+    deltas = _per_tensor(merge_tensor, plan, _pool_width)
+    vector_deltas = {name: [v[name] for v in vectors] for name in vector_names}
     merged = assemble_model(base, deltas, vector_deltas, alpha=args.alpha)
     write_container(merged, args.out)
     print(
-        f"merged {len(matrix_names)} matrix tensors and {len(vector_deltas)} "
-        f"1-D tensors from {len(extracts)} tasks -> {args.out}"
+        f"merged {len(plan)} matrix tensors and {len(vector_deltas)} "
+        f"1-D tensors from {len(args.task)} tasks -> {args.out}"
     )
     return 0
 
@@ -221,13 +229,10 @@ def _cmd_report(args) -> int:
 
     base = read_container(args.base)
     merged = read_container(args.merged)
-    extracts, mode = _load_tasks(base, args.task)
-    cfg = MergeConfig(mode=mode)
-    matrix_names = sorted(extracts[0].matrices)
+    plan, _ = _plan(base, args.task)
 
-    # every input check and rank, in name order, before any tensor's metrics
-    ranks = {}
-    for name in matrix_names:
+    # every input check before any tensor's metrics
+    for name in plan:
         if name not in merged.tensors:
             raise ValidationError(f"merged checkpoint is missing tensor {name!r}")
         if name not in base.tensors:
@@ -238,12 +243,10 @@ def _cmd_report(args) -> int:
             raise ValidationError(
                 f"{label} has shape {shape}, base is {base.tensors[name].shape}"
             )
-        ranks[name] = resolve_rank([ex.matrices[name] for ex in extracts], cfg)
 
     def tensor_rows(name):
         merged_delta = np.subtract(merged.tensors[name], base.tensors[name], dtype=np.float64)
-        tvs = [ex.matrices[name] for ex in extracts]
-        r = ranks[name]
+        tvs, r = plan[name]
         decomps, basis = cover_space(tvs, r, SmoothingStrategy.truncate_only())
         rows = []
         for path, tv, kd in zip(args.task, tvs, decomps):
@@ -258,15 +261,11 @@ def _cmd_report(args) -> int:
         # block structure of the aggregated coordinates: one block per task
         summed = merge_ta([project(kd, basis) for kd in decomps])
         blocks = make_mask(basis.k, r)
-        for i, bi in enumerate(blocks):
-            for j, bj in enumerate(blocks):
-                block = summed[bi, bj]
-                rows.append(
-                    (name, "", f"block_mean_abs[{i},{j}]", float(np.mean(np.abs(block))))
-                )
+        rows += [(name, "", f"block_mean_abs[{i},{j}]", float(np.mean(np.abs(summed[bi, bj]))))
+                 for i, bi in enumerate(blocks) for j, bj in enumerate(blocks)]
         return rows
 
-    rows = [row for rs in _per_tensor(tensor_rows, matrix_names, _pool_width).values()
+    rows = [row for rs in _per_tensor(tensor_rows, plan, _pool_width).values()
             for row in rs]
 
     def column(task, metric):
@@ -282,7 +281,7 @@ def _cmd_report(args) -> int:
         writer.writerow(["tensor", "task", "metric", "value"])
         for tensor, task, metric, value in rows:
             writer.writerow([tensor, task, metric, _fmt(value)])
-    print(f"wrote {len(rows)} metric rows for {len(matrix_names)} tensors -> {args.out}")
+    print(f"wrote {len(rows)} metric rows for {len(plan)} tensors -> {args.out}")
     return 0
 
 
@@ -404,14 +403,8 @@ def _cmd_optimize_basis(args) -> int:
     from .optimizer import OptimizerConfig, optimize_cover_basis
 
     base = read_container(args.base)
-    extracts, mode = _load_tasks(base, args.task)
-    if args.tensor not in extracts[0].matrices:
-        raise ValidationError(
-            f"tensor {args.tensor!r} not found among merged matrices "
-            f"{sorted(extracts[0].matrices)}"
-        )
-    tvs = [ex.matrices[args.tensor] for ex in extracts]
-    r = resolve_rank(tvs, MergeConfig(mode=mode, rank=args.rank))
+    plan, _ = _plan(base, args.task, rank=args.rank, tensor=args.tensor)
+    tvs, r = plan[args.tensor]
     decomps, whitened = cover_space(tvs, r, SmoothingStrategy.truncate_only())
 
     # naive initialization: truncated SVD of the plain task-arithmetic sum,

@@ -5,7 +5,7 @@ File layout, from offset zero:
 1. an 8-byte little-endian unsigned header length ``n``;
 2. ``n`` bytes of UTF-8 JSON: an object mapping each tensor name to
    ``{"dtype": "F32"|"F64", "shape": [...], "data_offsets": [start, end]}``,
-   plus an optional ``"__metadata__"`` object of string pairs;
+   plus an optional ``"__metadata__"`` object of string pairs; no key repeats;
 3. the raw little-endian row-major tensor bytes. Offsets are relative to
    the end of the header, and the declared ranges must tile the data region
    exactly: readers reject both overlaps and gaps.
@@ -128,11 +128,19 @@ def _parse_entry(name, entry, data_len) -> tuple[np.dtype, tuple, int, int]:
     return _DTYPES[dtype_name], tuple(shape), start, end
 
 
+def _unique_keys(pairs) -> dict:
+    """A header object as a dict; json.loads alone would keep a repeated key's last value."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ContainerError(f"header repeats key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return dict(pairs)
+
+
 def _parse_header(payload: bytes, data_len: int) -> tuple[dict, dict]:
     """Validated (tensor entries, metadata) of a header over ``data_len`` data bytes."""
     try:
-        header = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        header = json.loads(payload.decode("utf-8"), object_pairs_hook=_unique_keys)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ContainerError(f"header is not valid UTF-8 JSON: {exc}") from None
     if not isinstance(header, dict):
         raise ContainerError("header must be a JSON object")
@@ -143,9 +151,7 @@ def _parse_header(payload: bytes, data_len: int) -> tuple[dict, dict]:
     ):
         raise ContainerError("__metadata__ must map strings to strings")
 
-    parsed = {}
-    for name, entry in header.items():
-        parsed[name] = _parse_entry(name, entry, data_len)
+    parsed = {name: _parse_entry(name, entry, data_len) for name, entry in header.items()}
 
     # declared ranges must tile the data region: no overlap, no gap
     spans = sorted((s, e, name) for name, (_, _, s, e) in parsed.items() if e > s)

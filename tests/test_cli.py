@@ -283,6 +283,29 @@ def test_merge_of_checkpoints_without_a_shared_matrix_exits_2(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("lacking", [0, 1])
+def test_merge_of_a_1d_tensor_missing_from_a_task_exits_2(tmp_path, capsys, lacking):
+    base_path, task_paths = write_fft_fixture(tmp_path, seed=23)
+    merged_path = tmp_path / "merged.dcm"
+    assert main(merge_args(base_path, task_paths, merged_path)) == 0
+    tensors = dict(read_container(task_paths[lacking]).tensors)
+    del tensors["enc.bias"]
+    write_container(TensorContainer(tensors), task_paths[lacking])
+    capsys.readouterr()
+
+    out_path = tmp_path / "m.dcm"
+    assert main(merge_args(base_path, task_paths, out_path)) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {task_paths[lacking]}: lacks 1-D tensor 'enc.bias', "
+                   "which another task has\n")
+    assert not out_path.exists()
+    # report and optimize-basis read matrix tensors alone and still take the set
+    assert main(report_args(base_path, merged_path, task_paths, tmp_path / "r.csv")) == 0
+    assert main(["optimize-basis", "--base", str(base_path), "--task", *map(str, task_paths),
+                 "--tensor", "enc.weight", "--eta", "1e-3", "--iters", "2",
+                 "--out", str(tmp_path / "trace.csv")]) == 0
+
+
 def test_mask_block_zero_names_its_flag(tmp_path, capsys):
     base_path, task_paths = write_fft_fixture(tmp_path)
     with pytest.raises(SystemExit) as exit_info:
@@ -545,6 +568,20 @@ def test_inspect_svd_non_convergence_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "svd", fail)
     assert main(["inspect", str(path)]) == 3
     assert "SVD did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, message", [
+    (b"[" * 100_000, "error: header is not valid UTF-8 JSON: maximum recursion depth exceeded"),
+    (b'{"a":{"dtype":"F32","shape":[2,1],"data_offsets":[0,8]},'
+     b'"a":{"dtype":"F32","shape":[1,2],"data_offsets":[0,8]}}', "error: header repeats key 'a'"),
+], ids=["nested", "repeated"])
+def test_inspect_of_a_malformed_header_exits_2_without_a_traceback(tmp_path, payload, message):
+    path = tmp_path / "bad.dcm"
+    path.write_bytes(len(payload).to_bytes(8, "little") + payload + b"\x00" * 8)
+    proc = subprocess.run([sys.executable, "-m", "dcmerge.cli", "inspect", str(path)],
+                          env=_env_without_thread_variables(), capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(message) and "Traceback" not in proc.stderr
 
 
 def test_report_to_unwritable_path_exits_2(tmp_path):

@@ -130,6 +130,32 @@ def test_read_rejects_invalid_json(tmp_path):
         read_container(path)
 
 
+def _write_header(path, payload: bytes, data: bytes = b""):
+    path.write_bytes(len(payload).to_bytes(8, "little") + payload + data)
+
+
+def test_read_rejects_a_header_nested_past_the_recursion_limit(tmp_path):
+    path = tmp_path / "bad.dcm"
+    _write_header(path, b"[" * 100_000)
+    with pytest.raises(ContainerError, match="header is not valid UTF-8 JSON: maximum recursion"):
+        read_container(path)
+
+
+@pytest.mark.parametrize("payload, key", [
+    # the same 8 bytes as (2, 1), then as (1, 2): json.loads alone keeps the second
+    (b'{"a":{"dtype":"F32","shape":[2,1],"data_offsets":[0,8]},'
+     b'"a":{"dtype":"F32","shape":[1,2],"data_offsets":[0,8]}}', "a"),
+    (b'{"a":{"dtype":"F32","shape":[2],"shape":[2],"data_offsets":[0,8]}}', "shape"),
+    (b'{"__metadata__":{"k":"x","k":"y"},'
+     b'"a":{"dtype":"F32","shape":[2],"data_offsets":[0,8]}}', "k"),
+], ids=["tensor", "entry", "metadata"])
+def test_read_rejects_a_repeated_key_and_names_it(tmp_path, payload, key):
+    path = tmp_path / "bad.dcm"
+    _write_header(path, payload, b"\x00" * 8)
+    with pytest.raises(ContainerError, match=f"header repeats key '{key}'"):
+        read_container(path)
+
+
 def test_read_rejects_unknown_dtype(tmp_path):
     path = tmp_path / "bad.dcm"
     craft(

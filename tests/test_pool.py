@@ -166,6 +166,86 @@ def test_rank_clip_warnings_come_in_name_order(tmp_path, monkeypatch):
     assert bounds == ["6", "7", "8"]
 
 
+def test_report_rank_clip_warnings_come_in_name_order_at_every_width(tmp_path, monkeypatch):
+    # a shared LoRA rank of 5 with two tasks clips on every tensor
+    rng = np.random.default_rng(37)
+    shapes = {f"{x}.weight": (10, n) for x, n in zip("abc", (6, 7, 8))}
+    base = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    write_container(TensorContainer(tensors=base), tmp_path / "base.dcm")
+    task_paths = []
+    for i in range(2):
+        task = {}
+        for name, (m, n) in shapes.items():
+            task[name.replace(".weight", ".lora_B")] = rng.standard_normal((m, 5))
+            task[name.replace(".weight", ".lora_A")] = rng.standard_normal((5, n))
+        task_paths.append(tmp_path / f"task{i}.dcm")
+        write_container(TensorContainer(tensors=task), task_paths[-1])
+    merged = tmp_path / "m.dcm"
+    args = merge_args(tmp_path / "base.dcm", task_paths, merged)
+    args[args.index("fft")] = "lora"
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        assert cli.main(args) == 0
+    reports = []
+    for width in (1, 2):
+        monkeypatch.setattr(cli, "_pool_width", width)
+        out = tmp_path / f"r{width}.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(report_args(tmp_path / "base.dcm", merged, task_paths, out)) == 0
+        bounds = [str(w.message).split("min(m, n) = ")[1].split(";")[0] for w in caught
+                  if "clipping to rank" in str(w.message)]
+        assert bounds == ["6", "7", "8"]
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_optimize_basis_plans_only_its_tensor(tmp_path, capsys):
+    # at rank 4 with two tasks, a.weight (10 x 3) exits 2 and b.weight (10 x 7) clips
+    base_path, task_paths = _three_tensor_fixture(tmp_path, ((10, 3), (10, 7), (10, 8)))
+    argv = ["optimize-basis", "--base", str(base_path), "--task", *map(str, task_paths),
+            "--eta", "1e-3", "--iters", "2", "--rank", "4", "--out", str(tmp_path / "t.csv")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([*argv, "--tensor", "c.weight"]) == 0
+    assert caught == [] and capsys.readouterr().err == ""
+    assert cli.main([*argv, "--tensor", "d.weight"]) == 2
+    assert capsys.readouterr().err == (
+        "error: tensor 'd.weight' not found among merged matrices "
+        "['a.weight', 'b.weight', 'c.weight']\n"
+    )
+
+
+def test_each_command_resolves_each_planned_rank_once_in_the_calling_thread(
+    tmp_path, monkeypatch
+):
+    base_path, task_paths = _three_tensor_fixture(tmp_path)
+    real = cli.resolve_rank
+    calls = []
+
+    def resolve_rank(tasks, cfg):
+        calls.append((tasks[0].name, threading.get_ident()))
+        return real(tasks, cfg)
+
+    monkeypatch.setattr(cli, "resolve_rank", resolve_rank)
+    monkeypatch.setattr(cli, "_pool_width", 2)
+    merged = tmp_path / "m.dcm"
+    commands = [
+        merge_args(base_path, task_paths, merged),
+        report_args(base_path, merged, task_paths, tmp_path / "r.csv"),
+        ["optimize-basis", "--base", base_path, "--task", *task_paths, "--tensor", "b.weight",
+         "--eta", "1e-3", "--iters", "2", "--out", tmp_path / "t.csv"],
+    ]
+    planned = []
+    for argv in commands:
+        calls.clear()
+        assert cli.main(list(map(str, argv))) == 0
+        assert {ident for _, ident in calls} == {threading.get_ident()}
+        planned.append([name for name, _ in calls])
+    everything = ["a.weight", "b.weight", "c.weight"]
+    assert planned == [everything, everything, ["b.weight"]]
+
+
 def test_perturb_reports_the_first_failing_tensor_in_name_order(tmp_path):
     # a one-entry spectrum has no direction to move energy to: every tensor fails
     base_path, task_paths = _three_tensor_fixture(tmp_path)
