@@ -161,12 +161,14 @@ def _extract(base, task, mode, path):
 def _plan(base, task_paths, mode=None, rank=None, tensor=None):
     """``({name: (task vectors, rank)}, each file's 1-D deltas)`` of the task files.
 
-    Every file is read in the mode (``None``: the first file's) and must hold
-    the same matrix tensors. The plan lists them, or ``tensor`` alone, in name
+    Every file is read in the mode (``None``: the first file's), must hold
+    the same matrix tensors, and no tensor the merge reads that the base
+    lacks. The plan lists the matrix tensors, or ``tensor`` alone, in name
     order, with one task vector per file and the rank from ``resolve_rank``,
     resolved here in the calling thread so warnings and errors keep that order.
     """
     extracts = []
+    lacking = []
     for path in task_paths:
         task = read_container(path)
         found = detect_mode(task)
@@ -174,6 +176,12 @@ def _plan(base, task_paths, mode=None, rank=None, tensor=None):
         if found != mode:
             raise ValidationError(f"{path}: holds {found} checkpoint tensors, not {mode}")
         extracts.append(_extract(base, task, mode, path))
+        # the merge adds each tensor it reads to the base's: all of an fft file; of a
+        # LoRA file each factor pair, named by its <p>.weight, and those not 2-D
+        reads = set(extracts[-1].matrices).union(
+            name for name, t in task.tensors.items() if mode == "fft" or t.ndim != 2)
+        lacking += [f"{path}: holds tensor {name!r}, which the base lacks"
+                    for name in sorted(reads - set(base.tensors))]
         del task  # fft task vectors keep its matrix tensors, nothing else of it
     names = sorted(extracts[0].matrices)
     if any(ex.matrices.keys() != extracts[0].matrices.keys() for ex in extracts[1:]):
@@ -183,6 +191,8 @@ def _plan(base, task_paths, mode=None, rank=None, tensor=None):
         )
     if not names:
         raise ValidationError("the task checkpoints share no matrix tensor with the base")
+    if lacking:
+        raise ValidationError(lacking[0])
     if tensor is not None and tensor not in names:
         raise ValidationError(f"tensor {tensor!r} not found among merged matrices {names}")
     cfg = MergeConfig(mode=mode, rank=rank)
@@ -235,8 +245,6 @@ def _cmd_report(args) -> int:
     for name in plan:
         if name not in merged.tensors:
             raise ValidationError(f"merged checkpoint is missing tensor {name!r}")
-        if name not in base.tensors:
-            raise ValidationError(f"base checkpoint is missing tensor {name!r}")
         label = f"{args.merged}: tensor {name!r}"
         shape = _checked_matrix(merged.tensors[name], label).shape
         if shape != base.tensors[name].shape:
@@ -413,19 +421,18 @@ def _cmd_optimize_basis(args) -> int:
     init_svd = truncated_svd(ta_sum, whitened.k)
     init = CoverBasis(U_tilde=init_svd.U, V_tilde=init_svd.V)
 
-    score_init = alignment_score(init.U_tilde, init.V_tilde, decomps)
     score_white = alignment_score(whitened.U_tilde, whitened.V_tilde, decomps)
 
     cfg = OptimizerConfig(
         learning_rate=args.eta, max_iters=args.iters, log_every=args.log_every
     )
-    final_basis, trace = optimize_cover_basis(decomps, init, cfg)
+    _, trace = optimize_cover_basis(decomps, init, cfg)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["iter", "score"])
         for it, score, _elapsed in trace.points:
             writer.writerow([it, _fmt(score)])
-    print(f"initial score (naive TA basis): {score_init:.6f}")
+    print(f"initial score (naive TA basis): {trace.points[0][1]:.6f}")
     print(f"whitening score:                {score_white:.6f}")
     print(f"optimized score ({args.iters} iters): {trace.final_score:.6f}")
     print(f"trace -> {args.out}")
@@ -573,10 +580,14 @@ def run() -> None:
     Freezes the objects that exist once the modules are loaded, so the
     collections at interpreter exit skip numpy's and the package's import-time
     heap; atexit handlers, stream flushes and finalizers still run. ``main``
-    is the entry for in-process callers and leaves the collector alone.
+    is the entry for in-process callers and leaves the collector and the
+    warning display alone; here a warning prints as ``warning: <message>``.
     """
     gc.freeze()
-    sys.exit(main())
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        code = main()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

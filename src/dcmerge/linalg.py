@@ -105,7 +105,8 @@ class SvdTriplet:
     U is m x r and V is n x r with orthonormal columns; sigma is
     non-negative and non-increasing. On construction the columns are
     sign-normalized (largest-magnitude entry of each U column positive,
-    V flipped jointly) and the arrays are frozen read-only.
+    V flipped jointly) and the arrays are frozen read-only; a triplet built
+    from another's U and V keeps them uncopied.
     """
 
     U: np.ndarray
@@ -115,7 +116,22 @@ class SvdTriplet:
     def __post_init__(self):
         U = _frozen(self.U, "U")
         V = _frozen(self.V, "V")
-        sigma = _checked_sigma(self.sigma, U.shape[1], V.shape[1])
+        sigma = np.array(self.sigma, dtype=np.float64)
+        if sigma.ndim != 1:
+            raise ValidationError("sigma must be a 1-D vector")
+        if not _all_finite(sigma):
+            raise ValidationError("sigma contains non-finite entries")
+        r = sigma.size
+        if U.shape[1] != r or V.shape[1] != r:
+            raise ValidationError(
+                f"rank mismatch: U has {U.shape[1]} columns, V has "
+                f"{V.shape[1]}, sigma has {r} entries"
+            )
+        if np.any(sigma < 0):
+            raise ValidationError("sigma entries must be non-negative")
+        if np.any(np.diff(sigma) > 0):
+            raise ValidationError("sigma must be sorted non-increasing")
+        sigma.setflags(write=False)
         _check_orthonormal(U, "U")
         _check_orthonormal(V, "V")
         U, V = _sign_normalize(U, V)
@@ -132,19 +148,6 @@ class SvdTriplet:
         """Shape (m, n) of the matrix U diag(sigma) V^T."""
         return (self.U.shape[0], self.V.shape[0])
 
-    def _with_sigma(self, sigma) -> "SvdTriplet":
-        """This triplet's U and V, already validated and frozen, with a new spectrum.
-
-        Only ``sigma`` is checked; the sign rule depends on U alone, so the
-        shared columns keep it.
-        """
-        sigma = _checked_sigma(sigma, self.U.shape[1], self.V.shape[1])
-        out = object.__new__(SvdTriplet)
-        object.__setattr__(out, "U", self.U)
-        object.__setattr__(out, "sigma", sigma)
-        object.__setattr__(out, "V", self.V)
-        return out
-
 
 def _check_orthonormal(mat: np.ndarray, label: str) -> None:
     """Reject ``mat`` unless its columns are orthonormal within ``_ORTHO_TOL``.
@@ -153,27 +156,6 @@ def _check_orthonormal(mat: np.ndarray, label: str) -> None:
     """
     if not np.abs(mat.T @ mat - np.eye(mat.shape[1])).max() <= _ORTHO_TOL:
         raise ValidationError(f"{label} columns are not orthonormal")
-
-
-def _checked_sigma(sigma, u_cols: int, v_cols: int) -> np.ndarray:
-    """A read-only float64 copy of ``sigma`` after the SvdTriplet spectrum checks."""
-    sigma = np.array(sigma, dtype=np.float64)
-    if sigma.ndim != 1:
-        raise ValidationError("sigma must be a 1-D vector")
-    if not _all_finite(sigma):
-        raise ValidationError("sigma contains non-finite entries")
-    r = sigma.size
-    if u_cols != r or v_cols != r:
-        raise ValidationError(
-            f"rank mismatch: U has {u_cols} columns, V has "
-            f"{v_cols}, sigma has {r} entries"
-        )
-    if np.any(sigma < 0):
-        raise ValidationError("sigma entries must be non-negative")
-    if np.any(np.diff(sigma) > 0):
-        raise ValidationError("sigma must be sorted non-increasing")
-    sigma.setflags(write=False)
-    return sigma
 
 
 def _dense_svd(M: np.ndarray, compute_uv: bool = True):

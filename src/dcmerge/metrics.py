@@ -5,6 +5,12 @@ the left-side and right-side inner products of dyad i from one
 decomposition with dyad j from another. The Frobenius cosine of two task
 vectors factors exactly through R and the two spectra, and the
 spectrum-free directional similarity is R's uniform-weight aggregate.
+
+Between a task (U, s, V) and the rank-r decomposition of the projection
+U U^T M, sum(R) comes from a polar factor: with C = U^T M = U_c diag(s_c)
+V_c^T it is sum(V * (V_c U_c^T)), and V_c U_c^T = ``whiten(C^T)``. Like
+``whiten``'s input, a rank-deficient C has no unique polar factor; the
+value is then reproducible but arbitrary.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import numpy as np
 
 from .cover import CoverBasis
 from .errors import NumericalError, ValidationError
-from .linalg import SvdTriplet, _frozen, as_matrix, truncated_svd
+from .linalg import SvdTriplet, _frozen, as_matrix, whiten
 from .task_vector import stack_bases
 
 __all__ = [
@@ -86,11 +92,8 @@ def dir_sim(kdS: SvdTriplet, kdT: SvdTriplet) -> float:
 def projected_dir_sim(kdTask: SvdTriplet, merged) -> float:
     """Directional similarity after restricting ``merged`` to the task's subspace.
 
-    Projects the merged delta onto the column space of the task's left
-    singular vectors, re-decomposes the projection at the task's own rank,
-    and measures dir_sim against the task. The projection U (U^T merged)
-    is decomposed from the r x n matrix C = U^T merged: with C's rank-r
-    SVD U_c diag(sigma) V_c^T, the projection's is (U U_c) diag(sigma) V_c^T.
+    The dir_sim of the task against the rank-r decomposition of the
+    projection U (U^T merged), sum(V * whiten(C^T)) / r for C = U^T merged.
 
     Raises
     ------
@@ -114,8 +117,12 @@ def projected_dir_sim(kdTask: SvdTriplet, merged) -> float:
         raise NumericalError(
             "merged vector has no component in the task's singular subspace"
         )
-    core = truncated_svd(C, kdTask.rank)
-    return dir_sim(kdTask, SvdTriplet(kdTask.U @ core.U, core.sigma, core.V))
+    return float(np.sum(kdTask.V * whiten(C.T)) / kdTask.rank)
+
+
+def _alignment(G: np.ndarray, H: np.ndarray) -> float:
+    """The alignment objective ||G o H||_F^2 of the coefficient matrices G and H."""
+    return float(np.sum((G * H) ** 2))
 
 
 def alignment_score(U_tilde, V_tilde, decomps) -> float:
@@ -130,9 +137,7 @@ def alignment_score(U_tilde, V_tilde, decomps) -> float:
     Ucat, Vcat = stack_bases(decomps)
     if basis.shape != (Ucat.shape[0], Vcat.shape[0]):
         raise ValidationError("basis ambient dimensions do not match tasks")
-    G = basis.U_tilde.T @ Ucat
-    H = basis.V_tilde.T @ Vcat
-    return float(np.sum((G * H) ** 2))
+    return _alignment(basis.U_tilde.T @ Ucat, basis.V_tilde.T @ Vcat)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .linalg import (
     _skew_exp,
     _skew_exp_adjoint,
 )
+from .metrics import _alignment
 from .task_vector import stack_bases
 
 __all__ = ["OptimizerConfig", "OptimizationTrace", "optimize_cover_basis"]
@@ -73,11 +74,6 @@ class OptimizationTrace:
     @property
     def final_score(self) -> float:
         return self.points[-1][1]
-
-
-def _score(G: np.ndarray, H: np.ndarray) -> float:
-    prod = G * H
-    return float(np.sum(prod * prod))
 
 
 def _analytic_side_gradient(A, orient, G, other_gram, cat, eig=None):
@@ -158,12 +154,12 @@ def optimize_cover_basis(
         G = Wu.T @ U_cat
         H = Wv.T @ V_cat
         if it % cfg.log_every == 0:
-            points.append((it, _score(G, H), time.perf_counter() - start))
+            points.append((it, _alignment(G, H), time.perf_counter() - start))
         A += eta * _analytic_side_gradient(A, U0, G, H, U_cat, eig_a)
         B += eta * _analytic_side_gradient(B, V0, H, G, V_cat, eig_b)
 
     Wu, _ = _iterate(A, U0, cfg.max_iters, "U")
     Wv, _ = _iterate(B, V0, cfg.max_iters, "V")
-    final = _score(Wu.T @ U_cat, Wv.T @ V_cat)
+    final = _alignment(Wu.T @ U_cat, Wv.T @ V_cat)
     points.append((cfg.max_iters, final, time.perf_counter() - start))
     return CoverBasis(U_tilde=Wu, V_tilde=Wv), OptimizationTrace(points=tuple(points))

@@ -292,7 +292,7 @@ def smooth_energy(kd: SvdTriplet, s: SmoothingStrategy) -> SvdTriplet:
         new = sigma.sum() * _linear_weights(sigma, s.rho)
     else:
         new = s.tau * sigma + (1.0 - s.tau) * sigma.mean()
-    return kd._with_sigma(new)
+    return SvdTriplet(kd.U, new, kd.V)
 
 
 def reconstruct(kd: SvdTriplet) -> np.ndarray:

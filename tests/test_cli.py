@@ -953,3 +953,133 @@ def test_optimize_basis_too_large_step_exits_3(tmp_path, capsys):
     assert err.startswith("numerical error: iteration ")
     assert "lower the learning rate (--eta)" in err
     assert not trace_path.exists()
+
+
+# a task tensor the merge reads must have a base tensor to add to
+
+
+@pytest.mark.parametrize("extra, name", [
+    ({"w.bias": (8,), "x.weight": (4, 4)}, "w.bias"),
+    ({"x.weight": (4, 4)}, "x.weight"),
+], ids=["1d", "matrix"])
+def test_merge_of_a_task_tensor_the_base_lacks_exits_2(tmp_path, capsys, extra, name):
+    rng = np.random.default_rng(29)
+    weight = rng.standard_normal((8, 6))
+    write_container(TensorContainer(tensors={"w.weight": weight}), tmp_path / "base.dcm")
+    task_paths = []
+    for i in range(2):
+        tensors = {"w.weight": weight + rng.standard_normal((8, 6))}
+        tensors.update({n: rng.standard_normal(shape) for n, shape in extra.items()})
+        task_paths.append(tmp_path / f"task{i}.dcm")
+        write_container(TensorContainer(tensors=tensors), task_paths[-1])
+    out_path = tmp_path / "m.dcm"
+    assert main(merge_args(tmp_path / "base.dcm", task_paths, out_path)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {task_paths[0]}: holds tensor {name!r}, which the base lacks\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["merge", "report"])
+def test_a_lora_factor_whose_target_the_base_lacks_exits_2(tmp_path, capsys, command):
+    base_path, task_paths = write_lora_fixture(tmp_path, ranks=[2, 2])
+    rng = np.random.default_rng(30)
+    for path in task_paths:
+        tensors = dict(read_container(path).tensors)
+        tensors.update({"k.lora_B": rng.standard_normal((8, 2)),
+                        "k.lora_A": rng.standard_normal((2, 6))})
+        write_container(TensorContainer(tensors=tensors), path)
+    out_path = tmp_path / "out"
+    if command == "merge":
+        args = ["merge", "--base", str(base_path), "--task", *map(str, task_paths),
+                "--out", str(out_path), "--mode", "lora"]
+    else:  # the base serves as the merged checkpoint
+        args = report_args(base_path, base_path, task_paths, out_path)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {task_paths[0]}: holds tensor 'k.weight', which the base lacks\n"
+    assert not out_path.exists()
+
+
+def test_the_process_entry_prints_a_clip_warning_without_its_source_line(tmp_path):
+    base_path, task_paths = write_fft_fixture(tmp_path)
+    out_path = tmp_path / "m.dcm"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dcmerge.cli",
+         *merge_args(base_path, task_paths, out_path, "--rank", "4")],
+        env=_package_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ("warning: rank 4 with 2 tasks exceeds the cover-basis bound "
+                           "min(m, n) = 6; clipping to rank 3\n")
+    assert out_path.exists()
+
+
+@pytest.mark.parametrize("flags, strategy", [
+    (["--smoothing", "none"], SmoothingStrategy.truncate_only()),
+    (["--smoothing", "avg"], SmoothingStrategy.averaging()),
+    (["--smoothing", "linear", "--rho", "3"], SmoothingStrategy.linear(3.0)),
+    (["--smoothing", "interp", "--tau", "0.25"], SmoothingStrategy.interpolate(0.25)),
+], ids=["none", "avg", "linear", "interp"])
+def test_merge_smoothing_flags_apply_their_strategy(tmp_path, flags, strategy):
+    rng = np.random.default_rng(31)
+    weight = rng.standard_normal((8, 6)).astype(np.float32)
+    write_container(TensorContainer(tensors={"enc.weight": weight}), tmp_path / "base.dcm")
+    task_paths = []
+    for i in range(3):
+        tuned = weight + rng.standard_normal((8, 6)).astype(np.float32)
+        task_paths.append(tmp_path / f"task{i}.dcm")
+        write_container(TensorContainer(tensors={"enc.weight": tuned}), task_paths[-1])
+    out_path = tmp_path / "m.dcm"
+    assert main(merge_args(tmp_path / "base.dcm", task_paths, out_path, "--rank", "2",
+                           *flags)) == 0
+
+    base = read_container(tmp_path / "base.dcm")
+    tasks = [extract_task_vectors(base, read_container(p), mode="fft").matrices["enc.weight"]
+             for p in task_paths]
+    delta = dc_merge(tasks, MergeConfig(mode="fft", rank=2, smoothing=strategy))
+    want = (weight.astype(np.float64) + delta).astype(np.float32)
+    assert np.array_equal(read_container(out_path).tensors["enc.weight"], want)
+
+
+def test_perturb_p_outside_the_unit_interval_exits_2_before_reading_a_file(tmp_path, capsys):
+    rc = main(["perturb", "--task", str(tmp_path / "no-task.dcm"),
+               "--base", str(tmp_path / "no-base.dcm"), "--kind", "energy",
+               "--p", "1.5", "--seed", "0", "--out", str(tmp_path / "p.dcm")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: p must be in [0, 1], got 1.5\n"
+    assert not (tmp_path / "p.dcm").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\n", "is empty"),
+    ("taskA,0.8,0.9\n", "accuracy rows need 4 columns (task, merged, finetuned, zeroshot), got 3"),
+    ("task,merged,finetuned,zeroshot\n", "accuracy table has a header but no data rows"),
+    ("taskA,0.8,high,0.5\n", "bad number in accuracy table: could not convert string"),
+], ids=["empty", "three-columns", "header-only", "bad-number"])
+def test_accuracy_report_of_a_malformed_table_exits_2(tmp_path, capsys, text, message):
+    table = tmp_path / "acc.csv"
+    table.write_text(text)
+    assert main(["accuracy-report", "--table", str(table)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_inspect_prints_the_metadata_and_an_all_zero_spectrum(tmp_path, capsys):
+    path = tmp_path / "z.dcm"
+    write_container(TensorContainer(tensors={"w": np.zeros((3, 2))},
+                                    metadata={"b": "2", "a": "1"}), path)
+    assert main(["inspect", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "w  F64  (3, 2)\n    spectrum: all zero\nmetadata:\n    a = 1\n    b = 2\n"
+    )
+
+
+def test_report_on_a_merged_checkpoint_without_a_tensor_exits_2(tmp_path, capsys):
+    base_path, task_paths = write_fft_fixture(tmp_path, seed=33)
+    merged_path = tmp_path / "merged.dcm"
+    write_container(TensorContainer(tensors={"enc.bias": np.zeros(8)}), merged_path)
+    report_path = tmp_path / "r.csv"
+    assert main(report_args(base_path, merged_path, task_paths, report_path)) == 2
+    assert capsys.readouterr().err == "error: merged checkpoint is missing tensor 'enc.weight'\n"
+    assert not report_path.exists()

@@ -17,6 +17,13 @@ from dcmerge.linalg import (
     truncated_svd,
     whiten,
 )
+from dcmerge.task_vector import (
+    SmoothingStrategy,
+    TaskVector,
+    decompose,
+    from_lora_factors,
+    smooth_energy,
+)
 
 
 def random_orthonormal(rng, d, k):
@@ -377,17 +384,33 @@ def test_svd_triplet_normalizes_column_signs():
     "sigma", [[1.0, 2.0], [1.0, -0.5], [np.nan, 1.0], [1.0], [[2.0, 1.0]]]
 )
 def test_svd_triplet_trusted_rebuild_still_checks_sigma(sigma):
+    # smooth_energy rebuilds the triplet from the input's U and V and the new
+    # spectrum, and the rebuild checks that spectrum; interpolate(1) hands
+    # the input's own spectrum on, so an unchecked input carries a bad one in
     t = truncated_svd(np.diag([3.0, 2.0, 1.0]), 2)
+    bad = object.__new__(SvdTriplet)
+    for field, value in (("U", t.U), ("sigma", np.array(sigma)), ("V", t.V)):
+        object.__setattr__(bad, field, value)
     with pytest.raises(ValidationError):
-        t._with_sigma(np.array(sigma))
+        smooth_energy(bad, SmoothingStrategy.interpolate(1.0))
 
 
 def test_svd_triplet_trusted_rebuild_shares_singular_vectors():
-    t = truncated_svd(np.diag([3.0, 2.0, 1.0]), 2)
-    new = t._with_sigma([1.5, 1.5])
-    assert new.U is t.U and new.V is t.V
-    np.testing.assert_array_equal(new.sigma, [1.5, 1.5])
-    assert not new.sigma.flags.writeable
+    rng = np.random.default_rng(3)
+    dense = decompose(TaskVector("d", delta=rng.standard_normal((7, 5))), 3)
+    factor = decompose(
+        from_lora_factors(rng.standard_normal((7, 4)), rng.standard_normal((4, 5))), 3
+    )
+    strategies = (SmoothingStrategy.averaging(), SmoothingStrategy.linear(5.0),
+                  SmoothingStrategy.interpolate(0.5))
+    for kd in (dense, factor):
+        for s in strategies:
+            new = smooth_energy(kd, s)
+            assert new.U is kd.U and new.V is kd.V
+            assert not new.sigma.flags.writeable
+    np.testing.assert_array_equal(
+        smooth_energy(dense, SmoothingStrategy.averaging()).sigma, [dense.sigma.mean()] * 3
+    )
 
 
 def test_svd_triplet_arrays_are_frozen():

@@ -2,9 +2,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dcmerge.errors import NumericalError, ValidationError
-from dcmerge.linalg import orthogonal_complement_sample, whiten
+from dcmerge.linalg import SvdTriplet, orthogonal_complement_sample, truncated_svd, whiten
 from dcmerge.metrics import (
     TaskAccuracy,
     accuracy_report,
@@ -207,6 +209,29 @@ def test_projected_dir_sim_matches_the_dense_projection():
         want = np.sum((kd.U.T @ P[:, :r]) * (kd.V.T @ Qt[:r].T)) / r
         value = projected_dir_sim(kd, merged)
         np.testing.assert_allclose(value, want, rtol=1e-10, atol=1e-12)
+
+
+@settings(max_examples=80)
+@given(
+    m=st.integers(1, 12),
+    n=st.integers(1, 12),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_projected_dir_sim_is_the_polar_factor_of_the_projection(m, n, data, seed):
+    # reference: the construction without the polar identity, from the
+    # rank-r SVD U_c diag(sigma) V_c^T of C = U^T merged, the triplet
+    # (U U_c, sigma, V_c) of the projection, then dir_sim against the task
+    r = data.draw(st.integers(1, min(m, n)), label="r")
+    rng = np.random.default_rng(seed)
+    kd = random_decomp(rng, m, n, r)
+    merged = rng.standard_normal((m, n))
+    C = kd.U.T @ merged
+    s = np.linalg.svd(C, compute_uv=False)
+    assume(s[-1] > 1e-3 * s[0])  # full rank, so the polar factor is unique
+    core = truncated_svd(C, r)
+    want = dir_sim(kd, SvdTriplet(kd.U @ core.U, core.sigma, core.V))
+    assert abs(projected_dir_sim(kd, merged) - want) <= 1e-12
 
 
 # alignment_score

@@ -4,12 +4,11 @@ import pytest
 from dcmerge.cover import CoverBasis, build_cover_basis
 from dcmerge.errors import NumericalError, ValidationError
 from dcmerge.linalg import matrix_exp_skew, truncated_svd
-from dcmerge.metrics import alignment_score
+from dcmerge.metrics import _alignment, alignment_score
 from dcmerge.optimizer import (
     OptimizerConfig,
     optimize_cover_basis,
     _analytic_side_gradient,
-    _score,
 )
 from dcmerge.task_vector import TaskVector, decompose
 
@@ -60,7 +59,7 @@ def central_difference(A, orient, other_gram, cat, h=1e-5):
                 probe = A.copy()
                 probe[i, j] += step
                 W = matrix_exp_skew(probe) @ orient
-                scores.append(_score(W.T @ cat, other_gram))
+                scores.append(_alignment(W.T @ cat, other_gram))
             grad[i, j] = (scores[0] - scores[1]) / (2.0 * h)
             grad[j, i] = -grad[i, j]
     return grad
