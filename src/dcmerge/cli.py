@@ -159,16 +159,15 @@ def _extract(base, task, mode, path):
 
 
 def _plan(base, task_paths, mode=None, rank=None, tensor=None):
-    """``({name: (task vectors, rank)}, each file's 1-D deltas)`` of the task files.
+    """``({name: (task vectors, rank)}, each file's averaged deltas)`` of the task files.
 
     Every file is read in the mode (``None``: the first file's), must hold
-    the same matrix tensors, and no tensor the merge reads that the base
-    lacks. The plan lists the matrix tensors, or ``tensor`` alone, in name
-    order, with one task vector per file and the rank from ``resolve_rank``,
+    the same matrix tensors, and no tensor that the base lacks (``unmatched``).
+    The plan lists the matrix tensors, or ``tensor`` alone, in name order,
+    with one task vector per file and the rank from ``resolve_rank``,
     resolved here in the calling thread so warnings and errors keep that order.
     """
     extracts = []
-    lacking = []
     for path in task_paths:
         task = read_container(path)
         found = detect_mode(task)
@@ -176,12 +175,6 @@ def _plan(base, task_paths, mode=None, rank=None, tensor=None):
         if found != mode:
             raise ValidationError(f"{path}: holds {found} checkpoint tensors, not {mode}")
         extracts.append(_extract(base, task, mode, path))
-        # the merge adds each tensor it reads to the base's: all of an fft file; of a
-        # LoRA file each factor pair, named by its <p>.weight, and those not 2-D
-        reads = set(extracts[-1].matrices).union(
-            name for name, t in task.tensors.items() if mode == "fft" or t.ndim != 2)
-        lacking += [f"{path}: holds tensor {name!r}, which the base lacks"
-                    for name in sorted(reads - set(base.tensors))]
         del task  # fft task vectors keep its matrix tensors, nothing else of it
     names = sorted(extracts[0].matrices)
     if any(ex.matrices.keys() != extracts[0].matrices.keys() for ex in extracts[1:]):
@@ -191,8 +184,10 @@ def _plan(base, task_paths, mode=None, rank=None, tensor=None):
         )
     if not names:
         raise ValidationError("the task checkpoints share no matrix tensor with the base")
-    if lacking:
-        raise ValidationError(lacking[0])
+    for path, ex in zip(task_paths, extracts):
+        if ex.unmatched:
+            raise ValidationError(
+                f"{path}: holds tensor {ex.unmatched[0]!r}, which the base lacks")
     if tensor is not None and tensor not in names:
         raise ValidationError(f"tensor {tensor!r} not found among merged matrices {names}")
     cfg = MergeConfig(mode=mode, rank=rank)
@@ -210,12 +205,13 @@ def _cmd_merge(args) -> int:
                       ties_keep=args.ties_keep, mask_block=args.mask_block)
     base = read_container(args.base)
     plan, vectors = _plan(base, args.task, args.mode, args.rank)
-    # a 1-D tensor of one task file is averaged over all of them, so each must hold it
+    # a tensor averaged from one task file is averaged over all of them, so each must hold it
     vector_names = sorted(set().union(*vectors))
     for path, deltas in zip(args.task, vectors):
         lost = [name for name in vector_names if name not in deltas]
         if lost:
-            raise ValidationError(f"{path}: lacks 1-D tensor {lost[0]!r}, which another task has")
+            raise ValidationError(f"{path}: lacks {base.tensors[lost[0]].ndim}-D tensor "
+                                  f"{lost[0]!r}, which another task has")
 
     def merge_tensor(name):
         tasks, r = plan[name]
@@ -227,7 +223,7 @@ def _cmd_merge(args) -> int:
     write_container(merged, args.out)
     print(
         f"merged {len(plan)} matrix tensors and {len(vector_deltas)} "
-        f"1-D tensors from {len(args.task)} tasks -> {args.out}"
+        f"averaged tensors from {len(args.task)} tasks -> {args.out}"
     )
     return 0
 
@@ -463,11 +459,14 @@ def _cmd_accuracy_report(args) -> int:
             zeroshot=float(row[3]),
         )
 
-    start = 0
-    try:
-        float(raw[0][1])
-    except (ValueError, IndexError):
-        start = 1
+    def is_number(cell):
+        try:
+            float(cell)
+        except ValueError:
+            return False
+        return True
+
+    start = 0 if any(map(is_number, raw[0][1:4])) else 1  # a header holds no number
     if start == len(raw):
         raise ValidationError("accuracy table has a header but no data rows")
     try:

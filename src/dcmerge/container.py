@@ -213,10 +213,16 @@ def _factor_names(target: str) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class ExtractedVectors:
-    """Matrix task vectors plus 1-D deltas kept aside for plain averaging."""
+    """A task file paired with the base (``extract_task_vectors``).
+
+    ``matrices`` holds a task vector per 2-D tensor read, ``vectors`` the
+    float64 delta of each other one, to average, and ``unmatched`` the sorted
+    names the base lacks (a LoRA pair, needing no base, stays in ``matrices``).
+    """
 
     matrices: dict[str, TaskVector]
     vectors: dict[str, np.ndarray]
+    unmatched: tuple[str, ...] = ()
 
 
 def detect_mode(task: TensorContainer) -> str:
@@ -226,49 +232,26 @@ def detect_mode(task: TensorContainer) -> str:
     return "fft"
 
 
-def _vector_deltas(base: TensorContainer, task: TensorContainer) -> dict:
-    out = {}
-    for name in sorted(set(base.tensors) & set(task.tensors)):
-        b, t = base.tensors[name], task.tensors[name]
-        if b.ndim == 1 and t.ndim == 1:
-            if b.shape != t.shape:
-                raise ValidationError(
-                    f"1-D tensor {name!r} has shape {t.shape} vs base {b.shape}"
-                )
-            out[name] = np.subtract(t, b, dtype=np.float64)
-            if not _all_finite(out[name]):
-                raise ValidationError(f"1-D tensor {name!r} or its base is not finite")
-    return out
-
-
 def extract_task_vectors(
     base: TensorContainer, task: TensorContainer, mode: str
 ) -> ExtractedVectors:
-    """Build task vectors from a base checkpoint and one task checkpoint.
+    """Pair the tensors of one task checkpoint with the base's tensors.
 
-    In ``fft`` mode every 2-D tensor present in both containers yields the
-    dense difference task - base. In ``lora`` mode every factor pair
-    ``<p>.lora_B`` (m x r) and ``<p>.lora_A`` (r x n), r >= 1, yields a
-    task vector that keeps the factors, not their product, under the
-    target name ``<p>.weight``. A non-finite matrix, or a product that
-    overflows, is a ValidationError that names the tensor. Either way, 1-D tensors
-    present in both containers are returned separately as plain deltas for
-    the averaging path of model assembly.
+    It reads, in ``fft`` mode, every tensor; in ``lora`` mode, each factor
+    pair ``<p>.lora_B`` (m x r), ``<p>.lora_A`` (r x n), r >= 1, as
+    ``<p>.weight``, and every tensor that is not 2-D. A 2-D tensor becomes a
+    matrix task vector (a pair keeps its factors, not their product), any
+    other a float64 delta task - base. Each must have the base tensor's
+    shape (a pair: rows of B by columns of A); one the base lacks goes to
+    ``unmatched``. A non-finite tensor, or a product that overflows, is a
+    ValidationError that names it.
     """
     if mode not in ("fft", "lora"):
         raise ValidationError(f"mode must be 'fft' or 'lora', got {mode!r}")
     matrices: dict[str, TaskVector] = {}
-    if mode == "fft":
-        for name in sorted(set(base.tensors) & set(task.tensors)):
-            b, t = base.tensors[name], task.tensors[name]
-            if b.ndim == 2 or t.ndim == 2:
-                matrices[name] = from_fft_delta(
-                    t, b, name, labels=(f"tensor {name!r}", f"base tensor {name!r}")
-                )
-    else:
-        factors = [name for name in task.tensors if name.endswith((_LORA_A, _LORA_B))]
-        prefixes = {name.rsplit(".", 1)[0] for name in factors}
-        for prefix in sorted(prefixes):
+    factors = [name for name in task.tensors if name.endswith((_LORA_A, _LORA_B))]
+    if mode == "lora":
+        for prefix in sorted({name.rsplit(".", 1)[0] for name in factors}):
             target = prefix + _WEIGHT
             b_name, a_name = _factor_names(target)
             if b_name not in task.tensors or a_name not in task.tensors:
@@ -278,4 +261,31 @@ def extract_task_vectors(
                 task.tensors[b_name], task.tensors[a_name], target,
                 labels=(f"tensor {b_name!r}", f"tensor {a_name!r}"),
             )
-    return ExtractedVectors(matrices, _vector_deltas(base, task))
+    plain = [name for name, t in task.tensors.items()
+             if mode == "fft" or t.ndim != 2 and name not in factors]
+    vectors, unmatched = {}, []
+    for name in sorted({*matrices, *plain}):
+        b = base.tensors.get(name)
+        if b is None:
+            unmatched.append(name)
+        elif name in matrices:  # a factor pair
+            if matrices[name].shape != b.shape:
+                B, A = matrices[name].factors
+                b_name, a_name = _factor_names(name)
+                raise ValidationError(
+                    f"tensor {b_name!r} {B.shape} times tensor {a_name!r} {A.shape} has "
+                    f"shape {matrices[name].shape} vs base tensor {name!r} {b.shape}"
+                )
+        elif (t := task.tensors[name]).ndim == 2:
+            matrices[name] = from_fft_delta(
+                t, b, name, labels=(f"tensor {name!r}", f"base tensor {name!r}")
+            )
+        else:
+            if t.shape != b.shape:
+                raise ValidationError(
+                    f"{t.ndim}-D tensor {name!r} has shape {t.shape} vs base {b.shape}"
+                )
+            vectors[name] = np.asarray(np.subtract(t, b, dtype=np.float64))
+            if not _all_finite(vectors[name]):
+                raise ValidationError(f"{t.ndim}-D tensor {name!r} or its base is not finite")
+    return ExtractedVectors(matrices, vectors, tuple(unmatched))

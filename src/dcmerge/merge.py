@@ -97,7 +97,7 @@ def resolve_rank(tasks: list[TaskVector], cfg: MergeConfig) -> int:
     Rejects an empty list, anything but TaskVectors and mixed shapes; then
     more tasks T than min(m, n), since the cover basis holds at least one
     direction per task, and a rank above min(m, n). Clips r * T > min(m, n)
-    with a warning.
+    with a warning that names the tensor, where the tasks share a name.
     """
     if not tasks:
         raise ValidationError("dc_merge needs at least one task vector")
@@ -136,9 +136,11 @@ def resolve_rank(tasks: list[TaskVector], cfg: MergeConfig) -> int:
     # keep the stacked basis width T*r inside the ambient bound
     if r * len(tasks) > min(m, n):
         clipped = min(m, n) // len(tasks)
+        name = tasks[0].name
+        of = f" of {name!r}" if name and all(tv.name == name for tv in tasks) else ""
         warnings.warn(
             f"rank {r} with {len(tasks)} tasks exceeds the cover-basis bound "
-            f"min(m, n) = {min(m, n)}; clipping to rank {clipped}",
+            f"min(m, n) = {min(m, n)}{of}; clipping to rank {clipped}",
             stacklevel=3,
         )
         r = clipped
@@ -243,11 +245,12 @@ def assemble_model(
     """Apply merged deltas on top of a base checkpoint.
 
     Matrix tensors named in ``merged_deltas`` become base + alpha * delta.
-    1-D tensors named in ``vector_deltas`` get the mean of their per-task
-    deltas, scaled the same way. Everything else is copied through
-    verbatim. Each output tensor keeps the base dtype. ``alpha`` may be
-    zero here; that reproduces the base model exactly. A merged or averaged
-    tensor that comes out NaN or Inf (in the base dtype) is a NumericalError.
+    Tensors of any other ndim named in ``vector_deltas`` get the mean of
+    their per-task deltas, scaled the same way. Everything else is copied
+    through verbatim. Each output tensor keeps the base dtype, and a 0-D one
+    stays an array, not a numpy scalar. ``alpha`` may be zero here; that
+    reproduces the base model exactly. A merged or averaged tensor that
+    comes out NaN or Inf (in the base dtype) is a NumericalError.
     """
     if vector_deltas is None:
         vector_deltas = {}
@@ -265,11 +268,11 @@ def assemble_model(
         elif name in vector_deltas:
             deltas = vector_deltas[name]
             if not deltas:
-                raise ValidationError(f"empty delta list for 1-D tensor {name!r}")
+                raise ValidationError(f"empty delta list for {arr.ndim}-D tensor {name!r}")
             for d in deltas:
                 if d.shape != arr.shape:
                     raise ValidationError(
-                        f"1-D delta for {name!r} has shape {d.shape}, "
+                        f"{arr.ndim}-D delta for {name!r} has shape {d.shape}, "
                         f"base is {arr.shape}"
                     )
             delta = np.mean(np.stack(deltas), axis=0)
@@ -277,7 +280,7 @@ def assemble_model(
             out[name] = arr.copy()
             continue
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-            out[name] = (arr.astype(np.float64) + alpha * delta).astype(arr.dtype)
+            out[name] = np.asarray(arr.astype(np.float64) + alpha * delta, dtype=arr.dtype)
         if not _all_finite(out[name]):
             raise NumericalError(f"tensor {name!r} is not finite after assembly at alpha {alpha}")
     missing = set(merged_deltas) - set(base.tensors)

@@ -1010,7 +1010,7 @@ def test_the_process_entry_prints_a_clip_warning_without_its_source_line(tmp_pat
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ("warning: rank 4 with 2 tasks exceeds the cover-basis bound "
-                           "min(m, n) = 6; clipping to rank 3\n")
+                           "min(m, n) = 6 of 'enc.weight'; clipping to rank 3\n")
     assert out_path.exists()
 
 
@@ -1055,7 +1055,10 @@ def test_perturb_p_outside_the_unit_interval_exits_2_before_reading_a_file(tmp_p
     ("taskA,0.8,0.9\n", "accuracy rows need 4 columns (task, merged, finetuned, zeroshot), got 3"),
     ("task,merged,finetuned,zeroshot\n", "accuracy table has a header but no data rows"),
     ("taskA,0.8,high,0.5\n", "bad number in accuracy table: could not convert string"),
-], ids=["empty", "three-columns", "header-only", "bad-number"])
+    # a number among its cells makes the first row data, not a header
+    ("taskA,high,0.9,0.5\ntaskB,0.8,0.9,0.5\n",
+     "bad number in accuracy table: could not convert string to float: 'high'"),
+], ids=["empty", "three-columns", "header-only", "bad-number", "first-row-bad-number"])
 def test_accuracy_report_of_a_malformed_table_exits_2(tmp_path, capsys, text, message):
     table = tmp_path / "acc.csv"
     table.write_text(text)
@@ -1083,3 +1086,141 @@ def test_report_on_a_merged_checkpoint_without_a_tensor_exits_2(tmp_path, capsys
     assert main(report_args(base_path, merged_path, task_paths, report_path)) == 2
     assert capsys.readouterr().err == "error: merged checkpoint is missing tensor 'enc.weight'\n"
     assert not report_path.exists()
+
+
+def test_merge_of_tasks_with_different_matrix_tensors_exits_2(tmp_path, capsys):
+    base_path, task_paths = write_fft_fixture(tmp_path, seed=41)
+    tensors = dict(read_container(base_path).tensors)
+    tensors["dec.weight"] = np.ones((4, 3))
+    write_container(TensorContainer(tensors=tensors), base_path)
+    task = dict(read_container(task_paths[1]).tensors)
+    task["dec.weight"] = np.full((4, 3), 2.0)
+    write_container(TensorContainer(tensors=task), task_paths[1])
+    out_path = tmp_path / "m.dcm"
+    assert main(merge_args(base_path, task_paths, out_path)) == 2
+    assert capsys.readouterr().err == (
+        "error: task checkpoints expose different matrix tensors; "
+        "they must share one architecture\n"
+    )
+    assert not out_path.exists()
+
+
+# every tensor a merge reads that is not 2-D is averaged, whatever its ndim
+
+ND_SHAPES = {0: (), 1: (5,), 3: (2, 3, 4), 4: (4, 3, 2, 2)}
+
+
+def _write_nd_set(tmp_path, mode, shape, task_shape=None, base_has_x=True, seed=43):
+    """A base with ``w.weight`` (8, 6) and a float32 tensor ``x`` of ``shape``, and two
+    tasks of ``mode`` that change both; task 0's ``x`` has ``task_shape`` if given."""
+    rng = np.random.default_rng(seed)
+    weight = rng.standard_normal((8, 6)).astype(np.float32)
+    x = np.asarray(rng.standard_normal(shape), dtype=np.float32)
+    base = {"w.weight": weight, "x": x} if base_has_x else {"w.weight": weight}
+    write_container(TensorContainer(tensors=base), tmp_path / "base.dcm")
+    task_paths = []
+    for i in range(2):
+        x_shape = task_shape if i == 0 and task_shape is not None else shape
+        tensors = {"x": np.asarray(rng.standard_normal(x_shape), dtype=np.float32)}
+        if x_shape == shape:
+            tensors["x"] = np.asarray(x + 0.1 * tensors["x"], dtype=np.float32)
+        if mode == "fft":
+            tensors["w.weight"] = weight + 0.1 * rng.standard_normal((8, 6)).astype(np.float32)
+        else:
+            tensors["w.lora_B"] = rng.standard_normal((8, 2))
+            tensors["w.lora_A"] = rng.standard_normal((2, 6))
+        task_paths.append(tmp_path / f"task{i}.dcm")
+        write_container(TensorContainer(tensors=tensors), task_paths[-1])
+    return tmp_path / "base.dcm", task_paths
+
+
+def _mode_args(args, mode):
+    args[args.index("fft")] = mode
+    return args
+
+
+@pytest.mark.parametrize("mode", ["fft", "lora"])
+@pytest.mark.parametrize("ndim", sorted(ND_SHAPES))
+def test_merge_averages_a_tensor_of_any_ndim_in_the_base_dtype(tmp_path, ndim, mode):
+    base_path, task_paths = _write_nd_set(tmp_path, mode, ND_SHAPES[ndim])
+    out_path = tmp_path / "m.dcm"
+    assert main(_mode_args(merge_args(base_path, task_paths, out_path), mode)) == 0
+    x = read_container(base_path).tensors["x"]
+    deltas = [read_container(p).tensors["x"].astype(np.float64) - x for p in task_paths]
+    want = (x.astype(np.float64) + np.mean(deltas, axis=0)).astype(np.float32)
+    got = read_container(out_path).tensors["x"]
+    assert got.dtype == np.float32 and got.shape == x.shape
+    assert np.array_equal(got, want) and not np.array_equal(got, x)
+
+
+@pytest.mark.parametrize("mode", ["fft", "lora"])
+@pytest.mark.parametrize("ndim", sorted(ND_SHAPES))
+def test_merge_of_a_tensor_of_another_shape_than_the_base_exits_2(tmp_path, capsys, ndim, mode):
+    shape = ND_SHAPES[ndim]
+    bad = (shape[0] + 1, *shape[1:]) if shape else (1,)
+    base_path, task_paths = _write_nd_set(tmp_path, mode, shape, task_shape=bad)
+    out_path = tmp_path / "m.dcm"
+    assert main(_mode_args(merge_args(base_path, task_paths, out_path), mode)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {task_paths[0]}: {len(bad)}-D tensor 'x' has shape {bad} vs base {shape}\n"
+    )
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("mode", ["fft", "lora"])
+@pytest.mark.parametrize("ndim", sorted(ND_SHAPES))
+def test_merge_of_a_task_only_tensor_of_any_ndim_exits_2(tmp_path, capsys, ndim, mode):
+    base_path, task_paths = _write_nd_set(tmp_path, mode, ND_SHAPES[ndim], base_has_x=False)
+    out_path = tmp_path / "m.dcm"
+    assert main(_mode_args(merge_args(base_path, task_paths, out_path), mode)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {task_paths[0]}: holds tensor 'x', which the base lacks\n"
+    )
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("mode", ["fft", "lora"])
+@pytest.mark.parametrize("ndim", sorted(ND_SHAPES))
+def test_report_and_optimize_basis_ignore_averaged_tensors(tmp_path, ndim, mode):
+    base_path, task_paths = _write_nd_set(tmp_path, mode, ND_SHAPES[ndim])
+    merged = tmp_path / "m.dcm"
+    assert main(_mode_args(merge_args(base_path, task_paths, merged), mode)) == 0
+    optimize = ["optimize-basis", "--base", str(base_path), "--task", *map(str, task_paths),
+                "--tensor", "w.weight", "--eta", "1e-3", "--iters", "2", "--rank", "2"]
+    outputs = []
+    for drop in (None, 0, "all"):
+        for i, path in enumerate(task_paths):
+            if drop == i or drop == "all":
+                tensors = dict(read_container(path).tensors)
+                tensors.pop("x", None)
+                write_container(TensorContainer(tensors=tensors), path)
+        report, trace = tmp_path / f"r{drop}.csv", tmp_path / f"t{drop}.csv"
+        assert main(report_args(base_path, merged, task_paths, report)) == 0
+        assert main([*optimize, "--out", str(trace)]) == 0
+        outputs.append((report.read_bytes(), trace.read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("command", ["merge", "report"])
+def test_a_lora_product_of_another_shape_than_the_base_exits_2_before_decomposing(
+    tmp_path, capsys, monkeypatch, command
+):
+    base_path, task_paths = write_lora_fixture(tmp_path, ranks=[2, 2])
+    rng = np.random.default_rng(47)
+    write_container(TensorContainer(tensors={"q.lora_B": rng.standard_normal((10, 2)),
+                                             "q.lora_A": rng.standard_normal((2, 6))}),
+                    task_paths[1])
+    decomposed = []
+    monkeypatch.setattr("dcmerge.merge.decompose", lambda *a: decomposed.append(a))
+    out_path = tmp_path / "out"
+    if command == "merge":
+        args = ["merge", "--base", str(base_path), "--task", *map(str, task_paths),
+                "--out", str(out_path), "--mode", "lora"]
+    else:  # the base serves as the merged checkpoint
+        args = report_args(base_path, base_path, task_paths, out_path)
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        f"error: {task_paths[1]}: tensor 'q.lora_B' (10, 2) times tensor 'q.lora_A' (2, 6) "
+        "has shape (10, 6) vs base tensor 'q.weight' (8, 6)\n"
+    )
+    assert decomposed == [] and not out_path.exists()

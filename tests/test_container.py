@@ -224,6 +224,38 @@ def test_read_rejects_missing_entry_fields(tmp_path):
         read_container(path)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("shape", [-1], "bad shape [-1]"),
+    ("shape", [True], "bad shape [True]"),
+    ("shape", 2, "bad shape 2"),
+    ("data_offsets", [0, 4, 8], "bad data_offsets [0, 4, 8]"),
+    ("data_offsets", [False, 8], "bad data_offsets [False, 8]"),
+    ("data_offsets", [4, 12], "offsets outside data region"),
+], ids=["negative-shape", "bool-shape", "shape-not-a-list", "three-offsets", "bool-offset",
+        "offsets-past-the-data"])
+def test_read_rejects_a_malformed_entry_and_names_it(tmp_path, field, value, message):
+    entry = {"dtype": "F32", "shape": [2], "data_offsets": [0, 8]}
+    entry[field] = value
+    path = tmp_path / "bad.dcm"
+    craft(path, {"w": entry}, b"\x00" * 8)
+    with pytest.raises(ContainerError) as exc:
+        read_container(path)
+    assert str(exc.value) == f"tensor 'w': {message}"
+
+
+@pytest.mark.parametrize("header, message", [
+    ([], "header must be a JSON object"),
+    ({"__metadata__": {"k": 1}}, "__metadata__ must map strings to strings"),
+    ({"__metadata__": "k"}, "__metadata__ must map strings to strings"),
+], ids=["array", "metadata-value", "metadata-not-an-object"])
+def test_read_rejects_a_malformed_header(tmp_path, header, message):
+    path = tmp_path / "bad.dcm"
+    craft(path, header, b"")
+    with pytest.raises(ContainerError) as exc:
+        read_container(path)
+    assert str(exc.value) == message
+
+
 def test_read_accepts_metadata_block(tmp_path):
     path = tmp_path / "ok.dcm"
     craft(
@@ -355,3 +387,43 @@ def test_extract_fft_shape_mismatch_rejected():
 def test_detect_mode():
     assert detect_mode(TensorContainer(tensors={"q.lora_A": np.zeros((2, 2))})) == "lora"
     assert detect_mode(TensorContainer(tensors={"q.weight": np.zeros((2, 2))})) == "fft"
+
+
+def test_extract_pairs_every_fft_tensor_and_lists_what_the_base_lacks():
+    rng = np.random.default_rng(7)
+    base = TensorContainer(tensors={"w": rng.standard_normal((3, 2)),
+                                    "s": np.array(2.0),
+                                    "k": rng.standard_normal((4, 3, 2, 2))})
+    task = {name: np.asarray(arr + 1.0) for name, arr in base.tensors.items()}
+    task.update({"z": np.zeros((2, 2)), "b": np.zeros(3)})
+    out = extract_task_vectors(base, TensorContainer(tensors=task), mode="fft")
+    assert set(out.matrices) == {"w"}
+    assert set(out.vectors) == {"s", "k"}
+    for name, delta in out.vectors.items():
+        assert isinstance(delta, np.ndarray) and delta.shape == base.tensors[name].shape
+        assert np.array_equal(delta, task[name] - base.tensors[name])
+    assert out.unmatched == ("b", "z")
+
+
+def test_extract_lora_reads_pairs_and_tensors_that_are_not_2d():
+    rng = np.random.default_rng(8)
+    base = TensorContainer(tensors={"q.weight": np.zeros((5, 4)), "n": np.zeros(5),
+                                    "other": np.zeros((2, 2))})
+    task = TensorContainer(tensors={"q.lora_B": rng.standard_normal((5, 2)),
+                                    "q.lora_A": rng.standard_normal((2, 4)),
+                                    "n": np.ones(5), "other": np.ones((2, 2)),
+                                    "k.lora_B": rng.standard_normal((3, 1)),
+                                    "k.lora_A": rng.standard_normal((1, 3))})
+    out = extract_task_vectors(base, task, mode="lora")
+    assert set(out.matrices) == {"k.weight", "q.weight"}
+    assert set(out.vectors) == {"n"}
+    assert out.unmatched == ("k.weight",)
+
+
+def test_extract_lora_product_of_another_shape_than_the_base_rejected():
+    base = TensorContainer(tensors={"w.weight": np.zeros((8, 6))})
+    task = TensorContainer(tensors={"w.lora_B": np.ones((10, 2)), "w.lora_A": np.ones((2, 6))})
+    with pytest.raises(ValidationError) as exc:
+        extract_task_vectors(base, task, mode="lora")
+    assert str(exc.value) == ("tensor 'w.lora_B' (10, 2) times tensor 'w.lora_A' (2, 6) "
+                              "has shape (10, 6) vs base tensor 'w.weight' (8, 6)")

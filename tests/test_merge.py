@@ -322,6 +322,16 @@ def test_assemble_vector_deltas_use_mean():
     np.testing.assert_allclose(out.tensors["v"], np.array([1.0, 1.0]), rtol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(), (2, 1, 2)], ids=["0d", "3d"])
+def test_assemble_averages_deltas_of_any_ndim_into_arrays(shape):
+    base = TensorContainer(tensors={"v": np.zeros(shape, dtype=np.float32)})
+    deltas = [np.full(shape, 1.0), np.full(shape, 4.0)]
+    out = assemble_model(base, {}, vector_deltas={"v": deltas}, alpha=2.0)
+    got = out.tensors["v"]
+    assert isinstance(got, np.ndarray) and got.dtype == np.float32 and got.shape == shape
+    assert np.array_equal(got, np.full(shape, 5.0))
+
+
 def test_assemble_untouched_tensors_pass_through():
     rng = np.random.default_rng(13)
     extra = rng.standard_normal((3, 3)).astype(np.float32)

@@ -163,7 +163,22 @@ def test_rank_clip_warnings_come_in_name_order(tmp_path, monkeypatch):
     assert rc == 0
     bounds = [str(w.message).split("min(m, n) = ")[1].split(";")[0] for w in caught
               if "clipping to rank" in str(w.message)]
-    assert bounds == ["6", "7", "8"]
+    assert bounds == ["6 of 'a.weight'", "7 of 'b.weight'", "8 of 'c.weight'"]
+
+
+def test_a_clip_warning_names_its_tensor_so_each_prints_at_every_width(tmp_path, monkeypatch):
+    base, tasks = write_merge_set(str(tmp_path), seed=7, mode="fft", n_tasks=3, layers=1, d=32)
+    names = [name for name, t in sorted(read_container(base).tensors.items()) if t.ndim == 2]
+    for width in (1, 2):
+        monkeypatch.setattr(cli, "_pool_width", width)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")  # the process entry's filter: repeats print once
+            out = tmp_path / f"m{width}.dcm"
+            assert cli.main(merge_args(base, tasks, out, "--rank", "16")) == 0
+        assert [str(w.message) for w in caught] == [
+            f"rank 16 with 3 tasks exceeds the cover-basis bound min(m, n) = 32 of {name!r}; "
+            "clipping to rank 10" for name in names
+        ]
 
 
 def test_report_rank_clip_warnings_come_in_name_order_at_every_width(tmp_path, monkeypatch):
@@ -195,7 +210,7 @@ def test_report_rank_clip_warnings_come_in_name_order_at_every_width(tmp_path, m
             assert cli.main(report_args(tmp_path / "base.dcm", merged, task_paths, out)) == 0
         bounds = [str(w.message).split("min(m, n) = ")[1].split(";")[0] for w in caught
                   if "clipping to rank" in str(w.message)]
-        assert bounds == ["6", "7", "8"]
+        assert bounds == ["6 of 'a.weight'", "7 of 'b.weight'", "8 of 'c.weight'"]
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
 
