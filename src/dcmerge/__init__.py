@@ -13,11 +13,18 @@ import importlib
 # submodule -> the public names it provides
 _SUBMODULES = {
     "container": (
+        "ContainerReader",
         "ExtractedVectors",
+        "PairedMatrix",
+        "Pairing",
         "TensorContainer",
+        "TensorSpec",
+        "container_writer",
         "detect_mode",
         "extract_task_vectors",
+        "pair_tensors",
         "read_container",
+        "vector_delta",
         "write_container",
     ),
     "cover": ("CoverBasis", "back_project", "build_cover_basis", "make_mask", "project"),
@@ -32,6 +39,7 @@ _SUBMODULES = {
     "merge": (
         "MergeConfig",
         "assemble_model",
+        "assemble_tensor",
         "cover_space",
         "dc_merge",
         "merge_ta",

@@ -10,10 +10,13 @@ width is 1 and the BLAS keeps its own count.
 
 ``merge``, ``report``, ``perturb`` and ``inspect`` work on their tensors in
 sorted-name order on the pool (``_per_tensor``). Ranks are resolved, in one
-plan (``_plan``), and inputs checked, in the calling thread first, and each
-command prints and writes its per-tensor results in name order once every
-tensor is done, so warnings, errors, stdout and output bytes do not depend
-on the width.
+plan (``_Plan``) made from the headers, and the headers checked, in the
+calling thread first. ``report``, ``optimize-basis`` and ``inspect`` then
+read each tensor only when they work on it; ``merge`` reads every tensor
+before its first merge and writes the merged file through
+``container_writer``. Each command prints its per-tensor results in name
+order once every tensor is done, so warnings, errors, stdout and output
+bytes do not depend on the width.
 
 ``run`` is the process entry and ``main(argv)`` the in-process one. The
 modules every data command reads with load here; ``metrics``, ``optimizer``,
@@ -24,6 +27,7 @@ and ``merge`` do not load them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import gc
 import sys
@@ -39,11 +43,15 @@ import numpy as np
 
 from .container import (
     _DTYPE_NAMES,
+    ContainerReader,
     TensorContainer,
     _factor_names,
+    container_writer,
     detect_mode,
     extract_task_vectors,
+    pair_tensors,
     read_container,
+    vector_delta,
     write_container,
 )
 from .cover import CoverBasis, make_mask, project
@@ -51,7 +59,7 @@ from .errors import NumericalError, ValidationError
 from .linalg import _all_finite, _checked_matrix, _dense_svd, truncated_svd
 from .merge import (
     MergeConfig,
-    assemble_model,
+    assemble_tensor,
     cover_space,
     dc_merge,
     merge_ta,
@@ -150,52 +158,73 @@ def _per_tensor(fn, names, width: int) -> dict:
     return {name: results[name] for name in names}
 
 
-def _extract(base, task, mode, path):
-    """``extract_task_vectors``, with the task file's path leading any ValidationError."""
+@contextlib.contextmanager
+def _naming(path):
+    """Lead any ValidationError raised in the block with the file's path."""
     try:
-        return extract_task_vectors(base, task, mode)
+        yield
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def _plan(base, task_paths, mode=None, rank=None, tensor=None):
-    """``({name: (task vectors, rank)}, each file's averaged deltas)`` of the task files.
+class _Plan:
+    """The task files of a command, paired with the base from the headers alone.
 
-    Every file is read in the mode (``None``: the first file's), must hold
-    the same matrix tensors, and no tensor that the base lacks (``unmatched``).
-    The plan lists the matrix tensors, or ``tensor`` alone, in name order,
-    with one task vector per file and the rank from ``resolve_rank``,
-    resolved here in the calling thread so warnings and errors keep that order.
+    Every file is opened on ``files`` (an ExitStack), paired in the mode
+    (``None``: the first file's), and must hold the same matrix tensors, no
+    tensor that the base lacks (``unmatched``) and, in a LoRA file, no 2-D
+    tensor that is no factor (``unpaired``). ``ranks`` maps the matrix
+    tensors, or ``tensor`` alone, in name order, to the rank from
+    ``resolve_rank``, resolved here in the calling thread so warnings and
+    errors keep that order. No tensor is read until ``task_vectors``.
     """
-    extracts = []
-    for path in task_paths:
-        task = read_container(path)
-        found = detect_mode(task)
-        mode = mode or found
-        if found != mode:
-            raise ValidationError(f"{path}: holds {found} checkpoint tensors, not {mode}")
-        extracts.append(_extract(base, task, mode, path))
-        del task  # fft task vectors keep its matrix tensors, nothing else of it
-    names = sorted(extracts[0].matrices)
-    if any(ex.matrices.keys() != extracts[0].matrices.keys() for ex in extracts[1:]):
-        raise ValidationError(
-            "task checkpoints expose different matrix tensors; "
-            "they must share one architecture"
-        )
-    if not names:
-        raise ValidationError("the task checkpoints share no matrix tensor with the base")
-    for path, ex in zip(task_paths, extracts):
-        if ex.unmatched:
+
+    def __init__(self, files, base, task_paths, mode=None, rank=None, tensor=None):
+        self.tasks, self.pairings = [], []
+        for path in task_paths:
+            task = files.enter_context(ContainerReader(path))
+            found = detect_mode(task)
+            mode = mode or found
+            if found != mode:
+                raise ValidationError(f"{path}: holds {found} checkpoint tensors, not {mode}")
+            with _naming(path):
+                self.pairings.append(pair_tensors(base.specs, task.specs, mode))
+            self.tasks.append(task)
+        first = self.pairings[0].matrices
+        names = sorted(first)
+        if any(p.matrices.keys() != first.keys() for p in self.pairings[1:]):
             raise ValidationError(
-                f"{path}: holds tensor {ex.unmatched[0]!r}, which the base lacks")
-    if tensor is not None and tensor not in names:
-        raise ValidationError(f"tensor {tensor!r} not found among merged matrices {names}")
-    cfg = MergeConfig(mode=mode, rank=rank)
-    plan = {}
-    for name in names if tensor is None else [tensor]:
-        tasks = [ex.matrices[name] for ex in extracts]
-        plan[name] = tasks, resolve_rank(tasks, cfg)
-    return plan, [ex.vectors for ex in extracts]
+                "task checkpoints expose different matrix tensors; "
+                "they must share one architecture"
+            )
+        if not names:
+            raise ValidationError("the task checkpoints share no matrix tensor with the base")
+        for path, p in zip(task_paths, self.pairings):
+            if p.unmatched:
+                raise ValidationError(
+                    f"{path}: holds tensor {p.unmatched[0]!r}, which the base lacks")
+            if p.unpaired:
+                raise ValidationError(
+                    f"{path}: holds 2-D tensor {p.unpaired[0]!r}, which is no LoRA factor; "
+                    "a lora checkpoint holds its matrices as <p>.lora_B, <p>.lora_A pairs")
+        if tensor is not None and tensor not in names:
+            raise ValidationError(f"tensor {tensor!r} not found among merged matrices {names}")
+        cfg = MergeConfig(mode=mode, rank=rank)
+        self.ranks = {}
+        for name in names if tensor is None else [tensor]:
+            self.ranks[name] = resolve_rank([p.matrices[name] for p in self.pairings], cfg)
+
+    def task_vectors(self, name, base):
+        """Matrix ``name``'s task vectors, one per file in file order, with the base's array.
+
+        Each file's tensors are read here; the first file with a non-finite
+        one is reported.
+        """
+        tvs = []
+        for task, p in zip(self.tasks, self.pairings):
+            with _naming(task.path):
+                tvs.append(p.matrices[name].task_vector(task.read, base))
+        return tvs
 
 
 def _cmd_merge(args) -> int:
@@ -203,26 +232,39 @@ def _cmd_merge(args) -> int:
         raise ValidationError(f"alpha must be positive and finite, got {args.alpha}")
     cfg = MergeConfig(mode=args.mode, smoothing=_smoothing_from_flags(args), merger=args.merger,
                       ties_keep=args.ties_keep, mask_block=args.mask_block)
-    base = read_container(args.base)
-    plan, vectors = _plan(base, args.task, args.mode, args.rank)
-    # a tensor averaged from one task file is averaged over all of them, so each must hold it
-    vector_names = sorted(set().union(*vectors))
-    for path, deltas in zip(args.task, vectors):
-        lost = [name for name in vector_names if name not in deltas]
-        if lost:
-            raise ValidationError(f"{path}: lacks {base.tensors[lost[0]].ndim}-D tensor "
-                                  f"{lost[0]!r}, which another task has")
+    with contextlib.ExitStack() as files:
+        base = files.enter_context(ContainerReader(args.base))
+        plan = _Plan(files, base, args.task, args.mode, args.rank)
+        # a tensor averaged from one task file is averaged over all of them, so each must hold it
+        vector_names = sorted(set().union(*(p.vectors for p in plan.pairings)))
+        for path, p in zip(args.task, plan.pairings):
+            lost = [name for name in vector_names if name not in p.vectors]
+            if lost:
+                raise ValidationError(f"{path}: lacks {base.specs[lost[0]].ndim}-D tensor "
+                                      f"{lost[0]!r}, which another task has")
 
-    def merge_tensor(name):
-        tasks, r = plan[name]
-        return dc_merge(tasks, dataclasses.replace(cfg, rank=r))
-
-    deltas = _per_tensor(merge_tensor, plan, _pool_width)
-    vector_deltas = {name: [v[name] for v in vectors] for name in vector_names}
-    merged = assemble_model(base, deltas, vector_deltas, alpha=args.alpha)
-    write_container(merged, args.out)
+        with container_writer(args.out, base.specs, base.metadata) as put:
+            # every input is read and checked, by name and then by file, before the first merge
+            arrays = {name: base.read(name) for name in sorted(base.specs)}
+            tasks, deltas = {}, {}
+            for name, arr in arrays.items():
+                if name in plan.ranks:
+                    tasks[name] = plan.task_vectors(name, arr)
+                elif name in vector_names:
+                    vecs = []
+                    for task in plan.tasks:
+                        with _naming(task.path):
+                            vecs.append(vector_delta(name, task.read(name), arr))
+                    deltas[name] = np.mean(np.stack(vecs), axis=0)
+            deltas.update(_per_tensor(
+                lambda name: dc_merge(tasks[name], dataclasses.replace(cfg, rank=plan.ranks[name])),
+                plan.ranks, _pool_width,
+            ))
+            for name, arr in arrays.items():
+                put(name, assemble_tensor(name, arr, deltas[name], args.alpha)
+                    if name in deltas else arr)
     print(
-        f"merged {len(plan)} matrix tensors and {len(vector_deltas)} "
+        f"merged {len(plan.ranks)} matrix tensors and {len(vector_names)} "
         f"averaged tensors from {len(args.task)} tasks -> {args.out}"
     )
     return 0
@@ -233,44 +275,51 @@ def _cmd_report(args) -> int:
 
     from .metrics import alignment_score, cos_sim, projected_dir_sim
 
-    base = read_container(args.base)
-    merged = read_container(args.merged)
-    plan, _ = _plan(base, args.task)
+    with contextlib.ExitStack() as files:
+        base = files.enter_context(ContainerReader(args.base))
+        merged = files.enter_context(ContainerReader(args.merged))
+        plan = _Plan(files, base, args.task)
 
-    # every input check before any tensor's metrics
-    for name in plan:
-        if name not in merged.tensors:
-            raise ValidationError(f"merged checkpoint is missing tensor {name!r}")
-        label = f"{args.merged}: tensor {name!r}"
-        shape = _checked_matrix(merged.tensors[name], label).shape
-        if shape != base.tensors[name].shape:
-            raise ValidationError(
-                f"{label} has shape {shape}, base is {base.tensors[name].shape}"
-            )
+        # every check the headers allow before any tensor is read
+        for name in plan.ranks:
+            spec = merged.specs.get(name)
+            if spec is None:
+                raise ValidationError(f"merged checkpoint is missing tensor {name!r}")
+            label = f"{args.merged}: tensor {name!r}"
+            if spec.ndim != 2:
+                raise ValidationError(f"{label} must be 2-D, got shape {spec.shape}")
+            if spec.shape != base.specs[name].shape:
+                raise ValidationError(
+                    f"{label} has shape {spec.shape}, base is {base.specs[name].shape}"
+                )
 
-    def tensor_rows(name):
-        merged_delta = np.subtract(merged.tensors[name], base.tensors[name], dtype=np.float64)
-        tvs, r = plan[name]
-        decomps, basis = cover_space(tvs, r, SmoothingStrategy.truncate_only())
-        rows = []
-        for path, tv, kd in zip(args.task, tvs, decomps):
-            # undefined where a task or the merge left the tensor at the base
-            rows.append((name, path, "cos_sim", _or_nan(cos_sim, tv.delta, merged_delta)))
-            rows.append(
-                (name, path, "projected_dir_sim", _or_nan(projected_dir_sim, kd, merged_delta))
-            )
-        a = alignment_score(basis.U_tilde, basis.V_tilde, decomps)
-        rows.append((name, "", "alignment_score", a))
+        def tensor_rows(name):
+            arr = base.read(name)
+            tvs = plan.task_vectors(name, arr)
+            label = f"{args.merged}: tensor {name!r}"
+            merged_delta = np.subtract(_checked_matrix(merged.read(name), label), arr,
+                                       dtype=np.float64)
+            r = plan.ranks[name]
+            decomps, basis = cover_space(tvs, r, SmoothingStrategy.truncate_only())
+            rows = []
+            for path, tv, kd in zip(args.task, tvs, decomps):
+                # undefined where a task or the merge left the tensor at the base
+                rows.append((name, path, "cos_sim", _or_nan(cos_sim, tv.delta, merged_delta)))
+                rows.append(
+                    (name, path, "projected_dir_sim", _or_nan(projected_dir_sim, kd, merged_delta))
+                )
+            a = alignment_score(basis.U_tilde, basis.V_tilde, decomps)
+            rows.append((name, "", "alignment_score", a))
 
-        # block structure of the aggregated coordinates: one block per task
-        summed = merge_ta([project(kd, basis) for kd in decomps])
-        blocks = make_mask(basis.k, r)
-        rows += [(name, "", f"block_mean_abs[{i},{j}]", float(np.mean(np.abs(summed[bi, bj]))))
-                 for i, bi in enumerate(blocks) for j, bj in enumerate(blocks)]
-        return rows
+            # block structure of the aggregated coordinates: one block per task
+            summed = merge_ta([project(kd, basis) for kd in decomps])
+            blocks = make_mask(basis.k, r)
+            rows += [(name, "", f"block_mean_abs[{i},{j}]", float(np.mean(np.abs(summed[bi, bj]))))
+                     for i, bi in enumerate(blocks) for j, bj in enumerate(blocks)]
+            return rows
 
-    rows = [row for rs in _per_tensor(tensor_rows, plan, _pool_width).values()
-            for row in rs]
+        rows = [row for rs in _per_tensor(tensor_rows, plan.ranks, _pool_width).values()
+                for row in rs]
 
     def column(task, metric):
         return [value for _, t, m, value in rows if t == task and m == metric]
@@ -285,35 +334,37 @@ def _cmd_report(args) -> int:
         writer.writerow(["tensor", "task", "metric", "value"])
         for tensor, task, metric, value in rows:
             writer.writerow([tensor, task, metric, _fmt(value)])
-    print(f"wrote {len(rows)} metric rows for {len(plan)} tensors -> {args.out}")
+    print(f"wrote {len(rows)} metric rows for {len(plan.ranks)} tensors -> {args.out}")
     return 0
 
 
 def _cmd_inspect(args) -> int:
-    container = read_container(args.file)
+    with ContainerReader(args.file) as container:
 
-    def describe(name):
-        arr = container.tensors[name]
-        head = f"{name}  {_DTYPE_NAMES[arr.dtype]}  {tuple(arr.shape)}"
-        if arr.ndim != 2 or min(arr.shape) == 0:
-            return [head]
-        if not _all_finite(arr):
-            return [head, "    spectrum: non-finite entries"]
-        sigma = _dense_svd(arr.astype(np.float64), compute_uv=False)
-        total = float(sigma.sum())
-        if total == 0.0:
-            return [head, "    spectrum: all zero"]
-        full = sigma.size
-        marks = []
-        r = 1
-        while r < full:
-            marks.append(r)
-            r *= 2
-        marks.append(full)
-        parts = [f"r={r} {float(sigma[:r].sum()) / total:.4f}" for r in marks]
-        return [head, "    top-r energy fraction: " + ", ".join(parts)]
+        def describe(name):
+            spec = container.specs[name]
+            head = f"{name}  {_DTYPE_NAMES[spec.dtype]}  {spec.shape}"
+            if spec.ndim != 2 or min(spec.shape) == 0:
+                return [head]
+            arr = container.read(name)
+            if not _all_finite(arr):
+                return [head, "    spectrum: non-finite entries"]
+            sigma = _dense_svd(arr.astype(np.float64), compute_uv=False)
+            total = float(sigma.sum())
+            if total == 0.0:
+                return [head, "    spectrum: all zero"]
+            full = sigma.size
+            marks = []
+            r = 1
+            while r < full:
+                marks.append(r)
+                r *= 2
+            marks.append(full)
+            parts = [f"r={r} {float(sigma[:r].sum()) / total:.4f}" for r in marks]
+            return [head, "    top-r energy fraction: " + ", ".join(parts)]
 
-    for lines in _per_tensor(describe, container.names(), _pool_width).values():
+        described = _per_tensor(describe, container.specs, _pool_width)
+    for lines in described.values():
         print("\n".join(lines))
     if container.metadata:
         print("metadata:")
@@ -331,7 +382,8 @@ def _cmd_perturb(args) -> int:
     base = read_container(args.base)
     task = read_container(args.task)
     mode = detect_mode(task)
-    extracted = _extract(base, task, mode, args.task)
+    with _naming(args.task):
+        extracted = extract_task_vectors(base, task, mode)
     matrix_names = sorted(extracted.matrices)
     if not matrix_names:
         raise ValidationError("no matrix tensors found to perturb")
@@ -376,8 +428,8 @@ def _cmd_perturb(args) -> int:
                 a_name: V_new.T.astype(task.tensors[a_name].dtype),
             }
         delta_hat = (U_new * sigma_hat) @ V_new.T
-        restored = base.tensors[name].astype(np.float64) + delta_hat
-        return line, {name: restored.astype(task.tensors[name].dtype)}
+        dtype = task.tensors[name].dtype
+        return line, {name: assemble_tensor(name, base.tensors[name], delta_hat, 1.0, dtype)}
 
     out_tensors = dict(task.tensors)
     unchanged = 0
@@ -406,9 +458,11 @@ def _cmd_optimize_basis(args) -> int:
     from .metrics import alignment_score
     from .optimizer import OptimizerConfig, optimize_cover_basis
 
-    base = read_container(args.base)
-    plan, _ = _plan(base, args.task, rank=args.rank, tensor=args.tensor)
-    tvs, r = plan[args.tensor]
+    with contextlib.ExitStack() as files:
+        base = files.enter_context(ContainerReader(args.base))
+        plan = _Plan(files, base, args.task, rank=args.rank, tensor=args.tensor)
+        tvs = plan.task_vectors(args.tensor, base.read(args.tensor))
+    r = plan.ranks[args.tensor]
     decomps, whitened = cover_space(tvs, r, SmoothingStrategy.truncate_only())
 
     # naive initialization: truncated SVD of the plain task-arithmetic sum,

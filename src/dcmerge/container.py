@@ -16,19 +16,29 @@ JSON, so a given container value always serializes to the same bytes.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
+import stat
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContainerError, ValidationError
 from .linalg import _all_finite
-from .task_vector import TaskVector, from_fft_delta, from_lora_factors
+from .task_vector import TaskVector, _product_shape, from_fft_delta, from_lora_factors
 
 __all__ = [
     "TensorContainer",
+    "TensorSpec",
+    "ContainerReader",
+    "container_writer",
+    "PairedMatrix",
+    "Pairing",
+    "pair_tensors",
+    "vector_delta",
     "ExtractedVectors",
     "read_container",
     "write_container",
@@ -68,37 +78,121 @@ class TensorContainer:
         return sorted(self.tensors)
 
 
-def write_container(container: TensorContainer, path):
-    """Serialize a container to ``path`` with the canonical byte layout."""
+class TensorSpec(NamedTuple):
+    """A tensor's header entry: dtype, shape and byte range in the data region."""
+
+    dtype: np.dtype
+    shape: tuple[int, ...]
+    start: int
+    end: int
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+
+def _layout(specs, metadata) -> tuple[bytes, dict[str, int]]:
+    """The canonical header of ``specs`` and ``metadata``, length field included,
+    and each tensor's offset in the file.
+
+    ``specs`` maps names to anything with a float32 or float64 ``dtype`` and
+    a ``shape``: arrays or TensorSpecs. Tensors lie back to back in
+    sorted-name order.
+    """
     header: dict = {}
-    buffers: list[np.ndarray] = []
+    offsets = {}
     offset = 0
-    for name in container.names():
-        arr = container.tensors[name]
-        TensorContainer._check_entry(name, arr)
-        dtype_name = _DTYPE_NAMES[arr.dtype]
-        # no copy for a C-contiguous array on a little-endian machine
-        raw = np.ascontiguousarray(arr).astype(_DTYPES[dtype_name], copy=False)
+    for name in sorted(specs):
+        dtype, shape = specs[name].dtype, specs[name].shape
+        nbytes = math.prod(shape) * dtype.itemsize
         header[name] = {
-            "dtype": dtype_name,
-            "shape": list(arr.shape),
-            "data_offsets": [offset, offset + raw.nbytes],
+            "dtype": _DTYPE_NAMES[dtype],
+            "shape": list(shape),
+            "data_offsets": [offset, offset + nbytes],
         }
-        buffers.append(raw)
-        offset += raw.nbytes
-    if container.metadata:
-        header[_METADATA_KEY] = dict(sorted(container.metadata.items()))
+        offsets[name] = offset
+        offset += nbytes
+    if metadata:
+        header[_METADATA_KEY] = dict(sorted(metadata.items()))
     payload = json.dumps(
         header, separators=(",", ":"), sort_keys=True, ensure_ascii=False
     ).encode("utf-8")
+    head = len(payload).to_bytes(8, "little") + payload
+    return head, {name: len(head) + offset for name, offset in offsets.items()}
+
+
+def _raw(arr: np.ndarray) -> np.ndarray:
+    """The stored bytes of ``arr``: no copy for a C-contiguous array on a little-endian machine."""
+    return np.ascontiguousarray(arr).astype(_DTYPES[_DTYPE_NAMES[arr.dtype]], copy=False)
+
+
+def write_container(container: TensorContainer, path):
+    """Serialize a container to ``path`` with the canonical byte layout."""
+    for name in container.names():
+        TensorContainer._check_entry(name, container.tensors[name])
+    head, _ = _layout(container.tensors, container.metadata)
     with open(path, "wb") as fh:
-        fh.write(len(payload).to_bytes(8, "little"))
-        fh.write(payload)
-        for raw in buffers:
-            fh.write(raw.data)
+        fh.write(head)
+        for name in container.names():
+            fh.write(_raw(container.tensors[name]).data)
 
 
-def _parse_entry(name, entry, data_len) -> tuple[np.dtype, tuple, int, int]:
+@contextlib.contextmanager
+def container_writer(path, specs, metadata):
+    """``put(name, arr)``, which writes tensor ``name`` of a new container at ``path``.
+
+    The header is laid out from ``specs`` and ``metadata`` as
+    ``write_container`` lays it out, and ``put`` writes each array at its
+    offset, in any order and from any thread, so once every tensor is put
+    the file holds the canonical bytes. They go to a new file next to
+    ``path`` (next to the file a symlink names), which replaces ``path`` when
+    the block ends and is removed if it raises, leaving ``path`` as it was.
+    The new file gets the permissions ``open(path, "wb")`` gives: an
+    existing file's mode, else the default mode under the umask. A ``path``
+    that exists and is not a regular file, or that ``open(path, "wb")``
+    could not open, is refused before anything is written.
+    """
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None:
+        if not stat.S_ISREG(mode):
+            raise ValidationError(f"{path} exists and is not a regular file")
+        os.close(os.open(target, os.O_WRONLY))  # raises where open(path, "wb") would
+    directory, name = os.path.split(target)
+    while True:
+        temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+        try:
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+    try:
+        try:
+            head, offsets = _layout(specs, metadata)
+            _write_at(fd, memoryview(head), 0)
+            yield lambda name, arr: _write_at(
+                fd, memoryview(_raw(arr).reshape(-1).view(np.uint8)), offsets[name]
+            )
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
+        finally:
+            os.close(fd)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
+def _write_at(fd: int, data: memoryview, offset: int) -> None:
+    while data:
+        written = os.pwrite(fd, data, offset)
+        data, offset = data[written:], offset + written
+
+
+def _parse_entry(name, entry, data_len) -> TensorSpec:
     if not isinstance(entry, dict) or set(entry) != {"dtype", "shape", "data_offsets"}:
         raise ContainerError(f"tensor {name!r}: malformed header entry")
     dtype_name = entry["dtype"]
@@ -125,7 +219,7 @@ def _parse_entry(name, entry, data_len) -> tuple[np.dtype, tuple, int, int]:
             f"tensor {name!r}: byte range {end - start} does not match "
             f"shape {shape} ({expected} bytes)"
         )
-    return _DTYPES[dtype_name], tuple(shape), start, end
+    return TensorSpec(_DTYPES[dtype_name], tuple(shape), start, end)
 
 
 def _unique_keys(pairs) -> dict:
@@ -170,34 +264,74 @@ def _parse_header(payload: bytes, data_len: int) -> tuple[dict, dict]:
     return parsed, metadata
 
 
+class ContainerReader:
+    """A container file whose header is validated on opening and whose tensors
+    are read one at a time.
+
+    ``specs`` maps each tensor name, in header order, to its TensorSpec, and
+    ``metadata`` holds the header's string pairs. ``read(name)`` reads that
+    tensor's byte range with a positioned read, so threads may read at once,
+    into a fresh read-only array: the only in-memory copy of the tensor,
+    which task vectors keep without a copy. Nothing is mapped, so a tensor
+    leaves memory with its last array. A reader keeps the file open until
+    ``close``, or the end of a ``with`` block.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self._file = open(path, "rb")
+        try:
+            size = os.fstat(self._file.fileno()).st_size
+            head = self._file.read(8)
+            if len(head) < 8:
+                raise ContainerError("file too short for header length field")
+            header_len = int.from_bytes(head, "little")
+            if 8 + header_len > size:
+                raise ContainerError("header extends past end of file")
+            self._data_start = 8 + header_len
+            self.specs, self.metadata = _parse_header(
+                self._file.read(header_len), size - self._data_start
+            )
+        except BaseException:
+            self._file.close()
+            raise
+
+    def names(self) -> list[str]:
+        return sorted(self.specs)
+
+    def read(self, name: str) -> np.ndarray:
+        dtype, shape, start, end = self.specs[name]
+        arr = np.empty(shape, dtype=dtype)
+        buf = memoryview(arr.reshape(-1).view(np.uint8))
+        done = 0
+        while done < end - start:
+            got = os.preadv(self._file.fileno(), [buf[done:]], self._data_start + start + done)
+            if got == 0:
+                raise ContainerError(f"tensor {name!r}: file ended while reading it")
+            done += got
+        arr = arr.astype(dtype.newbyteorder("="), copy=False)
+        arr.setflags(write=False)
+        return arr
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self) -> "ContainerReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 def read_container(path) -> TensorContainer:
     """Parse a container file, validating layout before touching tensor bytes.
 
-    Each tensor is read from the file straight into its own array, so the
-    returned tensors are the only in-memory copy of the data. They are
-    read-only, so task vectors can keep them without a copy.
+    The file is opened as a ContainerReader and every tensor read, so the
+    returned tensors are read-only and the only in-memory copy of the data.
     """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(8)
-        if len(head) < 8:
-            raise ContainerError("file too short for header length field")
-        header_len = int.from_bytes(head, "little")
-        if 8 + header_len > size:
-            raise ContainerError("header extends past end of file")
-        data_start = 8 + header_len
-        parsed, metadata = _parse_header(fh.read(header_len), size - data_start)
-
-        tensors = {}
-        for name, (dtype, shape, start, end) in parsed.items():
-            arr = np.empty(shape, dtype=dtype)
-            fh.seek(data_start + start)
-            if fh.readinto(arr.reshape(-1).view(np.uint8)) != end - start:
-                raise ContainerError(f"tensor {name!r}: file ended while reading it")
-            arr = arr.astype(dtype.newbyteorder("="), copy=False)
-            arr.setflags(write=False)
-            tensors[name] = arr
-    return TensorContainer(tensors=tensors, metadata=dict(metadata))
+    with ContainerReader(path) as reader:
+        tensors = {name: reader.read(name) for name in reader.specs}
+        return TensorContainer(tensors=tensors, metadata=dict(reader.metadata))
 
 
 _LORA_B = ".lora_B"
@@ -209,6 +343,114 @@ def _factor_names(target: str) -> tuple[str, str]:
     """Names (``<p>.lora_B``, ``<p>.lora_A``) of the factors behind ``<p>.weight``."""
     prefix = target[: -len(_WEIGHT)]
     return prefix + _LORA_B, prefix + _LORA_A
+
+
+@dataclass(frozen=True)
+class PairedMatrix:
+    """A matrix tensor of a task file, as its header gives it (``pair_tensors``).
+
+    ``sources`` names the task tensors it is read from: ``(name,)``, or a
+    factor pair ``(<p>.lora_B, <p>.lora_A)`` with inner dimension
+    ``lora_rank`` (None for a full weight). ``shape`` is the matrix's shape.
+    """
+
+    name: str
+    shape: tuple[int, int]
+    sources: tuple[str, ...]
+    lora_rank: int | None = None
+
+    def task_vector(self, read, base) -> TaskVector:
+        """The task vector, from ``read(source)`` arrays and the base's array
+        (unused for a factor pair): the per-tensor half of the pairing rule,
+        which rejects a non-finite tensor, or an overflowing product, by name.
+        """
+        if self.lora_rank is not None:
+            b_name, a_name = self.sources
+            return from_lora_factors(
+                read(b_name), read(a_name), self.name,
+                labels=(f"tensor {b_name!r}", f"tensor {a_name!r}"),
+            )
+        return from_fft_delta(
+            read(self.name), base, self.name,
+            labels=(f"tensor {self.name!r}", f"base tensor {self.name!r}"),
+        )
+
+
+def vector_delta(name: str, task: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Float64 ``task - base`` of a tensor that is not a matrix; ValidationError if not finite."""
+    delta = np.asarray(np.subtract(task, base, dtype=np.float64))
+    if not _all_finite(delta):
+        raise ValidationError(f"{task.ndim}-D tensor {name!r} or its base is not finite")
+    return delta
+
+
+@dataclass(frozen=True)
+class Pairing:
+    """A task file's tensors paired with the base's from the headers (``pair_tensors``).
+
+    ``matrices`` maps each matrix tensor to its PairedMatrix; ``vectors``
+    names the other tensors read that the base holds, ``unmatched`` those
+    the base lacks, and ``unpaired`` a LoRA file's 2-D tensors that are no
+    factor, which are not read. All three are sorted.
+    """
+
+    matrices: dict[str, PairedMatrix]
+    vectors: tuple[str, ...]
+    unmatched: tuple[str, ...]
+    unpaired: tuple[str, ...]
+
+
+def pair_tensors(base, task, mode: str) -> Pairing:
+    """The header-level half of the pairing rule (see ``extract_task_vectors``).
+
+    ``base`` and ``task`` map tensor names to anything with a ``shape`` and
+    an ``ndim``: arrays, or a ContainerReader's TensorSpecs. Every shape
+    check is made here, so a file's tensors can be checked before any is read.
+    """
+    if mode not in ("fft", "lora"):
+        raise ValidationError(f"mode must be 'fft' or 'lora', got {mode!r}")
+    matrices: dict[str, PairedMatrix] = {}
+    factors = [name for name in task if name.endswith((_LORA_A, _LORA_B))]
+    if mode == "lora":
+        for prefix in sorted({name.rsplit(".", 1)[0] for name in factors}):
+            target = prefix + _WEIGHT
+            b_name, a_name = _factor_names(target)
+            if b_name not in task or a_name not in task:
+                missing = a_name if a_name not in task else b_name
+                raise ValidationError(f"orphan LoRA factor: {missing!r} missing")
+            B, A = task[b_name].shape, task[a_name].shape
+            shape = _product_shape(B, A, (f"tensor {b_name!r}", f"tensor {a_name!r}"))
+            matrices[target] = PairedMatrix(target, shape, (b_name, a_name), B[1])
+    plain = [name for name, t in task.items()
+             if mode == "fft" or t.ndim != 2 and name not in factors]
+    unpaired = sorted(name for name, t in task.items()
+                      if mode == "lora" and t.ndim == 2 and name not in factors)
+    vectors, unmatched = [], []
+    for name in sorted({*matrices, *plain}):
+        b = base.get(name)
+        if b is None:
+            unmatched.append(name)
+        elif name in matrices:  # a factor pair
+            if matrices[name].shape != b.shape:
+                b_name, a_name = matrices[name].sources
+                raise ValidationError(
+                    f"tensor {b_name!r} {task[b_name].shape} times tensor {a_name!r} "
+                    f"{task[a_name].shape} has shape {matrices[name].shape} vs base "
+                    f"tensor {name!r} {b.shape}"
+                )
+        elif (t := task[name]).ndim == 2:
+            if t.shape != b.shape:
+                raise ValidationError(
+                    f"tensor {name!r} has shape {t.shape} vs base tensor {name!r} {b.shape}"
+                )
+            matrices[name] = PairedMatrix(name, t.shape, (name,))
+        else:
+            if t.shape != b.shape:
+                raise ValidationError(
+                    f"{t.ndim}-D tensor {name!r} has shape {t.shape} vs base {b.shape}"
+                )
+            vectors.append(name)
+    return Pairing(matrices, tuple(vectors), tuple(unmatched), tuple(unpaired))
 
 
 @dataclass(frozen=True)
@@ -225,9 +467,9 @@ class ExtractedVectors:
     unmatched: tuple[str, ...] = ()
 
 
-def detect_mode(task: TensorContainer) -> str:
-    """Guess the checkpoint flavor from tensor names."""
-    if any(name.endswith((_LORA_A, _LORA_B)) for name in task.tensors):
+def detect_mode(task) -> str:
+    """Guess the checkpoint flavor of a TensorContainer or ContainerReader from tensor names."""
+    if any(name.endswith((_LORA_A, _LORA_B)) for name in task.names()):
         return "lora"
     return "fft"
 
@@ -244,48 +486,15 @@ def extract_task_vectors(
     other a float64 delta task - base. Each must have the base tensor's
     shape (a pair: rows of B by columns of A); one the base lacks goes to
     ``unmatched``. A non-finite tensor, or a product that overflows, is a
-    ValidationError that names it.
+    ValidationError that names it. The rule comes in two halves:
+    ``pair_tensors`` makes every shape check from names and shapes alone,
+    and ``PairedMatrix.task_vector`` and ``vector_delta`` read one tensor's
+    arrays and check that they are finite.
     """
-    if mode not in ("fft", "lora"):
-        raise ValidationError(f"mode must be 'fft' or 'lora', got {mode!r}")
-    matrices: dict[str, TaskVector] = {}
-    factors = [name for name in task.tensors if name.endswith((_LORA_A, _LORA_B))]
-    if mode == "lora":
-        for prefix in sorted({name.rsplit(".", 1)[0] for name in factors}):
-            target = prefix + _WEIGHT
-            b_name, a_name = _factor_names(target)
-            if b_name not in task.tensors or a_name not in task.tensors:
-                missing = a_name if a_name not in task.tensors else b_name
-                raise ValidationError(f"orphan LoRA factor: {missing!r} missing")
-            matrices[target] = from_lora_factors(
-                task.tensors[b_name], task.tensors[a_name], target,
-                labels=(f"tensor {b_name!r}", f"tensor {a_name!r}"),
-            )
-    plain = [name for name, t in task.tensors.items()
-             if mode == "fft" or t.ndim != 2 and name not in factors]
-    vectors, unmatched = {}, []
-    for name in sorted({*matrices, *plain}):
-        b = base.tensors.get(name)
-        if b is None:
-            unmatched.append(name)
-        elif name in matrices:  # a factor pair
-            if matrices[name].shape != b.shape:
-                B, A = matrices[name].factors
-                b_name, a_name = _factor_names(name)
-                raise ValidationError(
-                    f"tensor {b_name!r} {B.shape} times tensor {a_name!r} {A.shape} has "
-                    f"shape {matrices[name].shape} vs base tensor {name!r} {b.shape}"
-                )
-        elif (t := task.tensors[name]).ndim == 2:
-            matrices[name] = from_fft_delta(
-                t, b, name, labels=(f"tensor {name!r}", f"base tensor {name!r}")
-            )
-        else:
-            if t.shape != b.shape:
-                raise ValidationError(
-                    f"{t.ndim}-D tensor {name!r} has shape {t.shape} vs base {b.shape}"
-                )
-            vectors[name] = np.asarray(np.subtract(t, b, dtype=np.float64))
-            if not _all_finite(vectors[name]):
-                raise ValidationError(f"{t.ndim}-D tensor {name!r} or its base is not finite")
-    return ExtractedVectors(matrices, vectors, tuple(unmatched))
+    pairing = pair_tensors(base.tensors, task.tensors, mode)
+    read = task.tensors.__getitem__
+    matrices = {name: pm.task_vector(read, base.tensors.get(name))
+                for name, pm in pairing.matrices.items()}
+    vectors = {name: vector_delta(name, task.tensors[name], base.tensors[name])
+               for name in pairing.vectors}
+    return ExtractedVectors(matrices, vectors, pairing.unmatched)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import TensorContainer
+from .container import PairedMatrix, TensorContainer
 from .cover import CoverBasis, back_project, build_cover_basis, project
 from .errors import NumericalError, ValidationError
 from .linalg import SvdTriplet, _all_finite
@@ -44,6 +44,7 @@ __all__ = [
     "merge_ties",
     "dc_merge",
     "assemble_model",
+    "assemble_tensor",
 ]
 
 
@@ -94,6 +95,10 @@ class MergeConfig:
 def resolve_rank(tasks: list[TaskVector], cfg: MergeConfig) -> int:
     """Working rank for one tensor's tasks: ``cfg.rank`` or the auto rule.
 
+    The tasks may also be the PairedMatrix entries of the task files'
+    headers, which give the same shapes and LoRA ranks, so a rank can be
+    resolved before any tensor is read.
+
     Rejects an empty list, anything but TaskVectors and mixed shapes; then
     more tasks T than min(m, n), since the cover basis holds at least one
     direction per task, and a rank above min(m, n). Clips r * T > min(m, n)
@@ -102,7 +107,7 @@ def resolve_rank(tasks: list[TaskVector], cfg: MergeConfig) -> int:
     if not tasks:
         raise ValidationError("dc_merge needs at least one task vector")
     for tv in tasks:
-        if not isinstance(tv, TaskVector):
+        if not isinstance(tv, (TaskVector, PairedMatrix)):
             raise ValidationError(f"expected TaskVector, got {type(tv).__name__}")
     shapes = {tv.shape for tv in tasks}
     if len(shapes) != 1:
@@ -279,10 +284,7 @@ def assemble_model(
         else:
             out[name] = arr.copy()
             continue
-        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-            out[name] = np.asarray(arr.astype(np.float64) + alpha * delta, dtype=arr.dtype)
-        if not _all_finite(out[name]):
-            raise NumericalError(f"tensor {name!r} is not finite after assembly at alpha {alpha}")
+        out[name] = assemble_tensor(name, arr, delta, alpha)
     missing = set(merged_deltas) - set(base.tensors)
     if missing:
         raise ValidationError(
@@ -290,3 +292,16 @@ def assemble_model(
         )
     return TensorContainer(tensors=out, metadata=dict(base.metadata))
 
+
+def assemble_tensor(name: str, base: np.ndarray, delta: np.ndarray, alpha: float,
+                    dtype=None) -> np.ndarray:
+    """``base + alpha * delta``, summed in float64 and stored in ``dtype``
+    (default: the base's); the per-tensor rule of ``assemble_model``.
+
+    A result that is NaN or Inf is a NumericalError that names the tensor.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        out = np.asarray(base.astype(np.float64) + alpha * delta, dtype=dtype or base.dtype)
+    if not _all_finite(out):
+        raise NumericalError(f"tensor {name!r} is not finite after assembly at alpha {alpha}")
+    return out

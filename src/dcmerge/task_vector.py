@@ -201,14 +201,7 @@ def from_lora_factors(B, A, name: str = "", labels=("B", "A")) -> TaskVector:
     """
     B = np.array(B, dtype=np.float64, order="C")
     A = np.array(A, dtype=np.float64, order="C")
-    if B.ndim != 2 or A.ndim != 2 or B.shape[1] != A.shape[0]:
-        raise ValidationError(
-            f"{labels[0]} {B.shape} and {labels[1]} {A.shape} are not 2-D factors of one product"
-        )
-    if B.shape[1] == 0:
-        raise ValidationError(
-            f"{labels[0]} {B.shape} and {labels[1]} {A.shape} have inner dimension 0"
-        )
+    _product_shape(B.shape, A.shape, labels)
     # read-only, so the TaskVector keeps them uncopied
     B.setflags(write=False)
     A.setflags(write=False)
@@ -218,6 +211,19 @@ def from_lora_factors(B, A, name: str = "", labels=("B", "A")) -> TaskVector:
         for arr, label in zip((B, A), labels):
             as_matrix(arr, label)
         raise
+
+
+def _product_shape(b_shape, a_shape, labels) -> tuple[int, int]:
+    """Shape (m, n) of B A for factors of shapes (m, p) and (p, n), p >= 1, else a ValidationError."""
+    if len(b_shape) != 2 or len(a_shape) != 2 or b_shape[1] != a_shape[0]:
+        raise ValidationError(
+            f"{labels[0]} {b_shape} and {labels[1]} {a_shape} are not 2-D factors of one product"
+        )
+    if b_shape[1] == 0:
+        raise ValidationError(
+            f"{labels[0]} {b_shape} and {labels[1]} {a_shape} have inner dimension 0"
+        )
+    return b_shape[0], a_shape[1]
 
 
 def _factor_svd(B: np.ndarray, A: np.ndarray, r: int) -> SvdTriplet | None:

@@ -139,7 +139,7 @@ print(cli._pool_width)
 @needs_openblas
 @pytest.mark.parametrize("task_shape, rc", [((8, 6), 0), ((8, 5), 2)])
 def test_main_sets_one_thread_and_restores_the_count(tmp_path, task_shape, rc):
-    # a task of another shape than the base fails the command after extraction
+    # a task of another shape than the base fails the command when it is paired
     argv = _fixture(tmp_path)
     write_container(TensorContainer(tensors={"t0.weight": np.zeros(task_shape)}),
                     tmp_path / "task1.dcm")
@@ -151,13 +151,13 @@ def threads():
     return len(os.listdir("/proc/self/task"))
 
 seen = []
-real_extract = cli.extract_task_vectors
+real_pair = cli.pair_tensors
 
-def extract(*args):
+def pair(*args):
     seen.append(threads())
-    return real_extract(*args)
+    return real_pair(*args)
 
-cli.extract_task_vectors = extract
+cli.pair_tensors = pair
 rc = cli.main(sys.argv[1:])
 print(rc, len(seen), *set(seen), threads())
 """

@@ -369,6 +369,24 @@ def test_perturb_energy_at_working_rank_one(tmp_path, capsys):
     assert main(perturb + ["--p", "0.5", "--rank", "2"]) == 0
 
 
+def test_perturb_energy_that_overflows_the_task_dtype_exits_3(tmp_path, capsys):
+    # a float32 weight near the largest float32, whose perturbed spectrum pushes it over
+    rng = np.random.default_rng(0)
+    base = np.full((8, 8), 3e38, dtype=np.float32)
+    task = (base.astype(np.float64) - 3e37 * rng.random((8, 8))).astype(np.float32)
+    write_container(TensorContainer(tensors={"w.weight": base}), tmp_path / "base.dcm")
+    write_container(TensorContainer(tensors={"w.weight": task}), tmp_path / "task.dcm")
+    out_path = tmp_path / "out.dcm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning in place of the error
+        rc = main(["perturb", "--base", str(tmp_path / "base.dcm"),
+                   "--task", str(tmp_path / "task.dcm"), "--kind", "energy", "--p", "0",
+                   "--seed", "1", "--out", str(out_path)])
+    assert rc == 3
+    assert "numerical error: tensor 'w.weight' is not finite" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_perturb_direction_records_metadata(tmp_path, capsys):
     base_path, task_paths = write_fft_fixture(tmp_path, n_tasks=1, seed=6)
     out_path = tmp_path / "pert.dcm"
