@@ -9,14 +9,15 @@ loaded first, the user chose a thread count or numpy uses another BLAS, the
 width is 1 and the BLAS keeps its own count.
 
 ``merge``, ``report``, ``perturb`` and ``inspect`` work on their tensors in
-sorted-name order on the pool (``_per_tensor``). Ranks are resolved, in one
-plan (``_Plan``) made from the headers, and the headers checked, in the
-calling thread first. ``report``, ``optimize-basis`` and ``inspect`` then
-read each tensor only when they work on it; ``merge`` reads every tensor
-before its first merge and writes the merged file through
-``container_writer``. Each command prints its per-tensor results in name
-order once every tensor is done, so warnings, errors, stdout and output
-bytes do not depend on the width.
+sorted-name order on the pool (``_per_tensor``). The headers are checked, and
+ranks resolved (for ``merge``, ``report`` and ``optimize-basis`` in one plan,
+``_Plan``), in the calling thread first. Every command but ``merge`` then
+reads each tensor only when it works on it, so it holds about one tensor per
+thread, and ``perturb`` ``put``s its output through ``container_writer``;
+``merge`` reads every tensor before its first merge and writes the merged
+file through ``container_writer``. Each command prints its per-tensor
+results in name order once every tensor is done, so warnings, errors,
+stdout and output bytes do not depend on the width.
 
 ``run`` is the process entry and ``main(argv)`` the in-process one. The
 modules every data command reads with load here; ``metrics``, ``optimizer``,
@@ -44,15 +45,10 @@ import numpy as np
 from .container import (
     _DTYPE_NAMES,
     ContainerReader,
-    TensorContainer,
-    _factor_names,
     container_writer,
     detect_mode,
-    extract_task_vectors,
     pair_tensors,
-    read_container,
     vector_delta,
-    write_container,
 )
 from .cover import CoverBasis, make_mask, project
 from .errors import NumericalError, ValidationError
@@ -379,76 +375,88 @@ def _cmd_perturb(args) -> int:
 
     if not 0.0 <= args.p <= 1.0:
         raise ValidationError(f"p must be in [0, 1], got {args.p}")
-    base = read_container(args.base)
-    task = read_container(args.task)
-    mode = detect_mode(task)
-    with _naming(args.task):
-        extracted = extract_task_vectors(base, task, mode)
-    matrix_names = sorted(extracted.matrices)
-    if not matrix_names:
-        raise ValidationError("no matrix tensors found to perturb")
+    with contextlib.ExitStack() as files:
+        base = files.enter_context(ContainerReader(args.base))
+        task = files.enter_context(ContainerReader(args.task))
+        with _naming(args.task):
+            pairing = pair_tensors(base.specs, task.specs, detect_mode(task))
+        matrix_names = sorted(pairing.matrices)
+        if not matrix_names:
+            raise ValidationError("no matrix tensors found to perturb")
 
-    # one seed per tensor in sorted-name order, whichever thread perturbs it
-    children = np.random.SeedSequence(args.seed).spawn(len(matrix_names))
-    seeds = {name: int(child.generate_state(1, dtype=np.uint64)[0])
-             for name, child in zip(matrix_names, children)}
+        # one seed per tensor in sorted-name order, whichever thread perturbs it
+        children = np.random.SeedSequence(args.seed).spawn(len(matrix_names))
+        seeds = {name: int(child.generate_state(1, dtype=np.uint64)[0])
+                 for name, child in zip(matrix_names, children)}
+        # each matrix's working rank, which sets the shape of the LoRA factors written
+        ranks, specs = {}, dict(task.specs)
+        for name, pm in pairing.matrices.items():
+            m, n = pm.shape
+            # a single checkpoint has no task count, so merge's rank rule does not apply
+            auto = pm.lora_rank if pm.lora_rank is not None else max(1, min(m, n) // 4)
+            r = ranks[name] = min(args.rank if args.rank is not None else auto, min(m, n))
+            if pm.lora_rank is not None:
+                for src, shape in zip(pm.sources, ((m, r), (r, n))):
+                    specs[src] = specs[src]._replace(shape=shape)
+        # every task tensor that is no matrix source goes out as it is; a 1-D tensor can
+        # share its name with a LoRA pair's matrix, so each job is (name, is_matrix)
+        kept = set(task.specs).difference(*(pm.sources for pm in pairing.matrices.values()))
+        jobs = [(name, False) for name in kept] + [(name, True) for name in matrix_names]
 
-    def perturb_tensor(name):
-        """The line to print and the output tensors that replace the task's."""
-        tv = extracted.matrices[name]
-        m, n = tv.shape
-        # a single checkpoint has no task count, so merge's rank rule does not apply
-        auto = tv.lora_rank if tv.lora_rank is not None else max(1, min(m, n) // 4)
-        r = min(args.rank if args.rank is not None else auto, min(m, n))
-        kd = decompose(tv, r)
-        if not kd.sigma.any():
-            # no energy or direction to perturb: the task's own tensors go out
-            return f"{name}: zero delta, left unchanged", {}
-        if args.kind == "energy":
-            try:
-                sigma_hat = energy_perturb(kd.sigma, args.p, fallback_seed=seeds[name])
-            except ValidationError as exc:  # p is valid, so: a one-entry spectrum
-                raise ValidationError(f"{name}: {exc}; pass --rank 2 or more") from None
-            U_new, V_new = kd.U, kd.V
-            achieved = float(
-                kd.sigma
-                @ sigma_hat
-                / (np.linalg.norm(kd.sigma) * np.linalg.norm(sigma_hat))
-            )
-        else:
-            kd_new = direction_perturb(kd, args.p, seeds[name])
-            U_new, V_new = kd_new.U, kd_new.V
-            sigma_hat = kd_new.sigma
-            achieved = dir_sim(kd, kd_new)
-        line = f"{name}: rank {r}, achieved similarity {achieved:.6f}"
-        if mode == "lora":
-            b_name, a_name = _factor_names(name)
-            return line, {
-                b_name: (U_new * sigma_hat).astype(task.tensors[b_name].dtype),
-                a_name: V_new.T.astype(task.tensors[a_name].dtype),
-            }
-        delta_hat = (U_new * sigma_hat) @ V_new.T
-        dtype = task.tensors[name].dtype
-        return line, {name: assemble_tensor(name, base.tensors[name], delta_hat, 1.0, dtype)}
+        def written_through(name):
+            arr = task.read(name)
+            if name in pairing.vectors:
+                with _naming(args.task):
+                    vector_delta(name, arr, base.read(name))
+            put(name, arr)
 
-    out_tensors = dict(task.tensors)
-    unchanged = 0
-    for line, tensors in _per_tensor(perturb_tensor, matrix_names, _pool_width).values():
-        print(line)
-        out_tensors.update(tensors)
-        if not tensors:
-            unchanged += 1
+        def perturbed(name):
+            """Put matrix ``name``'s output tensors; the line to print and whether it changed."""
+            pm = pairing.matrices[name]
+            arrays = {src: task.read(src) for src in pm.sources}
+            base_arr = base.read(name) if pm.lora_rank is None else None
+            with _naming(args.task):
+                tv = pm.task_vector(arrays.__getitem__, base_arr)
+            kd = decompose(tv, ranks[name])
+            if not kd.sigma.any():
+                # no energy or direction to perturb: the task's own tensors go out, as zero
+                # factors where the working rank gives them another shape
+                for src, arr in arrays.items():
+                    spec = specs[src]
+                    put(src, arr if arr.shape == spec.shape else np.zeros(spec.shape, spec.dtype))
+                return f"{name}: zero delta, left unchanged", False
+            if args.kind == "energy":
+                try:
+                    sigma_hat = energy_perturb(kd.sigma, args.p, fallback_seed=seeds[name])
+                except ValidationError as exc:  # p is valid, so: a one-entry spectrum
+                    raise ValidationError(f"{name}: {exc}; pass --rank 2 or more") from None
+                U_new, V_new = kd.U, kd.V
+                achieved = float(kd.sigma @ sigma_hat
+                                 / (np.linalg.norm(kd.sigma) * np.linalg.norm(sigma_hat)))
+            else:
+                kd_new = direction_perturb(kd, args.p, seeds[name])
+                U_new, sigma_hat, V_new = kd_new.U, kd_new.sigma, kd_new.V
+                achieved = dir_sim(kd, kd_new)
+            if pm.lora_rank is None:
+                delta_hat = (U_new * sigma_hat) @ V_new.T
+                put(name, assemble_tensor(name, base_arr, delta_hat, 1.0, specs[name].dtype))
+            else:  # B = U diag(sigma), A = V^T, each in the task's dtype
+                for src, factor in zip(pm.sources, (U_new * sigma_hat, V_new.T)):
+                    with np.errstate(over="ignore"):  # reported just below
+                        factor = factor.astype(specs[src].dtype)
+                    if not _all_finite(factor):
+                        raise NumericalError(f"tensor {src!r} is not finite after perturbation")
+                    put(src, factor)
+            return f"{name}: rank {ranks[name]}, achieved similarity {achieved:.6f}", True
 
-    metadata = dict(task.metadata)
-    metadata.update(
-        {
-            "dcmerge.perturb.kind": args.kind,
-            "dcmerge.perturb.p": repr(args.p),
-            "dcmerge.perturb.seed": str(args.seed),
-        }
-    )
-    write_container(TensorContainer(tensors=out_tensors, metadata=metadata), args.out)
-    print(f"perturbed {len(matrix_names) - unchanged} tensors -> {args.out}")
+        metadata = {**task.metadata, "dcmerge.perturb.kind": args.kind,
+                    "dcmerge.perturb.p": repr(args.p), "dcmerge.perturb.seed": str(args.seed)}
+        with container_writer(args.out, specs, metadata) as put:
+            done = _per_tensor(lambda job: (perturbed if job[1] else written_through)(job[0]),
+                               jobs, _pool_width)
+    results = [result for (_, is_matrix), result in done.items() if is_matrix]
+    print("\n".join(line for line, _ in results))
+    print(f"perturbed {sum(changed for _, changed in results)} tensors -> {args.out}")
     return 0
 
 
@@ -506,12 +514,7 @@ def _cmd_accuracy_report(args) -> int:
                 f"accuracy rows need 4 columns (task, merged, finetuned, "
                 f"zeroshot), got {len(row)}: {row!r}"
             )
-        return TaskAccuracy(
-            task=row[0].strip(),
-            merged=float(row[1]),
-            finetuned=float(row[2]),
-            zeroshot=float(row[3]),
-        )
+        return TaskAccuracy(row[0].strip(), *map(float, row[1:]))
 
     def is_number(cell):
         try:
@@ -616,15 +619,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def run() -> None:

@@ -146,7 +146,8 @@ def container_writer(path, specs, metadata):
     offset, in any order and from any thread, so once every tensor is put
     the file holds the canonical bytes. They go to a new file next to
     ``path`` (next to the file a symlink names), which replaces ``path`` when
-    the block ends and is removed if it raises, leaving ``path`` as it was.
+    the block ends and is removed if it raises, or if a tensor of ``specs``
+    was never put, leaving ``path`` as it was.
     The new file gets the permissions ``open(path, "wb")`` gives: an
     existing file's mode, else the default mode under the umask. A ``path``
     that exists and is not a regular file, or that ``open(path, "wb")``
@@ -173,9 +174,15 @@ def container_writer(path, specs, metadata):
         try:
             head, offsets = _layout(specs, metadata)
             _write_at(fd, memoryview(head), 0)
-            yield lambda name, arr: _write_at(
-                fd, memoryview(_raw(arr).reshape(-1).view(np.uint8)), offsets[name]
-            )
+            written = set()
+
+            def put(name, arr):
+                _write_at(fd, memoryview(_raw(arr).reshape(-1).view(np.uint8)), offsets[name])
+                written.add(name)
+
+            yield put
+            if missing := sorted(offsets.keys() - written):
+                raise ContainerError(f"tensor {missing[0]!r} was laid out but never written")
             if mode is not None:
                 os.fchmod(fd, stat.S_IMODE(mode))
         finally:
@@ -339,12 +346,6 @@ _LORA_A = ".lora_A"
 _WEIGHT = ".weight"
 
 
-def _factor_names(target: str) -> tuple[str, str]:
-    """Names (``<p>.lora_B``, ``<p>.lora_A``) of the factors behind ``<p>.weight``."""
-    prefix = target[: -len(_WEIGHT)]
-    return prefix + _LORA_B, prefix + _LORA_A
-
-
 @dataclass(frozen=True)
 class PairedMatrix:
     """A matrix tensor of a task file, as its header gives it (``pair_tensors``).
@@ -401,11 +402,20 @@ class Pairing:
 
 
 def pair_tensors(base, task, mode: str) -> Pairing:
-    """The header-level half of the pairing rule (see ``extract_task_vectors``).
+    """The header-level half of the pairing rule of a task file and the base.
 
-    ``base`` and ``task`` map tensor names to anything with a ``shape`` and
-    an ``ndim``: arrays, or a ContainerReader's TensorSpecs. Every shape
-    check is made here, so a file's tensors can be checked before any is read.
+    It reads, in ``fft`` mode, every tensor; in ``lora`` mode, each factor
+    pair ``<p>.lora_B`` (m x r), ``<p>.lora_A`` (r x n), r >= 1, as
+    ``<p>.weight``, and every tensor that is not 2-D. A 2-D tensor becomes a
+    matrix (a pair keeps its factors, not their product), any other a delta
+    to average. Each must have the base tensor's shape (a pair: rows of B by
+    columns of A); one the base lacks goes to ``unmatched``. ``base`` and
+    ``task`` map tensor names to anything with a ``shape`` and an ``ndim``:
+    arrays, or a ContainerReader's TensorSpecs. Every shape check is made
+    here, so a file's tensors can be checked before any is read; the other
+    half, ``PairedMatrix.task_vector`` and ``vector_delta``, reads one
+    tensor's arrays and rejects a non-finite one, or an overflowing product,
+    by name.
     """
     if mode not in ("fft", "lora"):
         raise ValidationError(f"mode must be 'fft' or 'lora', got {mode!r}")
@@ -413,8 +423,7 @@ def pair_tensors(base, task, mode: str) -> Pairing:
     factors = [name for name in task if name.endswith((_LORA_A, _LORA_B))]
     if mode == "lora":
         for prefix in sorted({name.rsplit(".", 1)[0] for name in factors}):
-            target = prefix + _WEIGHT
-            b_name, a_name = _factor_names(target)
+            target, b_name, a_name = prefix + _WEIGHT, prefix + _LORA_B, prefix + _LORA_A
             if b_name not in task or a_name not in task:
                 missing = a_name if a_name not in task else b_name
                 raise ValidationError(f"orphan LoRA factor: {missing!r} missing")
@@ -477,19 +486,12 @@ def detect_mode(task) -> str:
 def extract_task_vectors(
     base: TensorContainer, task: TensorContainer, mode: str
 ) -> ExtractedVectors:
-    """Pair the tensors of one task checkpoint with the base's tensors.
+    """The pairing rule (``pair_tensors``) applied to two whole checkpoints.
 
-    It reads, in ``fft`` mode, every tensor; in ``lora`` mode, each factor
-    pair ``<p>.lora_B`` (m x r), ``<p>.lora_A`` (r x n), r >= 1, as
-    ``<p>.weight``, and every tensor that is not 2-D. A 2-D tensor becomes a
-    matrix task vector (a pair keeps its factors, not their product), any
-    other a float64 delta task - base. Each must have the base tensor's
-    shape (a pair: rows of B by columns of A); one the base lacks goes to
-    ``unmatched``. A non-finite tensor, or a product that overflows, is a
-    ValidationError that names it. The rule comes in two halves:
-    ``pair_tensors`` makes every shape check from names and shapes alone,
-    and ``PairedMatrix.task_vector`` and ``vector_delta`` read one tensor's
-    arrays and check that they are finite.
+    Each matrix becomes a task vector (``PairedMatrix.task_vector``) and
+    each other tensor the base has a float64 delta task - base
+    (``vector_delta``). A non-finite tensor, or a product that overflows, is
+    a ValidationError that names it.
     """
     pairing = pair_tensors(base.tensors, task.tensors, mode)
     read = task.tensors.__getitem__

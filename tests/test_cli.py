@@ -353,6 +353,45 @@ def test_perturb_leaves_a_zero_delta_unchanged(tmp_path, capsys, mode, kind):
     assert not np.allclose(got[moved], task[moved])
 
 
+def test_perturb_writes_a_zero_lora_delta_at_another_rank_as_zero_factors(tmp_path):
+    rng = np.random.default_rng(5)
+    base = {name: rng.standard_normal((16, 12)) for name in ("v.weight", "w.weight")}
+    task = {"v.lora_B": rng.standard_normal((16, 2)), "v.lora_A": rng.standard_normal((2, 12)),
+            "w.lora_B": np.zeros((16, 2)), "w.lora_A": rng.standard_normal((2, 12))}
+    write_container(TensorContainer(tensors=base), tmp_path / "base.dcm")
+    write_container(TensorContainer(tensors=task), tmp_path / "task.dcm")
+    out_path = tmp_path / "out.dcm"
+    rc = main(["perturb", "--task", str(tmp_path / "task.dcm"), "--base", str(tmp_path / "base.dcm"),
+               "--kind", "direction", "--p", "0.5", "--seed", "0", "--out", str(out_path),
+               "--rank", "3"])
+    assert rc == 0
+    got = read_container(out_path).tensors
+    assert got["v.lora_B"].shape == got["w.lora_B"].shape == (16, 3)
+    assert got["w.lora_A"].shape == (3, 12)
+    assert not got["w.lora_B"].any() and not got["w.lora_A"].any()
+
+
+def test_perturb_writes_a_1d_tensor_named_like_a_lora_pairs_matrix_through(tmp_path, capsys):
+    # w.weight, 1-D, is not read as a delta, since the w.lora_* pair stands for that matrix
+    rng = np.random.default_rng(6)
+    task = {"w.lora_B": rng.standard_normal((8, 2)), "w.lora_A": rng.standard_normal((2, 6)),
+            "w.weight": rng.standard_normal(5)}
+    write_container(TensorContainer(tensors={"w.weight": rng.standard_normal((8, 6))}),
+                    tmp_path / "base.dcm")
+    write_container(TensorContainer(tensors=task), tmp_path / "task.dcm")
+    out_path = tmp_path / "out.dcm"
+    rc = main(["perturb", "--task", str(tmp_path / "task.dcm"), "--base", str(tmp_path / "base.dcm"),
+               "--kind", "direction", "--p", "0.5", "--seed", "0", "--out", str(out_path)])
+    assert rc == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("w.weight: rank 2, achieved similarity ")
+    assert printed[1:] == [f"perturbed 1 tensors -> {out_path}"]
+    got = read_container(out_path).tensors
+    assert sorted(got) == ["w.lora_A", "w.lora_B", "w.weight"]
+    assert got["w.weight"].tobytes() == task["w.weight"].tobytes()
+    assert not np.allclose(got["w.lora_B"] @ got["w.lora_A"], task["w.lora_B"] @ task["w.lora_A"])
+
+
 def test_perturb_energy_at_working_rank_one(tmp_path, capsys):
     # the auto rank of an 8 x 6 fft task is max(1, 6 // 4) = 1
     base_path, task_paths = write_fft_fixture(tmp_path, n_tasks=1, seed=8)
@@ -384,6 +423,22 @@ def test_perturb_energy_that_overflows_the_task_dtype_exits_3(tmp_path, capsys):
                    "--seed", "1", "--out", str(out_path)])
     assert rc == 3
     assert "numerical error: tensor 'w.weight' is not finite" in capsys.readouterr().err
+    assert not out_path.exists()
+
+    # a finite float32 LoRA pair whose perturbed B = U diag(sigma) exceeds float32
+    lora = {"w.lora_B": (1e30 * rng.standard_normal((8, 2))).astype(np.float32),
+            "w.lora_A": (1e10 * rng.standard_normal((2, 6))).astype(np.float32)}
+    write_container(TensorContainer(tensors={"w.weight": np.zeros((8, 6), np.float32)}),
+                    tmp_path / "base.dcm")
+    write_container(TensorContainer(tensors=lora), tmp_path / "task.dcm")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["perturb", "--base", str(tmp_path / "base.dcm"),
+                   "--task", str(tmp_path / "task.dcm"), "--kind", "direction", "--p", "0.5",
+                   "--seed", "1", "--out", str(out_path)])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "numerical error: tensor 'w.lora_B' is not finite after perturbation\n")
     assert not out_path.exists()
 
 

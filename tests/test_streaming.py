@@ -1,5 +1,6 @@
 """Reading one tensor at a time (``ContainerReader``), the two halves of the
-pairing rule, and ``merge`` writing its output through ``container_writer``."""
+pairing rule, and ``merge`` and ``perturb`` writing their outputs through
+``container_writer``."""
 
 import os
 import stat
@@ -18,7 +19,7 @@ from dcmerge.container import (
     read_container,
     write_container,
 )
-from dcmerge.errors import ValidationError
+from dcmerge.errors import ContainerError, ValidationError
 
 has_fd_dir = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 
@@ -114,6 +115,16 @@ def test_the_streamed_writer_leaves_an_existing_file_alone_on_failure(tmp_path):
     assert os.listdir(tmp_path) == ["out.dcm"]
 
 
+def test_the_streamed_writer_refuses_a_file_with_a_tensor_never_put(tmp_path):
+    out = tmp_path / "out.dcm"
+    out.write_bytes(b"old")
+    with pytest.raises(ContainerError, match="tensor 'z' was laid out but never written"):
+        with container_writer(out, {"w": np.ones(3), "z": np.ones(2)}, {}) as put:
+            put("w", np.ones(3))
+    assert out.read_bytes() == b"old"
+    assert os.listdir(tmp_path) == ["out.dcm"]
+
+
 def test_the_streamed_writer_keeps_the_permissions_open_gives(tmp_path):
     tensors = {"w": np.ones(3)}
     fresh, plain = tmp_path / "fresh.dcm", tmp_path / "plain.dcm"
@@ -186,11 +197,14 @@ def test_a_merge_failing_on_its_last_tensor_leaves_an_existing_out_untouched(tmp
     out = tmp_path / "m.dcm"
     out.write_bytes(b"an earlier merge")
     before = sorted(os.listdir(tmp_path))
-    assert main(_merge_argv(base_path, task_paths, out)) == 2
-    err = capsys.readouterr().err
-    assert f"error: {task_paths[2]}: tensor 'c.weight' contains non-finite entries" in err
-    assert out.read_bytes() == b"an earlier merge"
-    assert sorted(os.listdir(tmp_path)) == before
+    perturb = ["perturb", "--base", str(base_path), "--task", str(task_paths[2]), "--kind",
+               "direction", "--p", "0.5", "--seed", "1", "--out", str(out)]
+    for argv in [_merge_argv(base_path, task_paths, out), perturb]:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {task_paths[2]}: tensor 'c.weight' contains non-finite entries" in err
+        assert out.read_bytes() == b"an earlier merge"
+        assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_the_first_non_finite_tensor_by_name_is_reported_then_the_first_file(
@@ -206,6 +220,24 @@ def test_the_first_non_finite_tensor_by_name_is_reported_then_the_first_file(
         assert main(_merge_argv(base_path, task_paths, out)) == 2
         err = capsys.readouterr().err
         assert err == f"error: {task_paths[1]}: tensor 'a.weight' contains non-finite entries\n"
+        assert not out.exists()
+
+
+def test_perturb_reports_the_first_failing_tensor_by_name_whatever_the_fault(
+    tmp_path, monkeypatch, capsys
+):
+    base_path, task_paths = _fft_set(tmp_path)
+    _poison(task_paths[0], "c.weight")
+    _poison(task_paths[0], "b.bias")
+    out = tmp_path / "m.dcm"
+    perturb = ["perturb", "--base", str(base_path), "--task", str(task_paths[0]), "--kind",
+               "direction", "--p", "0.5", "--seed", "1", "--out", str(out)]
+    for width in (1, 2):
+        monkeypatch.setattr(cli, "_pool_width", width)
+        # the 1-D b.bias sorts before the matrix c.weight
+        assert main(perturb) == 2
+        assert capsys.readouterr().err == (
+            f"error: {task_paths[0]}: 1-D tensor 'b.bias' or its base is not finite\n")
         assert not out.exists()
 
 
@@ -243,7 +275,7 @@ def test_merge_and_report_read_each_tensor_of_each_file_once(tmp_path, monkeypat
         return real_read(self, name)
 
     monkeypatch.setattr(ContainerReader, "read", recording_read)
-    monkeypatch.setattr(cli, "read_container", None)  # only perturb reads a file whole
+    assert not hasattr(cli, "read_container")  # no command reads a file whole
     merged = tmp_path / "m.dcm"
     assert main(_merge_argv(base_path, task_paths, merged)) == 0
     files = ["base.dcm", "task0.dcm", "task1.dcm", "task2.dcm"]
@@ -270,6 +302,7 @@ def test_every_file_a_command_opens_is_closed(tmp_path, fault, capsys):
         _poison(task_paths[1], "c.weight")
     elif fault == "rank":
         extra = ["--rank", "7"]
+    perturbed = task_paths[2 if fault == "header" else 1]
     commands = [
         [*_merge_argv(base_path, task_paths, tmp_path / "m2.dcm"), *extra],
         ["report", "--base", str(base_path), "--merged", str(merged),
@@ -278,10 +311,13 @@ def test_every_file_a_command_opens_is_closed(tmp_path, fault, capsys):
          "--tensor", "c.weight", "--eta", "1e-3", "--iters", "1", "--out",
          str(tmp_path / "t.csv"), *extra],
         ["inspect", str(task_paths[2])],
+        ["perturb", "--base", str(base_path), "--task", str(perturbed),
+         "--kind", "direction", "--p", "0.5", "--seed", "1", "--out", str(tmp_path / "p.dcm"),
+         *extra],
     ]
     before = _open_fds()
     codes = [main(argv) for argv in commands]
     capsys.readouterr()
     assert _open_fds() == before
-    assert codes == {"none": [0, 0, 0, 0], "header": [2, 2, 2, 2],
-                     "non-finite": [2, 2, 2, 0], "rank": [2, 0, 2, 0]}[fault]
+    assert codes == {"none": [0, 0, 0, 0, 0], "header": [2, 2, 2, 2, 2],
+                     "non-finite": [2, 2, 2, 0, 2], "rank": [2, 0, 2, 0, 2]}[fault]
