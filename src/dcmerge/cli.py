@@ -50,13 +50,12 @@ from .container import (
     pair_tensors,
     vector_delta,
 )
-from .cover import CoverBasis, make_mask, project
+from .cover import CoverBasis, make_mask, stack_coordinates
 from .errors import NumericalError, ValidationError
 from .linalg import _all_finite, _checked_matrix, _dense_svd, truncated_svd
 from .merge import (
     MergeConfig,
     assemble_tensor,
-    cover_space,
     dc_merge,
     merge_ta,
     resolve_rank,
@@ -168,8 +167,8 @@ class _Plan:
 
     Every file is opened on ``files`` (an ExitStack), paired in the mode
     (``None``: the first file's), and must hold the same matrix tensors, no
-    tensor that the base lacks (``unmatched``) and, in a LoRA file, no 2-D
-    tensor that is no factor (``unpaired``). ``ranks`` maps the matrix
+    tensor that the base lacks (``unmatched``) and, in a LoRA file, no
+    tensor that is not read (``unpaired``). ``ranks`` maps the matrix
     tensors, or ``tensor`` alone, in name order, to the rank from
     ``resolve_rank``, resolved here in the calling thread so warnings and
     errors keep that order. No tensor is read until ``task_vectors``.
@@ -195,14 +194,16 @@ class _Plan:
             )
         if not names:
             raise ValidationError("the task checkpoints share no matrix tensor with the base")
-        for path, p in zip(task_paths, self.pairings):
+        for path, task, p in zip(task_paths, self.tasks, self.pairings):
             if p.unmatched:
                 raise ValidationError(
                     f"{path}: holds tensor {p.unmatched[0]!r}, which the base lacks")
             if p.unpaired:
-                raise ValidationError(
-                    f"{path}: holds 2-D tensor {p.unpaired[0]!r}, which is no LoRA factor; "
-                    "a lora checkpoint holds its matrices as <p>.lora_B, <p>.lora_A pairs")
+                ndim = task.specs[p.unpaired[0]].ndim
+                raise ValidationError(f"{path}: holds {ndim}-D tensor {p.unpaired[0]!r}, " + (
+                    "which is no LoRA factor; a lora checkpoint holds its matrices as "
+                    "<p>.lora_B, <p>.lora_A pairs" if ndim == 2 else
+                    "which is not read: the LoRA pair of that name stands for the matrix"))
         if tensor is not None and tensor not in names:
             raise ValidationError(f"tensor {tensor!r} not found among merged matrices {names}")
         cfg = MergeConfig(mode=mode, rank=rank)
@@ -269,7 +270,7 @@ def _cmd_merge(args) -> int:
 def _cmd_report(args) -> int:
     import csv
 
-    from .metrics import alignment_score, cos_sim, projected_dir_sim
+    from .metrics import _alignment, cos_sim, projected_dir_sim
 
     with contextlib.ExitStack() as files:
         base = files.enter_context(ContainerReader(args.base))
@@ -296,7 +297,8 @@ def _cmd_report(args) -> int:
             merged_delta = np.subtract(_checked_matrix(merged.read(name), label), arr,
                                        dtype=np.float64)
             r = plan.ranks[name]
-            decomps, basis = cover_space(tvs, r, SmoothingStrategy.truncate_only())
+            decomps = [decompose(tv, r) for tv in tvs]
+            Gu, Gv = stack_coordinates(decomps)
             rows = []
             for path, tv, kd in zip(args.task, tvs, decomps):
                 # undefined where a task or the merge left the tensor at the base
@@ -304,12 +306,11 @@ def _cmd_report(args) -> int:
                 rows.append(
                     (name, path, "projected_dir_sim", _or_nan(projected_dir_sim, kd, merged_delta))
                 )
-            a = alignment_score(basis.U_tilde, basis.V_tilde, decomps)
-            rows.append((name, "", "alignment_score", a))
+            rows.append((name, "", "alignment_score", _alignment(Gu, Gv)))
 
-            # block structure of the aggregated coordinates: one block per task
-            summed = merge_ta([project(kd, basis) for kd in decomps])
-            blocks = make_mask(basis.k, r)
+            # block structure, one block per task, of sum_i U~^T U_i diag(sigma_i) V_i^T V~
+            summed = (Gu * np.concatenate([kd.sigma for kd in decomps])) @ Gv.T
+            blocks = make_mask(Gu.shape[0], r)
             rows += [(name, "", f"block_mean_abs[{i},{j}]", float(np.mean(np.abs(summed[bi, bj]))))
                      for i, bi in enumerate(blocks) for j, bj in enumerate(blocks)]
             return rows
@@ -390,11 +391,16 @@ def _cmd_perturb(args) -> int:
                  for name, child in zip(matrix_names, children)}
         # each matrix's working rank, which sets the shape of the LoRA factors written
         ranks, specs = {}, dict(task.specs)
-        for name, pm in pairing.matrices.items():
+        for name, pm in sorted(pairing.matrices.items()):
             m, n = pm.shape
             # a single checkpoint has no task count, so merge's rank rule does not apply
             auto = pm.lora_rank if pm.lora_rank is not None else max(1, min(m, n) // 4)
             r = ranks[name] = min(args.rank if args.rank is not None else auto, min(m, n))
+            if args.kind == "direction" and 2 * r > min(m, n):  # room for the complement
+                clip = f" (--rank {args.rank} clipped to min(m, n))" if (args.rank or 0) > r else ""
+                raise ValidationError(f"tensor {name!r} {pm.shape}: --kind direction at working "
+                                      f"rank {r}{clip} needs 2 x rank <= min(m, n); the largest "
+                                      f"rank that fits is {min(m, n) // 2}")
             if pm.lora_rank is not None:
                 for src, shape in zip(pm.sources, ((m, r), (r, n))):
                     specs[src] = specs[src]._replace(shape=shape)
@@ -463,7 +469,7 @@ def _cmd_perturb(args) -> int:
 def _cmd_optimize_basis(args) -> int:
     import csv
 
-    from .metrics import alignment_score
+    from .metrics import _alignment
     from .optimizer import OptimizerConfig, optimize_cover_basis
 
     with contextlib.ExitStack() as files:
@@ -471,15 +477,13 @@ def _cmd_optimize_basis(args) -> int:
         plan = _Plan(files, base, args.task, rank=args.rank, tensor=args.tensor)
         tvs = plan.task_vectors(args.tensor, base.read(args.tensor))
     r = plan.ranks[args.tensor]
-    decomps, whitened = cover_space(tvs, r, SmoothingStrategy.truncate_only())
+    decomps = [decompose(tv, r) for tv in tvs]
+    Gu, Gv = stack_coordinates(decomps)
 
     # naive initialization: truncated SVD of the plain task-arithmetic sum,
     # which holds one LoRA product at a time
-    ta_sum = merge_ta(tv.delta for tv in tvs)
-    init_svd = truncated_svd(ta_sum, whitened.k)
+    init_svd = truncated_svd(merge_ta(tv.delta for tv in tvs), Gu.shape[0])
     init = CoverBasis(U_tilde=init_svd.U, V_tilde=init_svd.V)
-
-    score_white = alignment_score(whitened.U_tilde, whitened.V_tilde, decomps)
 
     cfg = OptimizerConfig(
         learning_rate=args.eta, max_iters=args.iters, log_every=args.log_every
@@ -491,7 +495,7 @@ def _cmd_optimize_basis(args) -> int:
         for it, score, _elapsed in trace.points:
             writer.writerow([it, _fmt(score)])
     print(f"initial score (naive TA basis): {trace.points[0][1]:.6f}")
-    print(f"whitening score:                {score_white:.6f}")
+    print(f"whitening score:                {_alignment(Gu, Gv):.6f}")
     print(f"optimized score ({args.iters} iters): {trace.final_score:.6f}")
     print(f"trace -> {args.out}")
     return 0

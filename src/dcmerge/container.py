@@ -391,8 +391,8 @@ class Pairing:
 
     ``matrices`` maps each matrix tensor to its PairedMatrix; ``vectors``
     names the other tensors read that the base holds, ``unmatched`` those
-    the base lacks, and ``unpaired`` a LoRA file's 2-D tensors that are no
-    factor, which are not read. All three are sorted.
+    the base lacks, and ``unpaired`` the tensors of a lora file that are not
+    read (2-D non-factors, names a pair takes). All three are sorted.
     """
 
     matrices: dict[str, PairedMatrix]
@@ -406,7 +406,7 @@ def pair_tensors(base, task, mode: str) -> Pairing:
 
     It reads, in ``fft`` mode, every tensor; in ``lora`` mode, each factor
     pair ``<p>.lora_B`` (m x r), ``<p>.lora_A`` (r x n), r >= 1, as
-    ``<p>.weight``, and every tensor that is not 2-D. A 2-D tensor becomes a
+    ``<p>.weight``, and every other tensor not 2-D. A 2-D tensor becomes a
     matrix (a pair keeps its factors, not their product), any other a delta
     to average. Each must have the base tensor's shape (a pair: rows of B by
     columns of A); one the base lacks goes to ``unmatched``. ``base`` and
@@ -430,10 +430,10 @@ def pair_tensors(base, task, mode: str) -> Pairing:
             B, A = task[b_name].shape, task[a_name].shape
             shape = _product_shape(B, A, (f"tensor {b_name!r}", f"tensor {a_name!r}"))
             matrices[target] = PairedMatrix(target, shape, (b_name, a_name), B[1])
-    plain = [name for name, t in task.items()
-             if mode == "fft" or t.ndim != 2 and name not in factors]
-    unpaired = sorted(name for name, t in task.items()
-                      if mode == "lora" and t.ndim == 2 and name not in factors)
+    unpaired = sorted(name for name, t in task.items() if mode == "lora"
+                      and name not in factors and (t.ndim == 2 or name in matrices))
+    plain = [name for name in task
+             if mode == "fft" or name not in factors and name not in unpaired]
     vectors, unmatched = [], []
     for name in sorted({*matrices, *plain}):
         b = base.get(name)

@@ -3,11 +3,14 @@
 The cover basis is the pair of orthonormal matrices obtained by whitening
 the column-concatenated per-task singular bases. Task deltas are expressed
 as k x k coordinate matrices against it, merged coordinate-wise, filtered
-by a block-diagonal structural mask, and mapped back to weight space.
+by a block-diagonal structural mask, and mapped back to weight space. The
+tasks' own coordinates U~^T [U_1..U_T] are the square root of the stack's
+k x k Gram matrix (``stack_coordinates``), so they need no basis.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,9 +19,14 @@ from .errors import ValidationError
 from .linalg import SvdTriplet, _check_orthonormal, _frozen, as_matrix, whiten
 from .task_vector import stack_bases
 
+# the Gram square root needs lambda_min > this * lambda_max: its rounding grows as
+# 1 / (2 sqrt(lambda_min)), an inverse root's (a Gram-based whitening) as lambda_min^(-3/2)
+_GRAM_ROOT_FLOOR = 1e-10
+
 __all__ = [
     "CoverBasis",
     "build_cover_basis",
+    "stack_coordinates",
     "project",
     "back_project",
     "make_mask",
@@ -71,19 +79,41 @@ def make_mask(k: int, b: int) -> tuple[slice, ...]:
     return tuple(slice(lo, min(lo + b, k)) for lo in range(0, k, b))
 
 
-def build_cover_basis(decomps) -> CoverBasis:
-    """Whiten the concatenated per-task singular bases into a shared pair.
-
-    Columns follow task input order, so with uniform per-task rank r the
-    mask block at b = r lines up one block per task.
-    """
+def _stacks(decomps) -> tuple[np.ndarray, np.ndarray]:
+    """``stack_bases(decomps)``, whose total rank k must fit in min(m, n)."""
     Ucat, Vcat = stack_bases(decomps)
     k, bound = Ucat.shape[1], min(Ucat.shape[0], Vcat.shape[0])
     if k > bound:
         raise ValidationError(
             f"total rank {k} exceeds min ambient dimension {bound}; reduce per-task rank"
         )
-    return CoverBasis(whiten(Ucat), whiten(Vcat))
+    return Ucat, Vcat
+
+
+def build_cover_basis(decomps) -> CoverBasis:
+    """Whiten the concatenated per-task singular bases into a shared pair.
+
+    Columns follow task input order, so with uniform per-task rank r the
+    mask block at b = r lines up one block per task.
+    """
+    return CoverBasis(*map(whiten, _stacks(decomps)))
+
+
+def _gram_root(M: np.ndarray) -> np.ndarray:
+    """``whiten(M).T @ M``, which is (M^T M)^(1/2): from ``eigh`` above the floor."""
+    with contextlib.suppress(np.linalg.LinAlgError):
+        w, Q = np.linalg.eigh(M.T @ M)
+        if w[0] > _GRAM_ROOT_FLOOR * w[-1]:
+            return (Q * np.sqrt(w)) @ Q.T
+    return whiten(M).T @ M
+
+
+def stack_coordinates(decomps) -> tuple[np.ndarray, np.ndarray]:
+    """(U~^T [U_1..U_T], V~^T [V_1..V_T]) for ``build_cover_basis``'s pair, as Gram roots.
+
+    Below ``_GRAM_ROOT_FLOOR`` (duplicate or nearly parallel tasks) each is
+    ``whiten(stack).T @ stack``, the value through the pair itself."""
+    return tuple(map(_gram_root, _stacks(decomps)))
 
 
 def project(delta, basis: CoverBasis) -> np.ndarray:

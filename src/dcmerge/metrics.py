@@ -131,7 +131,8 @@ def alignment_score(U_tilde, V_tilde, decomps) -> float:
     Computes ``norm((U~^T [U_1..U_T]) * (V~^T [V_1..V_T]), 'fro')**2``,
     the closed form of the sum over tasks and dyads of the squared
     diagonal coefficient vectors of each projected dyad. The pair must
-    pass the ``CoverBasis`` checks.
+    pass the ``CoverBasis`` checks. For the whitened pair the two factors
+    are ``cover.stack_coordinates(decomps)``, found without the pair.
     """
     basis = CoverBasis(U_tilde, V_tilde)
     Ucat, Vcat = stack_bases(decomps)

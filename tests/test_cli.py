@@ -24,7 +24,8 @@ from dcmerge.merge import (
     dc_merge,
     resolve_rank,
 )
-from dcmerge.metrics import alignment_score
+from dcmerge.cover import stack_coordinates
+from dcmerge.metrics import _alignment, alignment_score
 from dcmerge.task_vector import SmoothingStrategy, TaskVector
 
 
@@ -842,9 +843,11 @@ def test_report_measures_at_the_merge_rank_rule(tmp_path):
         r = resolve_rank(tvs, MergeConfig(mode="lora"))
     assert r == 2
     decomps, basis = cover_space(tvs, r, SmoothingStrategy.truncate_only())
-    expected = alignment_score(basis.U_tilde, basis.V_tilde, decomps)
+    expected = _alignment(*stack_coordinates(decomps))
     align = [float(row[3]) for row in rows if row[2] == "alignment_score"]
     assert align == [expected, expected]  # the tensor row and the ALL row
+    assert expected == pytest.approx(
+        alignment_score(basis.U_tilde, basis.V_tilde, decomps), rel=1e-12)
     blocks = [row for row in rows if row[2].startswith("block_mean_abs")]
     assert len(blocks) == len(task_paths) ** 2
 

@@ -1,3 +1,7 @@
+import runpy
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +14,14 @@ from dcmerge.cover import (
     build_cover_basis,
     make_mask,
     project,
+    stack_coordinates,
 )
+from dcmerge.container import extract_task_vectors, read_container
 from dcmerge.errors import ValidationError
+from dcmerge.linalg import whiten
+from dcmerge.merge import MergeConfig, resolve_rank
 from dcmerge.metrics import alignment_score
-from dcmerge.task_vector import TaskVector, decompose, reconstruct
+from dcmerge.task_vector import TaskVector, decompose, reconstruct, stack_bases
 
 
 def random_decomp(rng, m, n, r):
@@ -88,6 +96,102 @@ def test_basis_equivariant_under_task_rescaling():
     )
     assert np.array_equal(base.U_tilde, scaled.U_tilde)
     assert np.array_equal(base.V_tilde, scaled.V_tilde)
+
+
+# stack_coordinates
+
+
+def whitened_coordinates(decomps):
+    """U~^T [U_1..U_T] and V~^T [V_1..V_T] through the whitened stacks themselves."""
+    return tuple(whiten(M).T @ M for M in stack_bases(decomps))
+
+
+def relative_gap(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("t", [2, 4, 8])
+@pytest.mark.parametrize("shape", [(40, 40), (90, 40), (40, 90)])
+def test_stack_coordinates_match_the_whitened_route(t, shape, monkeypatch):
+    rng = np.random.default_rng(20 + t)
+    decomps = [random_decomp(rng, *shape, 40 // (2 * t)) for _ in range(t)]
+    want = whitened_coordinates(decomps)
+    # the eigh route only: whiten would raise here
+    monkeypatch.setattr("dcmerge.cover.whiten", None)
+    for got, ref in zip(stack_coordinates(decomps), want):
+        assert relative_gap(got, ref) <= 1e-12
+
+
+def write_merge_set(out_dir, **kwargs):
+    """The benchmark's seeded checkpoint set (``perfbench/gen.py``)."""
+    gen = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"))
+    return gen["write_merge_set"](out_dir, **kwargs)
+
+
+@pytest.mark.parametrize("mode, n_tasks, layers, d",
+                         [("fft", 4, 1, 192), ("lora", 4, 1, 192), ("fft", 8, 3, 96)])
+def test_stack_coordinates_match_the_whitened_route_on_the_benchmark_sets(
+        tmp_path, mode, n_tasks, layers, d):
+    base_path, task_paths = write_merge_set(tmp_path, seed=31, mode=mode, n_tasks=n_tasks,
+                                            layers=layers, d=d)
+    base = read_container(base_path)
+    tasks = [extract_task_vectors(base, read_container(p), mode).matrices for p in task_paths]
+    worst = 0.0
+    for name in sorted(tasks[0]):
+        tvs = [task[name] for task in tasks]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a clipped rank is still a rank
+            r = resolve_rank(tvs, MergeConfig(mode=mode))
+        decomps = [decompose(tv, r) for tv in tvs]
+        for got, ref in zip(stack_coordinates(decomps), whitened_coordinates(decomps)):
+            worst = max(worst, relative_gap(got, ref))
+    assert worst <= 1e-12
+
+
+def test_a_duplicate_task_takes_the_whitened_route_bit_for_bit():
+    rng = np.random.default_rng(21)
+    kd = random_decomp(rng, 12, 10, 3)
+    decomps = [kd, random_decomp(rng, 12, 10, 3), kd]
+    got = stack_coordinates(decomps)
+    for g, ref in zip(got, whitened_coordinates(decomps)):
+        assert np.array_equal(g, ref)
+
+
+def test_a_near_duplicate_task_takes_the_whitened_route_bit_for_bit():
+    rng = np.random.default_rng(22)
+    delta = rng.standard_normal((12, 10))
+    near = delta + 1e-7 * rng.standard_normal((12, 10))
+    decomps = [decompose(TaskVector(name=f"t{i}", delta=d), 3) for i, d in enumerate([delta, near])]
+    for M in stack_bases(decomps):
+        s = np.linalg.svd(M, compute_uv=False)
+        assert 1e-8 < s[-1] / s[0] < 1e-6
+    for g, ref in zip(stack_coordinates(decomps), whitened_coordinates(decomps)):
+        assert np.array_equal(g, ref)
+
+
+def test_stack_coordinates_check_the_total_width():
+    rng = np.random.default_rng(23)
+    with pytest.raises(ValidationError, match="total rank 6 exceeds min ambient dimension 5"):
+        stack_coordinates([random_decomp(rng, 6, 5, 3), random_decomp(rng, 6, 5, 3)])
+
+
+@settings(max_examples=40)
+@given(
+    t=st.integers(1, 4),
+    r=st.integers(1, 3),
+    extra=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    duplicate=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stack_coordinates_are_symmetric_and_agree_with_whitening(t, r, extra, duplicate, seed):
+    rng = np.random.default_rng(seed)
+    shape = (t * r + extra[0], t * r + extra[1])
+    decomps = [random_decomp(rng, *shape, r) for _ in range(t)]
+    if duplicate:
+        decomps[-1] = decomps[0]
+    for got, ref in zip(stack_coordinates(decomps), whitened_coordinates(decomps)):
+        assert np.abs(got - got.T).max() <= 1e-12
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 # project / back_project

@@ -168,6 +168,40 @@ def test_a_lora_files_2d_tensor_that_is_no_factor_is_unpaired():
     assert pair_tensors(base, task, "fft").unpaired == ()
 
 
+def test_a_lora_files_1d_tensor_named_like_a_pairs_matrix_is_unpaired():
+    base = {"w.weight": np.zeros((8, 6))}
+    task = {"w.lora_B": np.ones((8, 2)), "w.lora_A": np.ones((2, 6)), "w.weight": np.ones(5)}
+    pairing = pair_tensors(base, task, "lora")
+    assert pairing.unpaired == ("w.weight",)
+    assert pairing.vectors == () and pairing.unmatched == ()
+    assert pairing.matrices["w.weight"].sources == ("w.lora_B", "w.lora_A")
+
+
+@pytest.mark.parametrize("command", ["merge", "report", "optimize-basis"])
+def test_a_1d_tensor_named_like_a_lora_pairs_matrix_exits_2_naming_file_and_tensor(
+        tmp_path, capsys, command):
+    rng = np.random.default_rng(4)
+    write_container(TensorContainer(tensors={"w.weight": rng.standard_normal((8, 6))}),
+                    tmp_path / "base.dcm")
+    task_paths = []
+    for i in range(2):
+        task = {"w.lora_B": rng.standard_normal((8, 2)), "w.lora_A": rng.standard_normal((2, 6)),
+                "w.weight": np.full(5, np.nan)}
+        task_paths.append(tmp_path / f"task{i}.dcm")
+        write_container(TensorContainer(tensors=task), task_paths[-1])
+    base, tasks, out = str(tmp_path / "base.dcm"), list(map(str, task_paths)), tmp_path / "out"
+    argv = {"merge": _merge_argv(base, tasks, out, "lora"),
+            "report": ["report", "--base", base, "--merged", base, "--task", *tasks,
+                       "--out", str(out)],
+            "optimize-basis": ["optimize-basis", "--base", base, "--task", *tasks, "--tensor",
+                               "w.weight", "--eta", "1e-3", "--iters", "1", "--out", str(out)]}
+    assert main(argv[command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {task_paths[0]}: holds 1-D tensor 'w.weight', ")
+    assert "2-D" not in err
+    assert not out.exists()
+
+
 def test_a_lora_merge_with_a_full_2d_tensor_exits_2_naming_file_and_tensor(tmp_path, capsys):
     rng = np.random.default_rng(3)
     base = {"q.weight": rng.standard_normal((8, 6)), "head.weight": rng.standard_normal((3, 8))}
@@ -321,3 +355,27 @@ def test_every_file_a_command_opens_is_closed(tmp_path, fault, capsys):
     assert _open_fds() == before
     assert codes == {"none": [0, 0, 0, 0, 0], "header": [2, 2, 2, 2, 2],
                      "non-finite": [2, 2, 2, 0, 2], "rank": [2, 0, 2, 0, 2]}[fault]
+
+
+@pytest.mark.parametrize("rank, clipped, working", [("4", False, 4), ("7", True, 6)])
+def test_perturb_direction_without_room_for_the_complement_exits_2_before_reading(
+        tmp_path, monkeypatch, capsys, rank, clipped, working):
+    base_path, task_paths = _fft_set(tmp_path)
+    read = []
+    real_read = ContainerReader.read
+
+    def recording_read(self, name):
+        read.append(name)
+        return real_read(self, name)
+
+    monkeypatch.setattr(ContainerReader, "read", recording_read)
+    out = tmp_path / "p.dcm"
+    assert main(["perturb", "--base", str(base_path), "--task", str(task_paths[0]),
+                 "--kind", "direction", "--p", "0.5", "--seed", "1", "--out", str(out),
+                 "--rank", rank]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: tensor 'a.weight' (8, 6): --kind direction at "
+                          f"working rank {working} ")
+    assert ("clipped to min(m, n)" in err) == clipped
+    assert err.rstrip().endswith("the largest rank that fits is 3")
+    assert read == [] and not out.exists()
