@@ -40,7 +40,6 @@ _SUBMODULES = {
         "MergeConfig",
         "assemble_model",
         "assemble_tensor",
-        "cover_space",
         "dc_merge",
         "merge_ta",
         "merge_ties",

@@ -470,11 +470,13 @@ def _cmd_optimize_basis(args) -> int:
     import csv
 
     from .metrics import _alignment
-    from .optimizer import OptimizerConfig, optimize_cover_basis
+    from .optimizer import OptimizerConfig, _check_dims, optimize_cover_basis
 
+    cfg = OptimizerConfig(learning_rate=args.eta, max_iters=args.iters, log_every=args.log_every)
     with contextlib.ExitStack() as files:
         base = files.enter_context(ContainerReader(args.base))
         plan = _Plan(files, base, args.task, rank=args.rank, tensor=args.tensor)
+        _check_dims(*base.specs[args.tensor].shape)
         tvs = plan.task_vectors(args.tensor, base.read(args.tensor))
     r = plan.ranks[args.tensor]
     decomps = [decompose(tv, r) for tv in tvs]
@@ -484,10 +486,6 @@ def _cmd_optimize_basis(args) -> int:
     # which holds one LoRA product at a time
     init_svd = truncated_svd(merge_ta(tv.delta for tv in tvs), Gu.shape[0])
     init = CoverBasis(U_tilde=init_svd.U, V_tilde=init_svd.V)
-
-    cfg = OptimizerConfig(
-        learning_rate=args.eta, max_iters=args.iters, log_every=args.log_every
-    )
     _, trace = optimize_cover_basis(decomps, init, cfg)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -1,7 +1,8 @@
 """Shared cover space: basis construction, projection, masking, back-projection.
 
-The cover basis is the pair of orthonormal matrices obtained by whitening
-the column-concatenated per-task singular bases. Task deltas are expressed
+The cover basis is the pair of partial isometries (orthonormal columns, or
+zero ones where ``whiten`` cuts a direction) obtained by whitening the
+column-concatenated per-task singular bases. Task deltas are expressed
 as k x k coordinate matrices against it, merged coordinate-wise, filtered
 by a block-diagonal structural mask, and mapped back to weight space. The
 tasks' own coordinates U~^T [U_1..U_T] are the square root of the stack's
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import SvdTriplet, _check_orthonormal, _frozen, as_matrix, whiten
+from .linalg import _ORTHO_TOL, SvdTriplet, _frozen, as_matrix, whiten
 from .task_vector import stack_bases
 
 # the Gram square root needs lambda_min > this * lambda_max: its rounding grows as
@@ -35,7 +36,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoverBasis:
-    """Orthonormal pair (U_tilde m x k, V_tilde n x k) spanning all tasks."""
+    """Pair (U_tilde m x k, V_tilde n x k) spanning all tasks; each side's
+    W^T W is a projection (symmetric and idempotent within 1e-8)."""
 
     U_tilde: np.ndarray
     V_tilde: np.ndarray
@@ -53,8 +55,10 @@ class CoverBasis:
                 f"basis width {k} exceeds ambient dimension "
                 f"min({U.shape[0]}, {V.shape[0]})"
             )
-        _check_orthonormal(U, "U_tilde")
-        _check_orthonormal(V, "V_tilde")
+        for W, label in ((U, "U_tilde"), (V, "V_tilde")):
+            G = W.T @ W
+            if not max(np.abs(G - G.T).max(), np.abs(G @ G - G).max()) <= _ORTHO_TOL:
+                raise ValidationError(f"{label} is not a partial isometry: W^T W is no projection")
         object.__setattr__(self, "U_tilde", U)
         object.__setattr__(self, "V_tilde", V)
 

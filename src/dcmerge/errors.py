@@ -3,8 +3,8 @@
 Two error families map onto the CLI exit codes: problems with the shape,
 range, or format of inputs raise :class:`ValidationError` (exit code 2),
 while degenerate values discovered during computation (zero projections,
-parallel reference spectra, non-convergent factorizations) raise
-:class:`NumericalError` (exit code 3).
+flat spectra with no direction to perturb toward, non-convergent
+factorizations) raise :class:`NumericalError` (exit code 3).
 """
 
 

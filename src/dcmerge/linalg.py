@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-8
+_WHITEN_CUT = 1e-8  # whiten drops the directions at or below this share of S[0]
 
 # truncated_svd's eigh fast path gives way to the dense SVD unless the Gram
 # gap at the cut is wide enough: lambda_{r-1} - lambda_r must exceed
@@ -235,20 +236,22 @@ def truncated_svd(M, r: int) -> SvdTriplet:
 
 
 def whiten(M) -> np.ndarray:
-    """Polar orthonormal factor: the closest matrix with orthonormal columns.
+    """Rank-revealing polar factor of M, a d x k partial isometry.
 
-    With thin SVD M = P S Q^T the result is P Q^T. Among all d x k matrices
-    with orthonormal columns it maximizes trace(W^T M). For rank-deficient
-    input the factor is not unique; the output is then whatever the
-    deterministic SVD routine yields, which is reproducible but arbitrary
-    in the null directions. A non-converging SVD is a NumericalError.
+    With thin SVD M = P S Q^T the result is P_j Q_j^T over the j singular
+    values above ``_WHITEN_CUT`` * S[0]; for full-rank input that is P Q^T,
+    which maximizes trace(W^T M) over orthonormal columns. A cut direction
+    is dropped, not completed arbitrarily: duplicate columns share one
+    direction, zero ones map to zero, and the result jumps where a singular
+    value crosses the cut. A non-converging SVD is a NumericalError.
     """
     M = as_matrix(M, "M")
     d, k = M.shape
     if d < k:
         raise ValidationError(f"whiten needs d >= k, got shape {M.shape}")
-    P, _, Qt = _dense_svd(M)
-    return P @ Qt
+    P, S, Qt = _dense_svd(M)
+    j = np.count_nonzero(S > _WHITEN_CUT * S.max(initial=0.0))
+    return P[:, :j] @ Qt[:j]
 
 
 def _skew_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import PairedMatrix, TensorContainer
-from .cover import CoverBasis, back_project, build_cover_basis, project
+from .cover import back_project, build_cover_basis, project
 from .errors import NumericalError, ValidationError
-from .linalg import SvdTriplet, _all_finite
+from .linalg import _all_finite
 from .task_vector import (
     SmoothingStrategy,
     TaskVector,
@@ -39,7 +39,6 @@ from .task_vector import (
 __all__ = [
     "MergeConfig",
     "resolve_rank",
-    "cover_space",
     "merge_ta",
     "merge_ties",
     "dc_merge",
@@ -152,14 +151,6 @@ def resolve_rank(tasks: list[TaskVector], cfg: MergeConfig) -> int:
     return r
 
 
-def cover_space(
-    tasks: list[TaskVector], r: int, strategy: SmoothingStrategy
-) -> tuple[list[SvdTriplet], CoverBasis]:
-    """Rank-r decompositions of ``tasks``, smoothed per ``strategy``, and their cover basis."""
-    decomps = [smooth_energy(decompose(tv, r), strategy) for tv in tasks]
-    return decomps, build_cover_basis(decomps)
-
-
 def merge_ta(mats) -> np.ndarray:
     """Element-wise sum of equally shaped matrices, taken one at a time from an iterable."""
     out = None
@@ -229,7 +220,8 @@ def dc_merge(tasks: list[TaskVector], cfg: MergeConfig | None = None) -> np.ndar
     if cfg is None:
         cfg = MergeConfig()
     r = resolve_rank(tasks, cfg)
-    smoothed, basis = cover_space(tasks, r, cfg.resolved_smoothing())
+    smoothed = [smooth_energy(decompose(tv, r), cfg.resolved_smoothing()) for tv in tasks]
+    basis = build_cover_basis(smoothed)
     coords = [project(kd, basis) for kd in smoothed]
 
     if cfg.merger == "ta":

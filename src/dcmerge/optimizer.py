@@ -12,7 +12,7 @@ iteration takes one unitary eigendecomposition per side, of i (A - A^T)
 (m x m) and of i (B - B^T) (n x n), and that one decomposition gives both
 the exponential and the adjoint of its derivative, so O(m^3 + n^3). This is
 a validation tool for the whitening construction, not a production path, so
-it is limited to small ambient dimensions where dense exponentials are
+it is limited to ambient sides of at most 64, where dense exponentials are
 cheap.
 """
 
@@ -38,13 +38,14 @@ from .task_vector import stack_bases
 
 __all__ = ["OptimizerConfig", "OptimizationTrace", "optimize_cover_basis"]
 
+_DIM_LIMIT = 64  # largest ambient side of the dense per-side exponentials
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     learning_rate: float = 1e-2
     max_iters: int = 500
     log_every: int = 1
-    dim_limit: int = 64
 
     def __post_init__(self):
         if not self.learning_rate > 0:
@@ -53,8 +54,6 @@ class OptimizerConfig:
             raise ValidationError(f"max_iters must be a positive int, got {self.max_iters!r}")
         if not isinstance(self.log_every, int) or self.log_every < 1:
             raise ValidationError(f"log_every must be a positive int, got {self.log_every!r}")
-        if not isinstance(self.dim_limit, int) or self.dim_limit < 1:
-            raise ValidationError(f"dim_limit must be a positive int, got {self.dim_limit!r}")
 
 
 @dataclass(frozen=True)
@@ -76,17 +75,21 @@ class OptimizationTrace:
         return self.points[-1][1]
 
 
-def _analytic_side_gradient(A, orient, G, other_gram, cat, eig=None):
+def _check_dims(m: int, n: int) -> None:
+    if max(m, n) > _DIM_LIMIT:
+        raise ValidationError(
+            f"ambient dimension {max(m, n)} exceeds the dense-exponential limit {_DIM_LIMIT}")
+
+
+def _analytic_side_gradient(A, orient, G, other_gram, cat, eig):
     """Exact gradient via the adjoint of the exponential's derivative.
 
     With E = exp(S), S = A - A^T and W = E @ orient, the chain is
     dL/dW = cat @ (2 G * H * H)^T, dL/dE = dL/dW @ orient^T, and the
     adjoint of the exponential's directional derivative at S is the same
     map taken at S^T, so dL/dS = Dexp(S^T)[dL/dE]. Antisymmetrizing gives
-    the gradient in A. ``eig`` is ``_skew_eigh(A)`` when the caller has it.
+    the gradient in A. ``eig`` is ``_skew_eigh(A)``.
     """
-    if eig is None:
-        eig = _skew_eigh(A)
     dL_dG = 2.0 * G * other_gram * other_gram
     dL_dW = cat @ dL_dG.T
     dL_dE = dL_dW @ orient.T
@@ -133,12 +136,7 @@ def optimize_cover_basis(
         raise ValidationError(
             f"init basis is for ambient shape {init.shape}, tasks are ({m}, {n})"
         )
-    if max(m, n) > cfg.dim_limit:
-        raise ValidationError(
-            f"ambient dimension {max(m, n)} exceeds the dense-exponential "
-            f"limit {cfg.dim_limit}; only the Python API can raise it, "
-            f"through OptimizerConfig.dim_limit"
-        )
+    _check_dims(m, n)
 
     U0 = init.U_tilde
     V0 = init.V_tilde

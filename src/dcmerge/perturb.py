@@ -2,9 +2,9 @@
 
 Both perturbations take a parameter p in [0, 1] that sets how much of the
 original structure survives: p = 1 returns the input unchanged, p = 0
-replaces it entirely (with a reference spectrum, or with directions drawn
-from the orthogonal complement). They exist so that merging behavior can
-be probed under known, graded amounts of damage.
+replaces it entirely (with the flat spectrum's orthogonal part, or with
+directions drawn from the orthogonal complement). They exist so that
+merging behavior can be probed under known, graded amounts of damage.
 """
 
 from __future__ import annotations
@@ -24,23 +24,20 @@ def _unit(v: np.ndarray) -> np.ndarray:
 def energy_perturb(
     sigma: np.ndarray,
     p: float,
-    sigma_ref: np.ndarray | None = None,
     fallback_seed: int | None = None,
 ) -> np.ndarray:
-    """Rotate the spectrum toward a reference while preserving its norm.
+    """Rotate the spectrum toward the flat one while preserving its norm.
 
     The result is ||sigma|| * (p * s + sqrt(1 - p^2) * s_perp) where s is
-    the unit spectrum and s_perp is the unit component of ``sigma_ref``
-    orthogonal to s (default reference: the flat spectrum mean(sigma) * 1).
-    By construction the output has the same Euclidean norm as the input
-    and cosine exactly p against it. At p = 1 the input comes back
-    unchanged; below 1 a one-entry spectrum, which has no orthogonal
-    direction, is a ValidationError.
+    the unit spectrum and s_perp is the unit component of the flat
+    spectrum mean(sigma) * 1 orthogonal to s. By construction the output
+    has the same Euclidean norm as the input and cosine exactly p against
+    it. At p = 1 the input comes back unchanged; below 1 a one-entry
+    spectrum, which has no orthogonal direction, is a ValidationError.
 
-    When the reference is parallel to the spectrum there is no orthogonal
-    component to rotate toward; with ``fallback_seed`` set, a seeded
-    Gaussian direction is projected and used instead, otherwise this is
-    reported as a NumericalError.
+    A flat spectrum has no such component to rotate toward; with
+    ``fallback_seed`` set, a seeded Gaussian direction is projected and
+    used instead, otherwise this is reported as a NumericalError.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.ndim != 1 or sigma.size == 0:
@@ -54,28 +51,18 @@ def energy_perturb(
         raise NumericalError("cannot perturb an all-zero spectrum")
     s = sigma / norm
 
-    if sigma_ref is None:
-        ref = np.full_like(sigma, float(np.mean(sigma)))
-    else:
-        ref = np.asarray(sigma_ref, dtype=np.float64)
-        if ref.shape != sigma.shape:
-            raise ValidationError(
-                f"sigma_ref shape {ref.shape} does not match sigma {sigma.shape}"
-            )
-        if not _all_finite(ref):
-            raise ValidationError("sigma_ref must be finite")
+    ref = np.full_like(sigma, float(np.mean(sigma)))
     if p == 1.0:
         return sigma.copy()
     if sigma.size == 1:
         raise ValidationError("a one-entry spectrum has no direction to rotate toward below p = 1")
 
     resid = ref - (ref @ s) * s
-    ref_scale = max(np.linalg.norm(ref), 1.0)
-    if np.linalg.norm(resid) < 1e-8 * ref_scale:
+    if np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(ref):
         if fallback_seed is None:
             raise NumericalError(
-                "reference spectrum is parallel to sigma; no rotation "
-                "direction exists (pass fallback_seed to draw one)"
+                "the spectrum is flat, so the flat reference has no component "
+                "orthogonal to it (pass fallback_seed to draw a direction)"
             )
         rng = np.random.default_rng(fallback_seed)
         for _ in range(8):

@@ -307,7 +307,11 @@ def reconstruct(kd: SvdTriplet) -> np.ndarray:
 
 
 def stack_bases(decomps) -> tuple[np.ndarray, np.ndarray]:
-    """Column-concatenated singular bases ([U_1..U_T], [V_1..V_T]) in input order."""
+    """Column-concatenated singular bases ([U_1..U_T], [V_1..V_T]) in input order.
+
+    A dead triplet, with sigma <= max(m, n) * eps * sigma_max over all tasks,
+    gets zero columns: its directions are arbitrary and add nothing.
+    """
     decomps = list(decomps)
     if not decomps:
         raise ValidationError("at least one decomposition required")
@@ -317,4 +321,8 @@ def stack_bases(decomps) -> tuple[np.ndarray, np.ndarray]:
     shapes = {kd.source_shape for kd in decomps}
     if len(shapes) != 1:
         raise ValidationError(f"decompositions have mixed ambient shapes {sorted(shapes)}")
-    return np.hstack([kd.U for kd in decomps]), np.hstack([kd.V for kd in decomps])
+    Ucat, Vcat = np.hstack([kd.U for kd in decomps]), np.hstack([kd.V for kd in decomps])
+    sigma = np.concatenate([kd.sigma for kd in decomps])
+    dead = sigma <= max(Ucat.shape[0], Vcat.shape[0]) * np.finfo(np.float64).eps * sigma.max()
+    Ucat[:, dead] = Vcat[:, dead] = 0.0
+    return Ucat, Vcat

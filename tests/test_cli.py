@@ -20,13 +20,12 @@ from dcmerge.container import (
 from dcmerge.merge import (
     MergeConfig,
     assemble_model,
-    cover_space,
     dc_merge,
     resolve_rank,
 )
-from dcmerge.cover import stack_coordinates
+from dcmerge.cover import build_cover_basis, stack_coordinates
 from dcmerge.metrics import _alignment, alignment_score
-from dcmerge.task_vector import SmoothingStrategy, TaskVector
+from dcmerge.task_vector import SmoothingStrategy, TaskVector, decompose
 
 
 def write_fft_fixture(tmp_path, n_tasks=2, seed=0):
@@ -842,7 +841,8 @@ def test_report_measures_at_the_merge_rank_rule(tmp_path):
     with pytest.warns(UserWarning):
         r = resolve_rank(tvs, MergeConfig(mode="lora"))
     assert r == 2
-    decomps, basis = cover_space(tvs, r, SmoothingStrategy.truncate_only())
+    decomps = [decompose(tv, r) for tv in tvs]
+    basis = build_cover_basis(decomps)
     expected = _alignment(*stack_coordinates(decomps))
     align = [float(row[3]) for row in rows if row[2] == "alignment_score"]
     assert align == [expected, expected]  # the tensor row and the ALL row
@@ -850,6 +850,19 @@ def test_report_measures_at_the_merge_rank_rule(tmp_path):
         alignment_score(basis.U_tilde, basis.V_tilde, decomps), rel=1e-12)
     blocks = [row for row in rows if row[2].startswith("block_mean_abs")]
     assert len(blocks) == len(task_paths) ** 2
+
+
+def test_report_on_a_duplicated_task_writes_finite_alignment_scores(tmp_path):
+    base_path, task_paths = write_merge_set(tmp_path, seed=18, mode="fft", n_tasks=2, layers=1,
+                                            d=32)
+    tasks = [task_paths[0], task_paths[0], task_paths[1]]
+    merged_path = tmp_path / "merged.dcm"
+    assert main(merge_args(base_path, tasks, merged_path)) == 0
+    report_path = tmp_path / "report.csv"
+    assert main(report_args(base_path, merged_path, tasks, report_path)) == 0
+    with open(report_path, newline="") as fh:
+        align = [float(row[3]) for row in csv.reader(fh) if row[2] == "alignment_score"]
+    assert len(align) == 7 and np.isfinite(align).all()  # six matrices and the ALL row
 
 
 def test_optimize_basis_rank_above_min_dim_exits_2(tmp_path, capsys):
@@ -984,7 +997,31 @@ def test_optimize_basis_above_the_dimension_limit_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "ambient dimension 96 exceeds the dense-exponential limit 64" in err
-    assert "OptimizerConfig.dim_limit" in err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("tensor, eta, iters, message", [
+    ("s.weight", "1e-3", "0", "max_iters must be a positive int, got 0"),
+    ("s.weight", "0", "2", "learning_rate must be positive, got 0.0"),
+    ("w.weight", "1e-3", "2", "ambient dimension 96 exceeds the dense-exponential limit 64"),
+], ids=["iters", "eta", "dimension"])
+def test_optimize_basis_checks_its_arguments_before_reading_a_tensor(
+        tmp_path, capsys, tensor, eta, iters, message):
+    # every tensor of task1 is NaN, so reading any tensor would be the error instead
+    rng = np.random.default_rng(17)
+    base = {"s.weight": rng.standard_normal((16, 12)), "w.weight": rng.standard_normal((96, 8))}
+    write_container(TensorContainer(base), tmp_path / "base.dcm")
+    tasks = [{k: v + 0.1 * rng.standard_normal(v.shape) for k, v in base.items()},
+             {k: np.full(v.shape, np.nan) for k, v in base.items()}]
+    for i, task in enumerate(tasks):
+        write_container(TensorContainer(task), tmp_path / f"task{i}.dcm")
+    rc = main(["optimize-basis", "--base", str(tmp_path / "base.dcm"),
+               "--task", str(tmp_path / "task0.dcm"), str(tmp_path / "task1.dcm"),
+               "--tensor", tensor, "--eta", eta, "--iters", iters,
+               "--out", str(tmp_path / "trace.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err and "non-finite" not in err
     assert not (tmp_path / "trace.csv").exists()
 
 

@@ -339,3 +339,14 @@ def test_cover_basis_validation():
         CoverBasis(U_tilde=np.ones((6, 2)), V_tilde=q)
     with pytest.raises(ValidationError):
         CoverBasis(U_tilde=q, V_tilde=random_orthonormal(rng, 6, 3))
+
+
+def test_cover_basis_takes_a_partial_isometry_and_rejects_a_non_projection():
+    rng = np.random.default_rng(12)
+    q = random_orthonormal(rng, 6, 2)
+    CoverBasis(U_tilde=np.column_stack([q[:, 0], np.zeros(6)]), V_tilde=q)  # W^T W = diag(1, 0)
+    half = np.column_stack([q[:, 0], 0.5 * q[:, 1]])  # W^T W = diag(1, 1/4) is no projection
+    with pytest.raises(ValidationError, match="U_tilde is not a partial isometry"):
+        CoverBasis(U_tilde=half, V_tilde=q)
+    with pytest.raises(ValidationError, match="V_tilde is not a partial isometry"):
+        CoverBasis(U_tilde=q, V_tilde=half)

@@ -232,6 +232,21 @@ def test_whiten_invariant_under_positive_scaling():
     np.testing.assert_allclose(whiten(3.7 * m), whiten(m), atol=1e-10)
 
 
+def test_whiten_of_a_rank_deficient_input_is_a_partial_isometry():
+    # a duplicate column, a zero column, and a column 1e-12 of the largest off the span
+    rng = np.random.default_rng(81)
+    q = random_orthonormal(rng, 9, 3)
+    m = np.column_stack([q[:, 0], q[:, 1], q[:, 0], np.zeros(9), 2.0 * q[:, 1] + 1e-12 * q[:, 2]])
+    w = whiten(m)
+    g = w.T @ w
+    np.testing.assert_allclose(g, g.T, atol=1e-14)
+    np.testing.assert_allclose(g @ g, g, atol=1e-14)
+    np.testing.assert_allclose(np.trace(g), 2.0, atol=1e-12)  # rank 2: the 1e-12 direction is cut
+    np.testing.assert_allclose(q[:, :2] @ (q[:, :2].T @ w), w, atol=1e-14)
+    np.testing.assert_allclose(w[:, 3], 0.0, atol=1e-14)
+    assert not whiten(np.zeros((4, 2))).any()
+
+
 def test_whiten_rejects_wide_input():
     with pytest.raises(ValidationError):
         whiten(np.ones((2, 3)))

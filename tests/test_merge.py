@@ -223,6 +223,106 @@ def test_merge_norm_bounded_by_smoothed_sum():
         assert np.linalg.norm(merged) <= bound + 1e-8
 
 
+# properties of dc_merge, on up to three tasks of at most 24 x 24
+
+
+KINDS = ("gaussian", "low-rank", "zero", "duplicate", "multiple")
+
+
+@st.composite
+def task_sets(draw):
+    """(deltas, r): 1 to 3 task deltas of one shape and a rank that leaves room for 3 tasks.
+
+    The first delta is a Gaussian; each later one is a Gaussian, a
+    low-rank product, a zero matrix, an exact duplicate or a positive
+    multiple of an earlier task. Gaussians and products take any scale
+    from 1e-60 to 1e60, so one task can be dead next to another.
+    """
+    m, n = draw(st.integers(3, 24)), draw(st.integers(3, 24))
+    r = draw(st.integers(1, min(m, n) // 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    deltas = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(KINDS)) if deltas else "gaussian"
+        if kind == "gaussian":
+            d = rng.standard_normal((m, n)) * 10.0 ** draw(st.integers(-60, 60))
+        elif kind == "low-rank":
+            p = draw(st.integers(1, min(m, n) - 1))
+            d = rng.standard_normal((m, p)) @ rng.standard_normal((p, n))
+            d *= 10.0 ** draw(st.integers(-60, 60))
+        elif kind == "zero":
+            d = np.zeros((m, n))
+        else:
+            d = deltas[draw(st.integers(0, len(deltas) - 1))].copy()
+            if kind == "multiple":
+                d *= draw(st.floats(0.1, 10.0))
+        deltas.append(d)
+    return deltas, r
+
+
+def merge_deltas(deltas, r):
+    return dc_merge([TaskVector(name=f"t{i}", delta=d) for i, d in enumerate(deltas)],
+                    MergeConfig(rank=r))
+
+
+def relative_gap(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@settings(max_examples=40)
+@given(task_sets())
+def test_a_single_task_merges_to_its_rank_r_part(case):
+    deltas, r = case
+    part = reconstruct(decompose(TaskVector(name="t", delta=deltas[0]), r))
+    assert relative_gap(merge_deltas(deltas[:1], r), part) <= 1e-10
+
+
+@settings(max_examples=40)
+@given(task_sets(), st.data())
+def test_a_zero_task_changes_nothing(case, data):
+    deltas, r = case
+    deltas = deltas[:2]
+    at = data.draw(st.integers(0, len(deltas)))
+    with_zero = deltas[:at] + [np.zeros_like(deltas[0])] + deltas[at:]
+    want = merge_deltas(deltas, r)
+    assert relative_gap(merge_deltas(with_zero, r), want) <= 1e-10
+
+
+@settings(max_examples=40)
+@given(task_sets(), st.permutations(range(3)))
+def test_task_order_does_not_matter(case, order):
+    deltas, r = case
+    shuffled = [deltas[i] for i in order if i < len(deltas)]
+    want = merge_deltas(deltas, r)
+    assert relative_gap(merge_deltas(shuffled, r), want) <= 1e-10
+
+
+@settings(max_examples=40)
+@given(task_sets(), st.floats(1e-3, 1e3))
+def test_scaling_every_task_scales_the_merge(case, c):
+    deltas, r = case
+    want = c * merge_deltas(deltas, r)
+    assert relative_gap(merge_deltas([c * d for d in deltas], r), want) <= 1e-10
+
+
+@settings(max_examples=60)
+@given(task_sets())
+def test_finite_tasks_merge_to_a_finite_delta(case):
+    deltas, r = case
+    assert np.isfinite(merge_deltas(deltas, r)).all()
+
+
+@settings(max_examples=40)
+@given(task_sets(), st.booleans())
+def test_an_exact_duplicate_is_stable_under_a_tiny_rescale(case, first):
+    deltas, r = case
+    deltas = deltas[:2]
+    twin = deltas[0] if first else deltas[-1]
+    want = merge_deltas(deltas + [twin], r)
+    got = merge_deltas(deltas + [twin * (1 + 1e-15)], r)
+    assert relative_gap(got, want) <= 1e-12
+
+
 def test_merge_rank_clip_warns():
     rng = np.random.default_rng(9)
     tasks = make_tasks(rng, 6, 6, 4)

@@ -3,7 +3,7 @@ import pytest
 
 from dcmerge.cover import CoverBasis, build_cover_basis
 from dcmerge.errors import NumericalError, ValidationError
-from dcmerge.linalg import matrix_exp_skew, truncated_svd
+from dcmerge.linalg import _skew_eigh, matrix_exp_skew, truncated_svd
 from dcmerge.metrics import _alignment, alignment_score
 from dcmerge.optimizer import (
     OptimizerConfig,
@@ -32,8 +32,6 @@ def test_config_validation():
         OptimizerConfig(max_iters=0)
     with pytest.raises(ValidationError):
         OptimizerConfig(log_every=0)
-    with pytest.raises(ValidationError):
-        OptimizerConfig(dim_limit=0)
 
 
 def test_trace_records_log_every_and_final_point():
@@ -78,10 +76,10 @@ def test_analytic_gradient_matches_finite_difference():
     G = Wu.T @ U_cat
     H = Wv.T @ V_cat
     fd = central_difference(A, init.U_tilde, H, U_cat)
-    exact = _analytic_side_gradient(A, init.U_tilde, G, H, U_cat)
+    exact = _analytic_side_gradient(A, init.U_tilde, G, H, U_cat, _skew_eigh(A))
     np.testing.assert_allclose(exact, fd, rtol=1e-5, atol=1e-10)
     fd_b = central_difference(B, init.V_tilde, G, V_cat)
-    exact_b = _analytic_side_gradient(B, init.V_tilde, H, G, V_cat)
+    exact_b = _analytic_side_gradient(B, init.V_tilde, H, G, V_cat, _skew_eigh(B))
     np.testing.assert_allclose(exact_b, fd_b, rtol=1e-5, atol=1e-10)
 
 
@@ -141,11 +139,11 @@ def test_dimension_limit_enforced():
     rng = np.random.default_rng(6)
     decomps = [random_decomp(rng, 65, 8, 2)]
     init = ta_init(decomps, 2)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="ambient dimension 65 exceeds"):
         optimize_cover_basis(decomps, init, OptimizerConfig())
-    # explicit override admits the same instance
-    cfg = OptimizerConfig(max_iters=1, dim_limit=65)
-    optimize_cover_basis(decomps, init, cfg)
+    # a side of exactly 64 is admitted
+    decomps = [random_decomp(rng, 64, 8, 2)]
+    optimize_cover_basis(decomps, ta_init(decomps, 2), OptimizerConfig(max_iters=1))
 
 
 def test_too_large_step_is_numerical_error():

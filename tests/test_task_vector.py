@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 import dcmerge.task_vector
-from dcmerge.cover import CoverBasis, build_cover_basis, project
+from dcmerge.cover import CoverBasis, build_cover_basis, project, stack_coordinates
 from dcmerge.errors import NumericalError, ValidationError
 from dcmerge.linalg import SvdTriplet, truncated_svd
-from dcmerge.metrics import alignment_score, dir_sim, r_matrix
+from dcmerge.metrics import _alignment, alignment_score, dir_sim, r_matrix
 from dcmerge.optimizer import optimize_cover_basis
 from dcmerge.perturb import direction_perturb
 from dcmerge.task_vector import (
@@ -528,6 +528,24 @@ def test_stack_bases_concatenates_in_input_order():
     Ucat, Vcat = stack_bases(iter(kds))
     np.testing.assert_array_equal(Ucat, np.hstack([kds[0].U, kds[1].U]))
     np.testing.assert_array_equal(Vcat, np.hstack([kds[0].V, kds[1].V]))
+
+
+def test_stack_bases_zeroes_dead_triplets_and_scores_agree():
+    # rank 3 of a rank-1 delta leaves two rounding-level triplets; a zero task is all dead
+    rng = np.random.default_rng(6)
+    low = decompose(TaskVector(name="a", delta=np.outer(rng.standard_normal(8), np.ones(6))), 3)
+    zero = decompose(TaskVector(name="z", delta=np.zeros((8, 6))), 2)
+    live = random_kd(7, 8, 6, 1)
+    decomps = [low, zero, live]
+    Ucat, Vcat = stack_bases(decomps)
+    kept = np.array([True, False, False, False, False, True])
+    for cat, kds in ((Ucat, [kd.U for kd in decomps]), (Vcat, [kd.V for kd in decomps])):
+        np.testing.assert_array_equal(cat[:, kept], np.hstack(kds)[:, kept])
+        assert not cat[:, ~kept].any()
+    # the report's score from Gram roots and the score of the whitened pair count the same columns
+    basis = build_cover_basis(decomps)
+    assert _alignment(*stack_coordinates(decomps)) == pytest.approx(
+        alignment_score(basis.U_tilde, basis.V_tilde, decomps), rel=1e-12)
 
 
 def _check_project(t):
