@@ -2,11 +2,11 @@
 
 The cover basis is the pair of partial isometries (orthonormal columns, or
 zero ones where ``whiten`` cuts a direction) obtained by whitening the
-column-concatenated per-task singular bases. Task deltas are expressed
-as k x k coordinate matrices against it, merged coordinate-wise, filtered
-by a block-diagonal structural mask, and mapped back to weight space. The
-tasks' own coordinates U~^T [U_1..U_T] are the square root of the stack's
-k x k Gram matrix (``stack_coordinates``), so they need no basis.
+column-concatenated per-task singular bases. ``project`` gives the stack's
+coordinates in it, from which the tasks' k x k coordinate matrices follow;
+these are merged, filtered by a block-diagonal structural mask, and mapped
+back to weight space. For the whitened pair the coordinates are the square
+roots of the stack's Gram matrices (``stack_coordinates``), found without it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import _ORTHO_TOL, SvdTriplet, _frozen, as_matrix, whiten
+from .linalg import _ORTHO_TOL, _frozen, as_matrix, whiten
 from .task_vector import stack_bases
 
 # the Gram square root needs lambda_min > this * lambda_max: its rounding grows as
@@ -120,25 +120,16 @@ def stack_coordinates(decomps) -> tuple[np.ndarray, np.ndarray]:
     return tuple(map(_gram_root, _stacks(decomps)))
 
 
-def project(delta, basis: CoverBasis) -> np.ndarray:
-    """Coordinates of a delta in the cover space: U~^T delta V~ (k x k).
+def project(decomps, basis: CoverBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The stack's coordinates (G, H) = (U~^T [U_1..U_T], V~^T [V_1..V_T]) in ``basis``.
 
-    ``delta`` is a dense matrix or an SvdTriplet; the latter is
-    projected from its singular factors as (U~^T U) diag(sigma) (V^T V~),
-    without forming the dense product.
+    Task i's coordinates U~^T U_i diag(sigma_i) V_i^T V~ are (G_i * sigma_i) H_i^T
+    on its columns, so the tasks sum to (G * sigma) H^T for the concatenated sigma.
     """
-    if isinstance(delta, SvdTriplet):
-        shape = delta.source_shape
-    else:
-        delta = as_matrix(delta, "delta")
-        shape = delta.shape
-    if shape != basis.shape:
-        raise ValidationError(
-            f"delta shape {shape} does not match basis ambient {basis.shape}"
-        )
-    if isinstance(delta, SvdTriplet):
-        return ((basis.U_tilde.T @ delta.U) * delta.sigma) @ (delta.V.T @ basis.V_tilde)
-    return basis.U_tilde.T @ delta @ basis.V_tilde
+    Ucat, Vcat = stack_bases(decomps)
+    if (len(Ucat), len(Vcat)) != basis.shape:
+        raise ValidationError(f"tasks of shape {(len(Ucat), len(Vcat))} vs basis {basis.shape}")
+    return basis.U_tilde.T @ Ucat, basis.V_tilde.T @ Vcat
 
 
 def back_project(M_merged, block: int, basis: CoverBasis) -> np.ndarray:

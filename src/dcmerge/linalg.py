@@ -36,6 +36,8 @@ _WHITEN_CUT = 1e-8  # whiten drops the directions at or below this share of S[0]
 # spectra.
 _SVD_GRAM_GAP = 1e-4
 
+_SCALE_EXP = 128  # within 2^(+-128) of 1, squares and their sums stay finite and normal
+
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a finite float64 C-contiguous 2-D array.
@@ -66,6 +68,18 @@ def _checked_matrix(arr: np.ndarray, name: str) -> np.ndarray:
 def _all_finite(arr: np.ndarray) -> bool:
     """Whether no entry is NaN or Inf, from the extremes: no array-sized temporary."""
     return arr.size == 0 or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
+
+
+def _abs_max(arr: np.ndarray) -> float:
+    """max|arr| (0 for an empty array), without an array-sized temporary."""
+    return max(-float(arr.min()), float(arr.max())) if arr.size else 0.0
+
+
+def _unit_scaled(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """(arr * 2^-e, e), exact: 2^e puts max|arr| in [0.5, 1) where it lies outside
+    2^(+-_SCALE_EXP), and elsewhere e = 0 and ``arr`` comes back uncopied."""
+    e = int(np.frexp(_abs_max(arr))[1])
+    return (np.ldexp(arr, -e), e) if abs(e) > _SCALE_EXP else (arr, 0)
 
 
 def _frozen(a, label: str, keep=()) -> np.ndarray:
@@ -173,14 +187,15 @@ def _gram_svd(M: np.ndarray, r: int):
     With A the taller of M and M^T, the r leading eigenvectors Q of A^T A
     are taken in stable descending order, so tied eigenvalues keep eigh's
     column order; the thin SVD of A Q (Rayleigh-Ritz) gives A's left factor
-    and spectrum and rotates Q into its right factor. None when r leaves no
-    column of A out (the small SVD would be as large as the dense one), the
-    guard fails, or a LAPACK routine does not converge.
+    and spectrum and rotates Q into its right factor, all on ``_unit_scaled(A)``
+    so that no input scale over- or underflows the Gram. None when r leaves
+    no column of A out (the small SVD would be as large as the dense one),
+    the guard fails, or a LAPACK routine does not converge.
     """
     m, n = M.shape
-    A = M if m >= n else M.T
-    if r >= A.shape[1]:
+    if r >= min(m, n):
         return None
+    A, e = _unit_scaled(M if m >= n else M.T)
     try:
         w, Q = np.linalg.eigh(A.T @ A)
         order = np.argsort(-w, kind="stable")
@@ -191,7 +206,7 @@ def _gram_svd(M: np.ndarray, r: int):
         L, s, Wt = np.linalg.svd(A @ Q, full_matrices=False)
     except np.linalg.LinAlgError:
         return None
-    R = Q @ Wt.T
+    R, s = Q @ Wt.T, np.ldexp(s, e)
     return (L, s, R) if m >= n else (R, s, L)
 
 

@@ -6,10 +6,9 @@ The pipeline for one weight matrix:
    spectrum;
 2. stack the smoothed singular directions from all tasks and whiten each
    side, giving one orthonormal cover basis of width k = sum of ranks;
-3. project every smoothed decomposition into the k x k coordinate space
-   of that basis, without rebuilding the dense task vector;
-4. aggregate the coordinate matrices (plain sum, or trim-elect-disjoint
-   mean);
+3. project the stack into it once, G = U~^T [U_1..U_T], H = V~^T [V_1..V_T];
+4. aggregate the k x k coordinates: the plain sum (G diag(sigma)) H^T, or
+   the trim-elect-disjoint mean of each task's block (G_i diag(sigma_i)) H_i^T;
 5. zero all coordinates outside the block diagonal and map back to the
    ambient shape.
 
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import PairedMatrix, TensorContainer
-from .cover import back_project, build_cover_basis, project
+from .cover import back_project, build_cover_basis, make_mask, project
 from .errors import NumericalError, ValidationError
 from .linalg import _all_finite
 from .task_vector import (
@@ -222,12 +221,12 @@ def dc_merge(tasks: list[TaskVector], cfg: MergeConfig | None = None) -> np.ndar
     r = resolve_rank(tasks, cfg)
     smoothed = [smooth_energy(decompose(tv, r), cfg.resolved_smoothing()) for tv in tasks]
     basis = build_cover_basis(smoothed)
-    coords = [project(kd, basis) for kd in smoothed]
-
+    G, H = project(smoothed, basis)
+    G = G * np.concatenate([kd.sigma for kd in smoothed])
     if cfg.merger == "ta":
-        merged = merge_ta(coords)
-    else:
-        merged = merge_ties(coords, cfg.ties_keep)
+        merged = G @ H.T
+    else:  # the stack holds the tasks in input order, r columns each
+        merged = merge_ties([G[:, b] @ H[:, b].T for b in make_mask(basis.k, r)], cfg.ties_keep)
 
     block = cfg.mask_block if cfg.mask_block is not None else r
     return back_project(merged, min(block, basis.k), basis)

@@ -8,9 +8,8 @@ spectrum-free directional similarity is R's uniform-weight aggregate.
 
 Between a task (U, s, V) and the rank-r decomposition of the projection
 U U^T M, sum(R) comes from a polar factor: with C = U^T M = U_c diag(s_c)
-V_c^T it is sum(V * (V_c U_c^T)), and V_c U_c^T = ``whiten(C^T)``. Like
-``whiten``'s input, a rank-deficient C has no unique polar factor; the
-value is then reproducible but arbitrary.
+V_c^T it is sum(V * (V_c U_c^T)), and V_c U_c^T = ``whiten(C^T)``, which
+``whiten``'s cut defines for a rank-deficient C too.
 """
 
 from __future__ import annotations
@@ -19,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cover import CoverBasis
+from .cover import CoverBasis, project
 from .errors import NumericalError, ValidationError
-from .linalg import SvdTriplet, _frozen, as_matrix, whiten
-from .task_vector import stack_bases
+from .linalg import SvdTriplet, _frozen, _unit_scaled, as_matrix, whiten
 
 __all__ = [
     "RMatrix",
@@ -56,8 +54,8 @@ class RMatrix:
 
 def cos_sim(A, B) -> float:
     """Frobenius cosine between two equal-shaped matrices."""
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
+    A, _ = _unit_scaled(as_matrix(A, "A"))  # exact, and safe from over- and underflow
+    B, _ = _unit_scaled(as_matrix(B, "B"))
     if A.shape != B.shape:
         raise ValidationError(f"shape mismatch: {A.shape} vs {B.shape}")
     # numpy's pairwise sums rather than BLAS dot, whose threads split the
@@ -99,9 +97,9 @@ def projected_dir_sim(kdTask: SvdTriplet, merged) -> float:
     ------
     NumericalError
         If the task's spectrum is all zero, so that its directions are
-        arbitrary. Also if the projection is numerically zero: the task's
-        directions are then absent from the merge, which is different from
-        directions that cancel to similarity zero.
+        arbitrary. Also if the projection's norm is at most 1e-12 of the
+        merge's: the task's directions are then absent from the merge, which
+        differs from directions that cancel to similarity zero.
     """
     merged = as_matrix(merged, "merged")
     if merged.shape != kdTask.source_shape:
@@ -111,9 +109,10 @@ def projected_dir_sim(kdTask: SvdTriplet, merged) -> float:
         )
     if not np.any(kdTask.sigma):
         raise NumericalError("task decomposition is zero; its directions are undefined")
+    merged, _ = _unit_scaled(merged)  # the value is scale-invariant; no norm overflows
     C = kdTask.U.T @ merged
     # ||C|| equals the projection's norm because U has orthonormal columns
-    if np.linalg.norm(C) <= 1e-12 * max(1.0, np.linalg.norm(merged)):
+    if np.linalg.norm(C) <= 1e-12 * np.linalg.norm(merged):
         raise NumericalError(
             "merged vector has no component in the task's singular subspace"
         )
@@ -134,11 +133,7 @@ def alignment_score(U_tilde, V_tilde, decomps) -> float:
     pass the ``CoverBasis`` checks. For the whitened pair the two factors
     are ``cover.stack_coordinates(decomps)``, found without the pair.
     """
-    basis = CoverBasis(U_tilde, V_tilde)
-    Ucat, Vcat = stack_bases(decomps)
-    if basis.shape != (Ucat.shape[0], Vcat.shape[0]):
-        raise ValidationError("basis ambient dimensions do not match tasks")
-    return _alignment(basis.U_tilde.T @ Ucat, basis.V_tilde.T @ Vcat)
+    return _alignment(*project(decomps, CoverBasis(U_tilde, V_tilde)))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ def energy_perturb(
     p: float,
     fallback_seed: int | None = None,
 ) -> np.ndarray:
-    """Rotate the spectrum toward the flat one while preserving its norm.
+    """Rotate a spectrum (finite, non-negative) toward the flat one, keeping its norm.
 
     The result is ||sigma|| * (p * s + sqrt(1 - p^2) * s_perp) where s is
     the unit spectrum and s_perp is the unit component of the flat
@@ -42,8 +42,8 @@ def energy_perturb(
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.ndim != 1 or sigma.size == 0:
         raise ValidationError("sigma must be a non-empty 1-D array")
-    if not _all_finite(sigma):
-        raise ValidationError("sigma must be finite")
+    if not (_all_finite(sigma) and sigma.min() >= 0):
+        raise ValidationError("sigma must be finite and non-negative")
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p must be in [0, 1], got {p}")
     norm = np.linalg.norm(sigma)

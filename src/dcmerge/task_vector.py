@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import SvdTriplet, _all_finite, _frozen, as_matrix, truncated_svd
+from .linalg import SvdTriplet, _abs_max, _all_finite, _frozen, as_matrix, truncated_svd
 
 __all__ = [
     "TaskVector",
@@ -117,11 +117,6 @@ class TaskVector:
 # 1 + eps of that. So a bound at or below half the largest float64 rules
 # out an overflow
 _DELTA_BOUND = np.finfo(np.float64).max / 2
-
-
-def _abs_max(arr: np.ndarray) -> float:
-    """max|arr| (0 for an empty array), without an array-sized temporary."""
-    return max(-float(arr.min()), float(arr.max())) if arr.size else 0.0
 
 
 _KINDS = ("truncate_only", "averaging", "linear", "interpolate")

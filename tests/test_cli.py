@@ -865,6 +865,49 @@ def test_report_on_a_duplicated_task_writes_finite_alignment_scores(tmp_path):
     assert len(align) == 7 and np.isfinite(align).all()  # six matrices and the ALL row
 
 
+def write_scaled_set(folder, scale):
+    """An F64 zero base and three F64 24 x 20 tasks, each a standard Gaussian times ``scale``."""
+    folder.mkdir()
+    rng = np.random.default_rng(11)
+    write_container(TensorContainer({"w": np.zeros((24, 20))}), folder / "base.dcm")
+    tasks = [folder / f"task{i}.dcm" for i in range(3)]
+    for path in tasks:
+        write_container(TensorContainer({"w": scale * rng.standard_normal((24, 20))}), path)
+    return folder / "base.dcm", tasks
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_merge_of_tasks_at_1e_minus_162_is_the_rescaled_unit_merge(tmp_path):
+    # an unscaled Gram goes subnormal here, which moves the merge 0.6 relative
+    merged = {}
+    for scale in (1.0, 1e-162):
+        base, tasks = write_scaled_set(tmp_path / f"{scale:g}", scale)
+        out = base.parent / "merged.dcm"
+        assert main(merge_args(base, tasks, out, "--rank", "4")) == 0
+        merged[scale] = read_container(out).tensors["w"] / scale
+    gap = np.linalg.norm(merged[1e-162] - merged[1.0]) / np.linalg.norm(merged[1.0])
+    assert gap <= 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-14, 1e200])
+def test_report_is_scale_invariant(tmp_path, scale):
+    rows = {}
+    for s in (1.0, scale):
+        base, tasks = write_scaled_set(tmp_path / f"{s:g}", s)
+        merged, report = base.parent / "merged.dcm", base.parent / "report.csv"
+        assert main(merge_args(base, tasks, merged)) == 0
+        assert main(report_args(base, merged, tasks, report)) == 0
+        with open(report, newline="") as fh:
+            rows[s] = [(t, Path(task).name, m, float(v)) for t, task, m, v in list(csv.reader(fh))[1:]]
+    assert len(rows[scale]) == len(rows[1.0])
+    for (*key, unit), (*got_key, got) in zip(rows[1.0], rows[scale]):
+        assert got_key == key
+        if key[2].startswith("block_mean_abs"):  # coordinates scale with the tasks
+            got /= scale
+        assert got == pytest.approx(unit, rel=1e-12, abs=1e-12), key
+
+
 def test_optimize_basis_rank_above_min_dim_exits_2(tmp_path, capsys):
     base_path, task_paths = write_fft_fixture(tmp_path, seed=13)
     rc = main(

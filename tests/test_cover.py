@@ -18,7 +18,7 @@ from dcmerge.cover import (
 )
 from dcmerge.container import extract_task_vectors, read_container
 from dcmerge.errors import ValidationError
-from dcmerge.linalg import whiten
+from dcmerge.linalg import SvdTriplet, whiten
 from dcmerge.merge import MergeConfig, resolve_rank
 from dcmerge.metrics import alignment_score
 from dcmerge.task_vector import TaskVector, decompose, reconstruct, stack_bases
@@ -198,37 +198,49 @@ def test_stack_coordinates_are_symmetric_and_agree_with_whitening(t, r, extra, d
 
 
 def test_project_of_basis_outer_product_is_identity():
+    # tasks on disjoint axes are their own cover basis, so each side's coordinates are I
+    eye = np.eye(8)
+    kds = [SvdTriplet(eye[:, 2 * i:2 * i + 2], [2.0, 1.0], eye[:7, 2 * i:2 * i + 2])
+           for i in range(2)]
+    for coords in project(kds, build_cover_basis(kds)):
+        np.testing.assert_allclose(coords, np.eye(4), rtol=0, atol=1e-10)
+    # for any tasks the kernel's coordinates are stack_coordinates' Gram roots
     rng = np.random.default_rng(4)
     kds = [random_decomp(rng, 8, 7, 2) for _ in range(2)]
-    basis = build_cover_basis(kds)
-    delta = basis.U_tilde @ basis.V_tilde.T
-    np.testing.assert_allclose(project(delta, basis), np.eye(4), atol=1e-10)
+    for got, want in zip(project(kds, build_cover_basis(kds)), stack_coordinates(kds)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
 def test_project_zero():
     rng = np.random.default_rng(5)
-    basis = build_cover_basis([random_decomp(rng, 6, 6, 2)])
-    np.testing.assert_array_equal(project(np.zeros((6, 6)), basis), np.zeros((2, 2)))
+    kds = [random_decomp(rng, 6, 6, 2), decompose(TaskVector(name="z", delta=np.zeros((6, 6))), 2)]
+    for coords in project(kds, build_cover_basis(kds)):
+        assert coords.shape == (4, 4)
+        np.testing.assert_array_equal(coords[:, 2:], np.zeros((4, 2)))
 
 
 def test_project_of_a_decomposition_matches_its_dense_product():
     rng = np.random.default_rng(8)
     kds = [random_decomp(rng, 9, 7, 2) for _ in range(3)]
     basis = build_cover_basis(kds)
-    for kd in kds + [random_decomp(rng, 9, 7, 3)]:
-        dense = project(reconstruct(kd), basis)
-        np.testing.assert_allclose(project(kd, basis), dense, rtol=0, atol=1e-12)
+    G, H = project(kds, basis)
+    blocks = [(kd, G[:, b], H[:, b]) for kd, b in zip(kds, make_mask(basis.k, 2))]
+    outside = random_decomp(rng, 9, 7, 3)
+    blocks.append((outside, *project([outside], basis)))
+    for kd, G_i, H_i in blocks:
+        dense = basis.U_tilde.T @ reconstruct(kd) @ basis.V_tilde
+        np.testing.assert_allclose((G_i * kd.sigma) @ H_i.T, dense, rtol=0, atol=1e-12)
     with pytest.raises(ValidationError):
-        project(random_decomp(rng, 7, 9, 2), basis)
+        project([random_decomp(rng, 7, 9, 2)], basis)
 
 
 def test_contained_round_trip_and_isometry():
     rng = np.random.default_rng(6)
     kds = [random_decomp(rng, 9, 8, 2) for _ in range(2)]
     basis = build_cover_basis(kds)
-    coeff = rng.standard_normal((4, 4))
-    delta = basis.U_tilde @ coeff @ basis.V_tilde.T
-    coords = project(delta, basis)
+    G, H = project(kds, basis)
+    coords = (G * np.concatenate([kd.sigma for kd in kds])) @ H.T
+    delta = sum(reconstruct(kd) for kd in kds)
     np.testing.assert_allclose(basis.U_tilde @ coords @ basis.V_tilde.T, delta, atol=1e-8)
     np.testing.assert_allclose(
         np.linalg.norm(coords), np.linalg.norm(delta), atol=1e-8

@@ -101,6 +101,24 @@ def test_truncated_svd_is_pure():
     assert np.array_equal(a.V, b.V)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-300, 1e-162, 1e-14, 1e78, 1e200, 1e300])
+def test_truncated_svd_is_scale_equivariant_over_the_float64_range(scale):
+    # an unscaled Gram goes subnormal near 1e-162 and overflows past 1e154
+    rng = np.random.default_rng(15)
+    M = rng.standard_normal((24, 20))
+    want = truncated_svd(M, 4)
+    # a power of two moves no bit of the input, so none of the result
+    e = int(np.frexp(scale)[1])
+    got = truncated_svd(np.ldexp(M, e), 4)
+    assert np.array_equal(got.U, want.U) and np.array_equal(got.V, want.V)
+    assert np.array_equal(np.ldexp(got.sigma, -e), want.sigma)
+    got = truncated_svd(scale * M, 4)
+    np.testing.assert_allclose(got.sigma / scale, want.sigma, rtol=1e-14)
+    for side in ("U", "V"):
+        np.testing.assert_allclose(getattr(got, side), getattr(want, side), rtol=0, atol=1e-12)
+
+
 @settings(max_examples=80)
 @given(
     shape=st.sampled_from(["tall", "wide", "square"]),

@@ -236,7 +236,7 @@ def task_sets(draw):
     The first delta is a Gaussian; each later one is a Gaussian, a
     low-rank product, a zero matrix, an exact duplicate or a positive
     multiple of an earlier task. Gaussians and products take any scale
-    from 1e-60 to 1e60, so one task can be dead next to another.
+    from 1e-300 to 1e300, so one task can be dead next to another.
     """
     m, n = draw(st.integers(3, 24)), draw(st.integers(3, 24))
     r = draw(st.integers(1, min(m, n) // 3))
@@ -245,11 +245,11 @@ def task_sets(draw):
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(KINDS)) if deltas else "gaussian"
         if kind == "gaussian":
-            d = rng.standard_normal((m, n)) * 10.0 ** draw(st.integers(-60, 60))
+            d = rng.standard_normal((m, n)) * 10.0 ** draw(st.integers(-300, 300))
         elif kind == "low-rank":
             p = draw(st.integers(1, min(m, n) - 1))
             d = rng.standard_normal((m, p)) @ rng.standard_normal((p, n))
-            d *= 10.0 ** draw(st.integers(-60, 60))
+            d *= 10.0 ** draw(st.integers(-300, 300))
         elif kind == "zero":
             d = np.zeros((m, n))
         else:
@@ -266,7 +266,9 @@ def merge_deltas(deltas, r):
 
 
 def relative_gap(got, want):
-    return np.linalg.norm(got - want) / np.linalg.norm(want)
+    # both norms at one power-of-two scale, since the norm squares every entry
+    e = np.frexp(np.abs(want).max())[1]
+    return np.linalg.norm(np.ldexp(got - want, -e)) / np.linalg.norm(np.ldexp(want, -e))
 
 
 @settings(max_examples=40)
@@ -321,6 +323,26 @@ def test_an_exact_duplicate_is_stable_under_a_tiny_rescale(case, first):
     want = merge_deltas(deltas + [twin], r)
     got = merge_deltas(deltas + [twin * (1 + 1e-15)], r)
     assert relative_gap(got, want) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode", ["fft", "lora"])
+@pytest.mark.parametrize("merger", ["ta", "ties"])
+@pytest.mark.parametrize("scale", [1e-300, 1e-162, 1e-14, 1e100, 1e200, 1e300])
+def test_merge_is_scale_equivariant_over_the_float64_range(scale, merger, mode):
+    rng = np.random.default_rng(17)
+    # full-rank deltas take the Gram fast path, LoRA ones the factors' QR path
+    deltas = [rng.standard_normal((24, 20)) for _ in range(3)]
+    parts = [(rng.standard_normal((24, 4)), rng.standard_normal((4, 20))) for _ in range(3)]
+
+    def tasks(c):
+        if mode == "lora":
+            return [TaskVector(name=f"t{i}", factors=(c * B, A), lora_rank=4)
+                    for i, (B, A) in enumerate(parts)]
+        return [TaskVector(name=f"t{i}", delta=c * d) for i, d in enumerate(deltas)]
+
+    cfg = MergeConfig(mode=mode, rank=4, merger=merger)
+    assert relative_gap(dc_merge(tasks(scale), cfg) / scale, dc_merge(tasks(1.0), cfg)) <= 1e-12
 
 
 def test_merge_rank_clip_warns():

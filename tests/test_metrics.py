@@ -190,6 +190,24 @@ def test_projected_dir_sim_of_a_zero_task_errors():
         projected_dir_sim(kd, np.eye(4))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-14, 1e200, 1e300])
+def test_cos_sim_and_projected_dir_sim_are_scale_invariant(scale):
+    rng = np.random.default_rng(16)
+    A, B = rng.standard_normal((2, 24, 20))
+    kd = truncated_svd(A, 4)
+    e = int(np.frexp(scale)[1])
+    # a power of two moves no bit of either operand, so none of the cosine
+    assert cos_sim(np.ldexp(A, e), np.ldexp(B, -e)) == cos_sim(A, B)
+    assert cos_sim(scale * A, scale * B) == pytest.approx(cos_sim(A, B), rel=0, abs=1e-12)
+    got = projected_dir_sim(truncated_svd(scale * A, 4), scale * B)
+    assert got == pytest.approx(projected_dir_sim(kd, B), rel=0, abs=1e-12)
+    # the zero test is relative to the merge: an orthogonal one is absent at any scale
+    task = decompose(TaskVector(name="a", delta=np.diag([2.0, 1.0, 0.0, 0.0])), 2)
+    with pytest.raises(NumericalError):
+        projected_dir_sim(task, scale * np.diag([0.0, 0.0, 0.0, 5.0]))
+
+
 def test_projected_dir_sim_annihilates_foreign_component():
     rng = np.random.default_rng(8)
     kd = random_decomp(rng, 10, 8, 3)

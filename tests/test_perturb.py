@@ -81,6 +81,15 @@ def test_energy_fallback_is_deterministic():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("fallback_seed", [None, 3])
+def test_energy_rejects_a_negative_entry(p, fallback_seed):
+    # [1, -1] has a zero flat reference, which would pass for a flat spectrum
+    for sigma in ([1.0, -1.0], [3.0, 2.0, -0.5]):
+        with pytest.raises(ValidationError, match="non-negative"):
+            energy_perturb(np.array(sigma), p, fallback_seed=fallback_seed)
+
+
 def test_energy_validation():
     with pytest.raises(ValidationError):
         energy_perturb(np.ones((2, 2)), 0.5)

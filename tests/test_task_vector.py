@@ -550,8 +550,9 @@ def test_stack_bases_zeroes_dead_triplets_and_scores_agree():
 
 def _check_project(t):
     basis = build_cover_basis([t, random_kd(5, 8, 6, 2)])
+    G, H = project([t], basis)
     np.testing.assert_allclose(
-        project(t, basis), project(reconstruct(t), basis), rtol=0, atol=1e-12
+        (G * t.sigma) @ H.T, basis.U_tilde.T @ reconstruct(t) @ basis.V_tilde, rtol=0, atol=1e-12
     )
 
 
