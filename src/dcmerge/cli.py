@@ -60,7 +60,7 @@ from .merge import (
     merge_ta,
     resolve_rank,
 )
-from .task_vector import SmoothingStrategy, decompose
+from .task_vector import SmoothingStrategy, decompose, from_lora_factors
 
 __all__ = ["main", "run"]
 
@@ -470,21 +470,25 @@ def _cmd_optimize_basis(args) -> int:
     import csv
 
     from .metrics import _alignment
-    from .optimizer import OptimizerConfig, _check_dims, optimize_cover_basis
+    from .optimizer import OptimizerConfig, optimize_cover_basis
 
     cfg = OptimizerConfig(learning_rate=args.eta, max_iters=args.iters, log_every=args.log_every)
     with contextlib.ExitStack() as files:
         base = files.enter_context(ContainerReader(args.base))
         plan = _Plan(files, base, args.task, rank=args.rank, tensor=args.tensor)
-        _check_dims(*base.specs[args.tensor].shape)
-        tvs = plan.task_vectors(args.tensor, base.read(args.tensor))
+        lora = plan.pairings[0].matrices[args.tensor].lora_rank is not None
+        tvs = plan.task_vectors(args.tensor, None if lora else base.read(args.tensor))
     r = plan.ranks[args.tensor]
     decomps = [decompose(tv, r) for tv in tvs]
     Gu, Gv = stack_coordinates(decomps)
 
-    # naive initialization: truncated SVD of the plain task-arithmetic sum,
-    # which holds one LoRA product at a time
-    init_svd = truncated_svd(merge_ta(tv.delta for tv in tvs), Gu.shape[0])
+    # naive initialization: truncated SVD of the plain task-arithmetic sum; the
+    # LoRA sum is the one product [B_1..B_T] [A_1; ..; A_T], decomposed from its factors
+    if lora:
+        Bs, As = zip(*(tv.factors for tv in tvs))
+        init_svd = decompose(from_lora_factors(np.hstack(Bs), np.vstack(As)), Gu.shape[0])
+    else:
+        init_svd = truncated_svd(merge_ta(tv.delta for tv in tvs), Gu.shape[0])
     init = CoverBasis(U_tilde=init_svd.U, V_tilde=init_svd.V)
     _, trace = optimize_cover_basis(decomps, init, cfg)
     with open(args.out, "w", newline="") as fh:

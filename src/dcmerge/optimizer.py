@@ -7,13 +7,14 @@ matrices applied to a fixed starting pair:
 
 so every iterate is exactly orthonormal and the ascent is unconstrained
 in A and B. Each step rebuilds the exponential from the accumulated A and
-B rather than retracting incrementally. The gradient is exact: each
-iteration takes one unitary eigendecomposition per side, of i (A - A^T)
-(m x m) and of i (B - B^T) (n x n), and that one decomposition gives both
-the exponential and the adjoint of its derivative, so O(m^3 + n^3). This is
-a validation tool for the whitening construction, not a production path, so
-it is limited to ambient sides of at most 64, where dense exponentials are
-cheap.
+B rather than retracting incrementally. The gradient in A is supported on
+span(U0) + span([U_1..U_T]), so no iterate leaves it: the ascent runs on
+coordinates in Q_U, the reduced QR factor of [U0, U_1..U_T] (Q_V likewise),
+and gives the ambient iterates in exact arithmetic. For a width-k start and
+a k-column stack, A is p x p with p = min(m, 2k), and B likewise. The
+gradient is exact: each iteration takes one unitary eigendecomposition per
+side, of i (A - A^T) and of i (B - B^T), and that one decomposition gives
+both the exponential and the adjoint of its derivative, so O(p^3) per side.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ from .metrics import _alignment
 from .task_vector import stack_bases
 
 __all__ = ["OptimizerConfig", "OptimizationTrace", "optimize_cover_basis"]
-
-_DIM_LIMIT = 64  # largest ambient side of the dense per-side exponentials
 
 
 @dataclass(frozen=True)
@@ -73,12 +72,6 @@ class OptimizationTrace:
     @property
     def final_score(self) -> float:
         return self.points[-1][1]
-
-
-def _check_dims(m: int, n: int) -> None:
-    if max(m, n) > _DIM_LIMIT:
-        raise ValidationError(
-            f"ambient dimension {max(m, n)} exceeds the dense-exponential limit {_DIM_LIMIT}")
 
 
 def _analytic_side_gradient(A, orient, G, other_gram, cat, eig):
@@ -136,12 +129,13 @@ def optimize_cover_basis(
         raise ValidationError(
             f"init basis is for ambient shape {init.shape}, tasks are ({m}, {n})"
         )
-    _check_dims(m, n)
-
-    U0 = init.U_tilde
-    V0 = init.V_tilde
-    A = np.zeros((m, m))
-    B = np.zeros((n, n))
+    # coordinates in the span every iterate stays in
+    Q_u = np.linalg.qr(np.hstack([init.U_tilde, U_cat]))[0]
+    Q_v = np.linalg.qr(np.hstack([init.V_tilde, V_cat]))[0]
+    U0, U_cat = Q_u.T @ init.U_tilde, Q_u.T @ U_cat
+    V0, V_cat = Q_v.T @ init.V_tilde, Q_v.T @ V_cat
+    A = np.zeros((Q_u.shape[1],) * 2)
+    B = np.zeros((Q_v.shape[1],) * 2)
     eta = cfg.learning_rate
     points: list[tuple[int, float, float]] = []
     start = time.perf_counter()
@@ -160,4 +154,4 @@ def optimize_cover_basis(
     Wv, _ = _iterate(B, V0, cfg.max_iters, "V")
     final = _alignment(Wu.T @ U_cat, Wv.T @ V_cat)
     points.append((cfg.max_iters, final, time.perf_counter() - start))
-    return CoverBasis(U_tilde=Wu, V_tilde=Wv), OptimizationTrace(points=tuple(points))
+    return CoverBasis(U_tilde=Q_u @ Wu, V_tilde=Q_v @ Wv), OptimizationTrace(points=tuple(points))

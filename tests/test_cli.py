@@ -1028,26 +1028,63 @@ def test_the_module_entry_keeps_exit_codes_output_and_atexit(argv, code):
     assert frozen[0] == "frozen" and int(frozen[1]) > 0, proc.stderr
 
 
-def test_optimize_basis_above_the_dimension_limit_exits_2(tmp_path, capsys):
+def test_optimize_basis_above_64_rows_runs(tmp_path, capsys):
     base_path, task_paths = write_merge_set(
         tmp_path, seed=15, mode="fft", n_tasks=2, layers=1, d=96
     )
+    trace_path = tmp_path / "trace.csv"
     rc = main(
         ["optimize-basis", "--base", base_path, "--task", *task_paths,
          "--tensor", "layers.0.attn.q.weight", "--eta", "1e-3", "--iters", "2",
-         "--out", str(tmp_path / "trace.csv")]
+         "--out", str(trace_path)]
     )
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "ambient dimension 96 exceeds the dense-exponential limit 64" in err
-    assert not (tmp_path / "trace.csv").exists()
+    assert rc == 0, capsys.readouterr().err
+    with open(trace_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["iter", "score"]
+    assert [int(r[0]) for r in rows[1:]] == [0, 1, 2]
+
+
+def test_optimize_basis_starts_a_lora_tensor_from_its_factors(tmp_path, monkeypatch):
+    from dcmerge import cli, optimizer, task_vector
+    from dcmerge.linalg import truncated_svd
+
+    base_path, task_paths = write_merge_set(
+        tmp_path, seed=18, mode="lora", n_tasks=3, layers=1, d=64
+    )
+    tensor = "layers.0.mlp.up.weight"
+    base = read_container(base_path)
+    tvs = [extract_task_vectors(base, read_container(p), "lora").matrices[tensor]
+           for p in task_paths]
+    k = len(tvs) * tvs[0].lora_rank
+    dense = truncated_svd(sum(tv.delta for tv in tvs), k)
+
+    def no_dense_path(*args):
+        raise AssertionError("the LoRA start took a dense SVD")
+
+    starts = []
+    real_optimize = optimizer.optimize_cover_basis
+
+    def recording_optimize(decomps, init, cfg):
+        starts.append(init)
+        return real_optimize(decomps, init, cfg)
+
+    monkeypatch.setattr(cli, "truncated_svd", no_dense_path)
+    monkeypatch.setattr(task_vector, "truncated_svd", no_dense_path)
+    monkeypatch.setattr(optimizer, "optimize_cover_basis", recording_optimize)
+    assert main(["optimize-basis", "--base", base_path, "--task", *task_paths,
+                 "--tensor", tensor, "--eta", "1e-2", "--iters", "2",
+                 "--out", str(tmp_path / "trace.csv")]) == 0
+    (start,) = starts
+    signs = np.sign(np.sum(start.U_tilde * dense.U, axis=0))
+    np.testing.assert_allclose(start.U_tilde * signs, dense.U, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(start.V_tilde * signs, dense.V, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("tensor, eta, iters, message", [
     ("s.weight", "1e-3", "0", "max_iters must be a positive int, got 0"),
     ("s.weight", "0", "2", "learning_rate must be positive, got 0.0"),
-    ("w.weight", "1e-3", "2", "ambient dimension 96 exceeds the dense-exponential limit 64"),
-], ids=["iters", "eta", "dimension"])
+], ids=["iters", "eta"])
 def test_optimize_basis_checks_its_arguments_before_reading_a_tensor(
         tmp_path, capsys, tensor, eta, iters, message):
     # every tensor of task1 is NaN, so reading any tensor would be the error instead

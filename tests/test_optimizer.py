@@ -9,8 +9,9 @@ from dcmerge.optimizer import (
     OptimizerConfig,
     optimize_cover_basis,
     _analytic_side_gradient,
+    _iterate,
 )
-from dcmerge.task_vector import TaskVector, decompose
+from dcmerge.task_vector import TaskVector, decompose, from_lora_factors, stack_bases
 
 
 def random_decomp(rng, m, n, r):
@@ -135,15 +136,60 @@ def test_returned_basis_is_orthonormal_and_scored():
     )
 
 
-def test_dimension_limit_enforced():
+def test_sides_above_64_ascend_to_a_cover_basis():
     rng = np.random.default_rng(6)
-    decomps = [random_decomp(rng, 65, 8, 2)]
-    init = ta_init(decomps, 2)
-    with pytest.raises(ValidationError, match="ambient dimension 65 exceeds"):
-        optimize_cover_basis(decomps, init, OptimizerConfig())
-    # a side of exactly 64 is admitted
-    decomps = [random_decomp(rng, 64, 8, 2)]
-    optimize_cover_basis(decomps, ta_init(decomps, 2), OptimizerConfig(max_iters=1))
+    decomps = [random_decomp(rng, 96, 80, 4) for _ in range(3)]
+    cfg = OptimizerConfig(max_iters=10, learning_rate=1e-3)
+    basis, trace = optimize_cover_basis(decomps, ta_init(decomps, 12), cfg)
+    for a, b in zip(trace.scores, trace.scores[1:]):
+        assert b >= a - 1e-8
+    assert basis.shape == (96, 80) and basis.k == 12
+    CoverBasis(U_tilde=basis.U_tilde, V_tilde=basis.V_tilde)
+
+
+def ambient_ascent(decomps, init, cfg):
+    """The ascent on m x m and n x n skew parameters: the reference for the span reduction.
+
+    Returns the final basis and the score at every iteration and after the last.
+    """
+    U_cat, V_cat = stack_bases(decomps)
+    U0, V0 = init.U_tilde, init.V_tilde
+    A = np.zeros((U0.shape[0],) * 2)
+    B = np.zeros((V0.shape[0],) * 2)
+    scores = []
+    for it in range(cfg.max_iters + 1):
+        Wu, eig_a = _iterate(A, U0, it, "U")
+        Wv, eig_b = _iterate(B, V0, it, "V")
+        G, H = Wu.T @ U_cat, Wv.T @ V_cat
+        scores.append(_alignment(G, H))
+        A += cfg.learning_rate * _analytic_side_gradient(A, U0, G, H, U_cat, eig_a)
+        B += cfg.learning_rate * _analytic_side_gradient(B, V0, H, G, V_cat, eig_b)
+    return CoverBasis(U_tilde=Wu, V_tilde=Wv), scores
+
+
+@pytest.mark.parametrize("m, n, n_tasks, r, lora", [
+    (32, 32, 3, 10, False),
+    (48, 40, 3, 4, False),
+    (64, 64, 4, 16, True),
+], ids=["fft-32x32", "fft-48x40", "lora-64x64"])
+def test_the_span_ascent_matches_the_ambient_one(m, n, n_tasks, r, lora):
+    rng = np.random.default_rng(10)
+    if lora:
+        tvs = [from_lora_factors(rng.standard_normal((m, r)), rng.standard_normal((r, n)))
+               for _ in range(n_tasks)]
+    else:
+        tvs = [TaskVector(name="t", delta=rng.standard_normal((m, n))) for _ in range(n_tasks)]
+    decomps = [decompose(tv, r) for tv in tvs]
+    # as optimize-basis starts: an fft start reaches outside span([U_1..U_T])
+    start = truncated_svd(sum(tv.delta for tv in tvs), n_tasks * r)
+    init = CoverBasis(U_tilde=start.U, V_tilde=start.V)
+    cfg = OptimizerConfig(max_iters=20, learning_rate=1e-2)
+    basis, trace = optimize_cover_basis(decomps, init, cfg)
+    want_basis, want_scores = ambient_ascent(decomps, init, cfg)
+    np.testing.assert_allclose(trace.scores, want_scores, rtol=1e-10)
+    assert trace.final_score > trace.scores[0]
+    np.testing.assert_allclose(basis.U_tilde, want_basis.U_tilde, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(basis.V_tilde, want_basis.V_tilde, rtol=0, atol=1e-10)
 
 
 def test_too_large_step_is_numerical_error():

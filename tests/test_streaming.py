@@ -299,6 +299,29 @@ def test_optimize_basis_reads_only_its_tensor(tmp_path, monkeypatch, capsys):
             in capsys.readouterr().err)
 
 
+def test_optimize_basis_reads_no_base_tensor_for_a_lora_pair(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    write_container(TensorContainer({"q.weight": rng.standard_normal((8, 6))}),
+                    tmp_path / "base.dcm")
+    task_paths = []
+    for i in range(2):
+        lora = {"q.lora_B": rng.standard_normal((8, 2)), "q.lora_A": rng.standard_normal((2, 6))}
+        task_paths.append(str(tmp_path / f"task{i}.dcm"))
+        write_container(TensorContainer(lora), task_paths[-1])
+    read = []
+    real_read = ContainerReader.read
+
+    def recording_read(self, name):
+        read.append((os.path.basename(self.path), name))
+        return real_read(self, name)
+
+    monkeypatch.setattr(ContainerReader, "read", recording_read)
+    assert main(["optimize-basis", "--base", str(tmp_path / "base.dcm"), "--task", *task_paths,
+                 "--tensor", "q.weight", "--eta", "1e-3", "--iters", "2",
+                 "--out", str(tmp_path / "t.csv")]) == 0
+    assert sorted(read) == [(f"task{i}.dcm", f"q.lora_{ab}") for i in range(2) for ab in "AB"]
+
+
 def test_merge_and_report_read_each_tensor_of_each_file_once(tmp_path, monkeypatch):
     base_path, task_paths = _fft_set(tmp_path)
     read = []
