@@ -11,17 +11,16 @@ roots of the stack's Gram matrices (``stack_coordinates``), found without it.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import _ORTHO_TOL, _frozen, as_matrix, whiten
+from .linalg import _ORTHO_TOL, _frozen, _gram_eigh, as_matrix, whiten
 from .task_vector import stack_bases
 
 # the Gram square root needs lambda_min > this * lambda_max: its rounding grows as
-# 1 / (2 sqrt(lambda_min)), an inverse root's (a Gram-based whitening) as lambda_min^(-3/2)
+# 1 / (2 sqrt(lambda_min)), an inverse root's (whiten's Gram path) as lambda_min^(-3/2)
 _GRAM_ROOT_FLOOR = 1e-10
 
 __all__ = [
@@ -105,10 +104,10 @@ def build_cover_basis(decomps) -> CoverBasis:
 
 def _gram_root(M: np.ndarray) -> np.ndarray:
     """``whiten(M).T @ M``, which is (M^T M)^(1/2): from ``eigh`` above the floor."""
-    with contextlib.suppress(np.linalg.LinAlgError):
-        w, Q = np.linalg.eigh(M.T @ M)
-        if w[0] > _GRAM_ROOT_FLOOR * w[-1]:
-            return (Q * np.sqrt(w)) @ Q.T
+    eig = _gram_eigh(M)
+    if eig is not None and eig[0][0] > _GRAM_ROOT_FLOOR * eig[0][-1]:
+        w, Q = eig
+        return (Q * np.sqrt(w)) @ Q.T
     return whiten(M).T @ M
 
 

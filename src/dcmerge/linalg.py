@@ -26,6 +26,7 @@ __all__ = [
 
 _ORTHO_TOL = 1e-8
 _WHITEN_CUT = 1e-8  # whiten drops the directions at or below this share of S[0]
+_WHITEN_GRAM_FLOOR = 1e-2  # kappa < 10 above it, so the Gram path's rounding is near 1e-14
 
 # truncated_svd's eigh fast path gives way to the dense SVD unless the Gram
 # gap at the cut is wide enough: lambda_{r-1} - lambda_r must exceed
@@ -181,6 +182,14 @@ def _dense_svd(M: np.ndarray, compute_uv: bool = True):
         raise NumericalError(f"SVD did not converge: {exc}") from None
 
 
+def _gram_eigh(A: np.ndarray):
+    """(w, Q) with A^T A = Q diag(w) Q^T, w ascending; None where ``eigh`` does not converge."""
+    try:
+        return np.linalg.eigh(A.T @ A)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _gram_svd(M: np.ndarray, r: int):
     """Rank-r (U, sigma, V) of M from the smaller Gram matrix, or None.
 
@@ -196,13 +205,15 @@ def _gram_svd(M: np.ndarray, r: int):
     if r >= min(m, n):
         return None
     A, e = _unit_scaled(M if m >= n else M.T)
+    if (eig := _gram_eigh(A)) is None:
+        return None
+    w, Q = eig
+    order = np.argsort(-w, kind="stable")
+    lead, cut, rest = w[order[0]], w[order[r - 1]], w[order[r]]
+    if not (cut > 0 and cut - rest > _SVD_GRAM_GAP * np.sqrt(lead * cut)):
+        return None
+    Q = Q[:, order[:r]]
     try:
-        w, Q = np.linalg.eigh(A.T @ A)
-        order = np.argsort(-w, kind="stable")
-        lead, cut, rest = w[order[0]], w[order[r - 1]], w[order[r]]
-        if not (cut > 0 and cut - rest > _SVD_GRAM_GAP * np.sqrt(lead * cut)):
-            return None
-        Q = Q[:, order[:r]]
         L, s, Wt = np.linalg.svd(A @ Q, full_matrices=False)
     except np.linalg.LinAlgError:
         return None
@@ -239,7 +250,7 @@ def truncated_svd(M, r: int) -> SvdTriplet:
     """
     M = as_matrix(M, "M")
     m, n = M.shape
-    if not isinstance(r, (int, np.integer)) or not 1 <= r <= min(m, n):
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 1 <= r <= min(m, n):
         raise ValidationError(
             f"rank must be an integer in [1, {min(m, n)}], got {r!r}"
         )
@@ -258,12 +269,19 @@ def whiten(M) -> np.ndarray:
     which maximizes trace(W^T M) over orthonormal columns. A cut direction
     is dropped, not completed arbitrarily: duplicate columns share one
     direction, zero ones map to zero, and the result jumps where a singular
-    value crosses the cut. A non-converging SVD is a NumericalError.
+    value crosses the cut. A non-converging SVD is a NumericalError. A tall M
+    (d >= 2k) whose Gram, of A = ``_unit_scaled(M)``, has lambda_min above
+    ``_WHITEN_GRAM_FLOOR`` * lambda_max gives it as A (A^T A)^(-1/2) from ``eigh``.
     """
     M = as_matrix(M, "M")
     d, k = M.shape
     if d < k:
         raise ValidationError(f"whiten needs d >= k, got shape {M.shape}")
+    A = _unit_scaled(M)[0]
+    eig = _gram_eigh(A) if d >= 2 * k > 0 else None
+    if eig is not None and eig[0][0] > _WHITEN_GRAM_FLOOR * eig[0][-1]:
+        w, Q = eig
+        return A @ ((Q / np.sqrt(w)) @ Q.T)
     P, S, Qt = _dense_svd(M)
     j = np.count_nonzero(S > _WHITEN_CUT * S.max(initial=0.0))
     return P[:, :j] @ Qt[:j]

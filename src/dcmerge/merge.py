@@ -67,20 +67,16 @@ class MergeConfig:
     def __post_init__(self):
         if self.mode not in ("lora", "fft"):
             raise ValidationError(f"mode must be 'lora' or 'fft', got {self.mode!r}")
-        if self.rank is not None and (not isinstance(self.rank, int) or self.rank < 1):
-            raise ValidationError(f"rank must be a positive int or None, got {self.rank!r}")
+        for name in ("rank", "mask_block"):
+            value = getattr(self, name)
+            if value is not None and (type(value) is not int or value < 1):
+                raise ValidationError(f"{name} must be a positive int or None, got {value!r}")
         if self.smoothing is not None and not isinstance(self.smoothing, SmoothingStrategy):
             raise ValidationError("smoothing must be a SmoothingStrategy or None")
         if self.merger not in ("ta", "ties"):
             raise ValidationError(f"merger must be 'ta' or 'ties', got {self.merger!r}")
         if not 0.0 < self.ties_keep <= 1.0:
             raise ValidationError(f"ties_keep must be in (0, 1], got {self.ties_keep}")
-        if self.mask_block is not None and (
-            not isinstance(self.mask_block, int) or self.mask_block < 1
-        ):
-            raise ValidationError(
-                f"mask_block must be a positive int or None, got {self.mask_block!r}"
-            )
 
     def resolved_smoothing(self) -> SmoothingStrategy:
         if self.smoothing is not None:

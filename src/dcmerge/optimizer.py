@@ -49,10 +49,10 @@ class OptimizerConfig:
     def __post_init__(self):
         if not self.learning_rate > 0:
             raise ValidationError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not isinstance(self.max_iters, int) or self.max_iters < 1:
-            raise ValidationError(f"max_iters must be a positive int, got {self.max_iters!r}")
-        if not isinstance(self.log_every, int) or self.log_every < 1:
-            raise ValidationError(f"log_every must be a positive int, got {self.log_every!r}")
+        for name in ("max_iters", "log_every"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValidationError(f"{name} must be a positive int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ def optimize_cover_basis(
     init: CoverBasis,
     cfg: OptimizerConfig | None = None,
 ) -> tuple[CoverBasis, OptimizationTrace]:
-    """Ascend the alignment score starting from ``init``.
+    """Ascend the alignment score starting from ``init``, whose columns must be orthonormal.
 
     Logs the score every ``cfg.log_every`` iterations before the update is
     applied, then appends one final point after the last step. Returns the
@@ -129,6 +129,9 @@ def optimize_cover_basis(
         raise ValidationError(
             f"init basis is for ambient shape {init.shape}, tasks are ({m}, {n})"
         )
+    for W in (init.U_tilde, init.V_tilde):
+        _check_orthonormal(W, "a partial-isometry start (duplicate or zero tasks) cannot be "
+                              "rotated: init")
     # coordinates in the span every iterate stays in
     Q_u = np.linalg.qr(np.hstack([init.U_tilde, U_cat]))[0]
     Q_v = np.linalg.qr(np.hstack([init.V_tilde, V_cat]))[0]

@@ -274,7 +274,8 @@ def smooth_energy(kd: SvdTriplet, s: SmoothingStrategy) -> SvdTriplet:
     """Return a copy of ``kd`` with its spectrum flattened per strategy ``s``.
 
     All strategies preserve the total energy (the plain sum of singular
-    values) and leave the singular vectors untouched:
+    values) and leave the singular vectors untouched. They smooth the live entries
+    only: a dead one (``stack_bases``' rule on the task), NaN or negative keeps its value:
 
     - ``truncate_only``: spectrum unchanged (the truncation already
       happened at decomposition time).
@@ -284,15 +285,18 @@ def smooth_energy(kd: SvdTriplet, s: SmoothingStrategy) -> SvdTriplet:
       and scaled by the total energy.
     - ``interpolate(tau)``: tau * sigma + (1 - tau) * mean(sigma).
     """
-    sigma = kd.sigma
     if s.kind == "truncate_only":
         return kd
-    if s.kind == "averaging":
-        new = np.full_like(sigma, sigma.mean())
-    elif s.kind == "linear":
-        new = sigma.sum() * _linear_weights(sigma, s.rho)
-    else:
-        new = s.tau * sigma + (1.0 - s.tau) * sigma.mean()
+    new = np.array(kd.sigma)
+    live = new > max(kd.source_shape) * np.finfo(np.float64).eps * new.max(initial=0.0)
+    if live.any():
+        sigma = new[live]
+        if s.kind == "averaging":
+            new[live] = sigma.mean()
+        elif s.kind == "linear":
+            new[live] = sigma.sum() * _linear_weights(sigma, s.rho)
+        else:
+            new[live] = s.tau * sigma + (1.0 - s.tau) * sigma.mean()
     return SvdTriplet(kd.U, new, kd.V)
 
 

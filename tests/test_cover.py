@@ -136,7 +136,7 @@ def test_stack_coordinates_match_the_whitened_route_on_the_benchmark_sets(
                                             layers=layers, d=d)
     base = read_container(base_path)
     tasks = [extract_task_vectors(base, read_container(p), mode).matrices for p in task_paths]
-    worst = 0.0
+    worst = worst_polar = worst_ortho = 0.0
     for name in sorted(tasks[0]):
         tvs = [task[name] for task in tasks]
         with warnings.catch_warnings():
@@ -145,7 +145,15 @@ def test_stack_coordinates_match_the_whitened_route_on_the_benchmark_sets(
         decomps = [decompose(tv, r) for tv in tvs]
         for got, ref in zip(stack_coordinates(decomps), whitened_coordinates(decomps)):
             worst = max(worst, relative_gap(got, ref))
+        # whiten's Gram path (the tall stacks) and its SVD path (the square ones) both
+        # give the SVD's polar factor
+        for M in stack_bases(decomps):
+            P, _, Qt = np.linalg.svd(M, full_matrices=False)
+            W = whiten(M)
+            worst_polar = max(worst_polar, relative_gap(W, P @ Qt))
+            worst_ortho = max(worst_ortho, np.abs(W.T @ W - np.eye(M.shape[1])).max())
     assert worst <= 1e-12
+    assert worst_polar <= 1e-12 and worst_ortho <= 1e-13
 
 
 def test_a_duplicate_task_takes_the_whitened_route_bit_for_bit():

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -45,6 +46,25 @@ def dense_truncated_svd(M, r):
 
 def fail(*args, **kwargs):
     raise np.linalg.LinAlgError("did not converge")
+
+
+def svd_polar(M):
+    """Reference: whiten's SVD path, P_j Q_j^T over the singular values above 1e-8 * S[0]."""
+    P, S, Qt = np.linalg.svd(M, full_matrices=False)
+    j = np.count_nonzero(S > 1e-8 * S.max(initial=0.0))
+    return P[:, :j] @ Qt[:j]
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Counts of the ``np.linalg.eigh`` and ``np.linalg.svd`` calls made from here on."""
+    counts = Counter()
+    for name in ("eigh", "svd"):
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
 
 
 # truncated_svd
@@ -154,17 +174,21 @@ def test_truncated_svd_agrees_with_the_dense_svd(shape, long, data, seed):
 def test_gram_path_failures_fall_back_to_the_dense_svd(monkeypatch):
     rng = np.random.default_rng(14)
     M = rng.standard_normal((9, 6))
+    tall = rng.standard_normal((12, 4))  # whiten's Gram path takes it while eigh converges
     want = dense_truncated_svd(M, 3)
+    want_tall = svd_polar(tall)
     monkeypatch.setattr(np.linalg, "eigh", fail)
     t = truncated_svd(M, 3)
     assert np.array_equal(t.U, want.U)
     assert np.array_equal(t.sigma, want.sigma)
     assert np.array_equal(t.V, want.V)
+    assert np.array_equal(whiten(tall), want_tall)
     monkeypatch.setattr(np.linalg, "svd", fail)
     with pytest.raises(NumericalError):
         truncated_svd(M, 3)
-    with pytest.raises(NumericalError):
-        whiten(M)
+    for arg in (M, tall):
+        with pytest.raises(NumericalError):
+            whiten(arg)
 
 
 def test_truncated_svd_rank_out_of_range():
@@ -244,18 +268,34 @@ def test_whiten_recovers_orthonormal_factor_under_spd_right_factor():
         np.testing.assert_allclose(whiten(w @ spd), w, atol=1e-8)
 
 
-def test_whiten_invariant_under_positive_scaling():
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_whiten_invariant_under_positive_scaling(lapack_calls):
+    # tall stacks take the Gram path at every scale: a Gaussian 9 x 4, the U side of an
+    # fft MLP stack (768 x 4*48) and a LoRA stack (192 x 4*16), all within 1e-12 of the SVD's
     rng = np.random.default_rng(80)
-    m = rng.standard_normal((9, 4))
-    np.testing.assert_allclose(whiten(3.7 * m), whiten(m), atol=1e-10)
+    stacks = [rng.standard_normal((9, 4))] + [
+        np.hstack([random_orthonormal(rng, d, r) for _ in range(4)])
+        for d, r in ((768, 48), (192, 16))
+    ]
+    for m in stacks:
+        want = svd_polar(m)
+        for scale in (1e-300, 1e-162, 1e-14, 1.0, 3.7, 1e78, 1e200, 1e300):
+            lapack_calls.clear()
+            w = whiten(scale * m)
+            assert lapack_calls == {"eigh": 1}
+            assert np.linalg.norm(w - want) <= 1e-12 * np.linalg.norm(want)
+            assert np.abs(w.T @ w - np.eye(m.shape[1])).max() <= 1e-13
 
 
-def test_whiten_of_a_rank_deficient_input_is_a_partial_isometry():
-    # a duplicate column, a zero column, and a column 1e-12 of the largest off the span
+def test_whiten_of_a_rank_deficient_input_is_a_partial_isometry(lapack_calls):
+    # a duplicate column, a zero column, and a column 1e-12 of the largest off the span;
+    # the stack is tall, and its Gram is below the floor, so the SVD path cuts it
     rng = np.random.default_rng(81)
-    q = random_orthonormal(rng, 9, 3)
-    m = np.column_stack([q[:, 0], q[:, 1], q[:, 0], np.zeros(9), 2.0 * q[:, 1] + 1e-12 * q[:, 2]])
+    q = random_orthonormal(rng, 10, 3)
+    m = np.column_stack([q[:, 0], q[:, 1], q[:, 0], np.zeros(10), 2.0 * q[:, 1] + 1e-12 * q[:, 2]])
+    lapack_calls.clear()
     w = whiten(m)
+    assert lapack_calls == {"eigh": 1, "svd": 1}
     g = w.T @ w
     np.testing.assert_allclose(g, g.T, atol=1e-14)
     np.testing.assert_allclose(g @ g, g, atol=1e-14)
@@ -263,6 +303,28 @@ def test_whiten_of_a_rank_deficient_input_is_a_partial_isometry():
     np.testing.assert_allclose(q[:, :2] @ (q[:, :2].T @ w), w, atol=1e-14)
     np.testing.assert_allclose(w[:, 3], 0.0, atol=1e-14)
     assert not whiten(np.zeros((4, 2))).any()
+
+
+def test_whiten_takes_the_svd_for_a_square_or_near_duplicate_stack(lapack_calls):
+    rng = np.random.default_rng(82)
+    square = np.hstack([random_orthonormal(rng, 12, 3) for _ in range(4)])
+    want = svd_polar(square)
+    lapack_calls.clear()
+    assert np.array_equal(whiten(square), want)
+    assert lapack_calls == {"svd": 1}
+    # two tasks 1e-10 apart: below the Gram floor, and each shared direction's second
+    # singular value below the cut, so the result is a rank-4 partial isometry
+    q = random_orthonormal(rng, 40, 4)
+    m = np.hstack([q, q + 1e-10 * rng.standard_normal((40, 4))])
+    want = svd_polar(m)
+    lapack_calls.clear()
+    w = whiten(m)
+    assert lapack_calls == {"eigh": 1, "svd": 1}
+    assert np.array_equal(w, want)
+    g = w.T @ w
+    np.testing.assert_allclose(g @ g, g, atol=1e-14)
+    np.testing.assert_allclose(np.trace(g), 4.0, atol=1e-12)
+    np.testing.assert_allclose(q @ (q.T @ w), w, atol=1e-9)
 
 
 def test_whiten_rejects_wide_input():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dcmerge.container import TensorContainer
 from dcmerge.errors import NumericalError, ValidationError
+from dcmerge.linalg import truncated_svd
 from dcmerge.merge import (
     MergeConfig,
     assemble_model,
@@ -15,10 +16,12 @@ from dcmerge.merge import (
     merge_ta,
     merge_ties,
 )
+from dcmerge.optimizer import OptimizerConfig
 from dcmerge.task_vector import (
     SmoothingStrategy,
     TaskVector,
     decompose,
+    from_lora_factors,
     reconstruct,
     smooth_energy,
 )
@@ -393,6 +396,40 @@ def test_merge_config_validation():
         MergeConfig(mask_block=0)
     with pytest.raises(ValidationError):
         dc_merge([], MergeConfig())
+
+
+@pytest.mark.parametrize("make, value", [
+    (lambda v: MergeConfig(rank=v), True),
+    (lambda v: MergeConfig(mask_block=v), True),
+    (lambda v: OptimizerConfig(max_iters=v), True),
+    (lambda v: OptimizerConfig(log_every=v), True),
+    (lambda v: truncated_svd(np.eye(3), v), True),
+], ids=["rank", "mask_block", "max_iters", "log_every", "truncated_svd"])
+def test_integer_parameters_reject_bool(make, value):
+    with pytest.raises(ValidationError, match="must be"):
+        make(value)
+
+
+@pytest.mark.parametrize("smoothing", [None, SmoothingStrategy.linear(5.0),
+                                       SmoothingStrategy.interpolate(0.3)],
+                         ids=["averaging", "linear", "interpolate"])
+def test_unused_lora_rank_adds_nothing_to_the_merge(smoothing):
+    # rank-16 LoRA tasks whose B has 8 zero columns: the dead tail of each
+    # decomposition must not be smoothed up to the live energy
+    rng = np.random.default_rng(3)
+    factors = []
+    for _ in range(2):
+        B = rng.standard_normal((64, 16))
+        B[:, 8:] = 0.0
+        factors.append((B, rng.standard_normal((16, 48))))
+    cfg = MergeConfig(mode="lora", smoothing=smoothing)
+    merged = dc_merge([from_lora_factors(B, A) for B, A in factors], cfg)
+    want = dc_merge([from_lora_factors(B[:, :8], A[:8]) for B, A in factors], cfg)
+    cols = np.linalg.qr(np.hstack([B[:, :8] for B, _ in factors]))[0]
+    rows = np.linalg.qr(np.hstack([A[:8].T for _, A in factors]))[0]
+    outside = merged - cols @ (cols.T @ merged @ rows) @ rows.T
+    assert np.linalg.norm(outside) <= 1e-12 * np.linalg.norm(merged)
+    assert relative_gap(merged, want) <= 1e-12
 
 
 def test_merge_resolved_smoothing_defaults():

@@ -219,6 +219,15 @@ def test_input_validation():
         optimize_cover_basis(decomps, wrong_init, OptimizerConfig())
 
 
+def test_a_partial_isometry_start_is_refused():
+    # two identical tasks whiten to a U~ whose U~^T U~ has diagonal 0.5, not I
+    rng = np.random.default_rng(10)
+    kd = random_decomp(rng, 12, 10, 3)
+    init = build_cover_basis([kd, kd])
+    with pytest.raises(ValidationError, match="partial-isometry start .* cannot be rotated"):
+        optimize_cover_basis([kd, kd], init, OptimizerConfig(max_iters=2))
+
+
 def test_default_config_used_when_omitted():
     rng = np.random.default_rng(8)
     decomps = [random_decomp(rng, 5, 5, 1)]

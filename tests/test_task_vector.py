@@ -421,6 +421,18 @@ def test_smoothing_preserves_total_energy_and_bases():
             assert np.array_equal(out.V, kd.V)
 
 
+def test_smoothing_leaves_dead_entries_as_they_are():
+    # 1e-17 is below stack_bases' rule, max(m, n) * eps * sigma_max: its directions are arbitrary
+    kd, alive = make_kd([3.0, 1.0, 1e-17]), make_kd([3.0, 1.0])
+    for s in (SmoothingStrategy.averaging(), SmoothingStrategy.linear(5.0),
+              SmoothingStrategy.interpolate(0.3)):
+        out = smooth_energy(kd, s)
+        np.testing.assert_array_equal(out.sigma, [*smooth_energy(alive, s).sigma, 1e-17])
+        np.testing.assert_allclose(out.sigma.sum(), kd.sigma.sum(), rtol=1e-15)
+        Ucat, Vcat = stack_bases([out])
+        assert not Ucat[:, 2].any() and not Vcat[:, 2].any()
+
+
 def test_smoothing_reuses_the_validated_singular_vectors():
     rng = np.random.default_rng(4)
     kd = decompose(TaskVector(name="t", delta=rng.standard_normal((8, 6))), 4)
