@@ -50,7 +50,7 @@ from .container import (
     pair_tensors,
     vector_delta,
 )
-from .cover import CoverBasis, make_mask, stack_coordinates
+from .cover import CoverBasis, frame, make_mask
 from .errors import NumericalError, ValidationError
 from .linalg import _all_finite, _checked_matrix, _dense_svd, truncated_svd
 from .merge import (
@@ -298,7 +298,7 @@ def _cmd_report(args) -> int:
                                        dtype=np.float64)
             r = plan.ranks[name]
             decomps = [decompose(tv, r) for tv in tvs]
-            Gu, Gv = stack_coordinates(decomps)
+            _, Gu, Gv = frame(decomps, basis=False)
             rows = []
             for path, tv, kd in zip(args.task, tvs, decomps):
                 # undefined where a task or the merge left the tensor at the base
@@ -480,7 +480,7 @@ def _cmd_optimize_basis(args) -> int:
         tvs = plan.task_vectors(args.tensor, None if lora else base.read(args.tensor))
     r = plan.ranks[args.tensor]
     decomps = [decompose(tv, r) for tv in tvs]
-    Gu, Gv = stack_coordinates(decomps)
+    _, Gu, Gv = frame(decomps, basis=False)
 
     # naive initialization: truncated SVD of the plain task-arithmetic sum; the
     # LoRA sum is the one product [B_1..B_T] [A_1; ..; A_T], decomposed from its factors

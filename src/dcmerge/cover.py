@@ -2,11 +2,11 @@
 
 The cover basis is the pair of partial isometries (orthonormal columns, or
 zero ones where ``whiten`` cuts a direction) obtained by whitening the
-column-concatenated per-task singular bases. ``project`` gives the stack's
-coordinates in it, from which the tasks' k x k coordinate matrices follow;
-these are merged, filtered by a block-diagonal structural mask, and mapped
-back to weight space. For the whitened pair the coordinates are the square
-roots of the stack's Gram matrices (``stack_coordinates``), found without it.
+column-concatenated per-task singular bases. ``frame`` gives the pair and the
+stack's coordinates in it from one factorization per side (without the pair,
+the Gram square roots alone); ``project`` gives the coordinates in any other
+pair. The tasks' k x k coordinate matrices are merged, filtered by a
+block-diagonal structural mask, and mapped back to weight space.
 """
 
 from __future__ import annotations
@@ -16,17 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import _ORTHO_TOL, _frozen, _gram_eigh, as_matrix, whiten
+from .linalg import _ORTHO_TOL, _frozen, _polar_frame, as_matrix
 from .task_vector import stack_bases
-
-# the Gram square root needs lambda_min > this * lambda_max: its rounding grows as
-# 1 / (2 sqrt(lambda_min)), an inverse root's (whiten's Gram path) as lambda_min^(-3/2)
-_GRAM_ROOT_FLOOR = 1e-10
 
 __all__ = [
     "CoverBasis",
+    "frame",
     "build_cover_basis",
-    "stack_coordinates",
     "project",
     "back_project",
     "make_mask",
@@ -82,45 +78,32 @@ def make_mask(k: int, b: int) -> tuple[slice, ...]:
     return tuple(slice(lo, min(lo + b, k)) for lo in range(0, k, b))
 
 
-def _stacks(decomps) -> tuple[np.ndarray, np.ndarray]:
-    """``stack_bases(decomps)``, whose total rank k must fit in min(m, n)."""
+def frame(decomps, basis: bool = True) -> tuple[CoverBasis | None, np.ndarray, np.ndarray]:
+    """(pair, G, H): the whitened pair, G = U~^T [U_1..U_T] and H = V~^T [V_1..V_T].
+
+    Each side is stacked and factored once; G = (S^T S)^(1/2) for the stack S, its columns
+    in task input order. ``basis=False`` gives no pair, and G and H from the Gram alone.
+    """
     Ucat, Vcat = stack_bases(decomps)
     k, bound = Ucat.shape[1], min(Ucat.shape[0], Vcat.shape[0])
     if k > bound:
         raise ValidationError(
             f"total rank {k} exceeds min ambient dimension {bound}; reduce per-task rank"
         )
-    return Ucat, Vcat
+    (U, G), (V, H) = (_polar_frame(M, basis) for M in (Ucat, Vcat))
+    del Ucat, Vcat  # the pair's check sets merge's peak: hold no stack, and W read-only, uncopied
+    for W in (U, V) if basis else ():
+        W.setflags(write=False)
+    return (CoverBasis(U, V) if basis else None), G, H
 
 
 def build_cover_basis(decomps) -> CoverBasis:
-    """Whiten the concatenated per-task singular bases into a shared pair.
-
-    Columns follow task input order, so with uniform per-task rank r the
-    mask block at b = r lines up one block per task.
-    """
-    return CoverBasis(*map(whiten, _stacks(decomps)))
-
-
-def _gram_root(M: np.ndarray) -> np.ndarray:
-    """``whiten(M).T @ M``, which is (M^T M)^(1/2): from ``eigh`` above the floor."""
-    eig = _gram_eigh(M)
-    if eig is not None and eig[0][0] > _GRAM_ROOT_FLOOR * eig[0][-1]:
-        w, Q = eig
-        return (Q * np.sqrt(w)) @ Q.T
-    return whiten(M).T @ M
-
-
-def stack_coordinates(decomps) -> tuple[np.ndarray, np.ndarray]:
-    """(U~^T [U_1..U_T], V~^T [V_1..V_T]) for ``build_cover_basis``'s pair, as Gram roots.
-
-    Below ``_GRAM_ROOT_FLOOR`` (duplicate or nearly parallel tasks) each is
-    ``whiten(stack).T @ stack``, the value through the pair itself."""
-    return tuple(map(_gram_root, _stacks(decomps)))
+    """The whitened pair of ``frame``, without its coordinates."""
+    return frame(decomps)[0]
 
 
 def project(decomps, basis: CoverBasis) -> tuple[np.ndarray, np.ndarray]:
-    """The stack's coordinates (G, H) = (U~^T [U_1..U_T], V~^T [V_1..V_T]) in ``basis``.
+    """The stack's coordinates (G, H) = (U~^T [U_1..U_T], V~^T [V_1..V_T]) in any ``basis``.
 
     Task i's coordinates U~^T U_i diag(sigma_i) V_i^T V~ are (G_i * sigma_i) H_i^T
     on its columns, so the tasks sum to (G * sigma) H^T for the concatenated sigma.

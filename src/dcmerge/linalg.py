@@ -27,6 +27,9 @@ __all__ = [
 _ORTHO_TOL = 1e-8
 _WHITEN_CUT = 1e-8  # whiten drops the directions at or below this share of S[0]
 _WHITEN_GRAM_FLOOR = 1e-2  # kappa < 10 above it, so the Gram path's rounding is near 1e-14
+# the Gram square root needs lambda_min > this * lambda_max: its rounding grows as
+# 1 / (2 sqrt(lambda_min)), an inverse root's (whiten's Gram path) as lambda_min^(-3/2)
+_GRAM_ROOT_FLOOR = 1e-10
 
 # truncated_svd's eigh fast path gives way to the dense SVD unless the Gram
 # gap at the cut is wide enough: lambda_{r-1} - lambda_r must exceed
@@ -274,17 +277,31 @@ def whiten(M) -> np.ndarray:
     ``_WHITEN_GRAM_FLOOR`` * lambda_max gives it as A (A^T A)^(-1/2) from ``eigh``.
     """
     M = as_matrix(M, "M")
-    d, k = M.shape
-    if d < k:
+    if M.shape[0] < M.shape[1]:
         raise ValidationError(f"whiten needs d >= k, got shape {M.shape}")
-    A = _unit_scaled(M)[0]
-    eig = _gram_eigh(A) if d >= 2 * k > 0 else None
-    if eig is not None and eig[0][0] > _WHITEN_GRAM_FLOOR * eig[0][-1]:
+    return _polar_frame(M, basis=True)[0]
+
+
+def _polar_frame(M: np.ndarray, basis: bool) -> tuple[np.ndarray | None, np.ndarray]:
+    """(W, W^T M) for W = ``whiten(M)``, or (None, W^T M) without a ``basis``.
+
+    W^T M = (M^T M)^(1/2) comes from one Gram ``eigh`` without a basis at any shape above
+    ``_GRAM_ROOT_FLOOR``, and W from it for d >= 2k above ``_WHITEN_GRAM_FLOOR`` (floors on
+    lambda_min / lambda_max); anything else, or a failed ``eigh``, takes the SVD and its cut."""
+    d, k = M.shape
+    A, e = _unit_scaled(M)
+    eig = _gram_eigh(A) if d >= 2 * k > 0 or not basis else None
+    floor = _WHITEN_GRAM_FLOOR if basis else _GRAM_ROOT_FLOOR
+    if eig is not None and eig[0][0] > floor * eig[0][-1]:
         w, Q = eig
-        return A @ ((Q / np.sqrt(w)) @ Q.T)
-    P, S, Qt = _dense_svd(M)
-    j = np.count_nonzero(S > _WHITEN_CUT * S.max(initial=0.0))
-    return P[:, :j] @ Qt[:j]
+        if not basis:
+            return None, np.ldexp((Q * np.sqrt(w)) @ Q.T, e)
+        W = A @ ((Q / np.sqrt(w)) @ Q.T)
+    else:
+        P, S, Qt = _dense_svd(M)
+        j = np.count_nonzero(S > _WHITEN_CUT * S.max(initial=0.0))
+        W = P[:, :j] @ Qt[:j]
+    return (W if basis else None), W.T @ M
 
 
 def _skew_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,11 +5,12 @@ The pipeline for one weight matrix:
 1. decompose each task vector at a working rank r and smooth its energy
    spectrum;
 2. stack the smoothed singular directions from all tasks and whiten each
-   side, giving one orthonormal cover basis of width k = sum of ranks;
-3. project the stack into it once, G = U~^T [U_1..U_T], H = V~^T [V_1..V_T];
-4. aggregate the k x k coordinates: the plain sum (G diag(sigma)) H^T, or
+   side, giving one orthonormal cover basis of width k = sum of ranks and,
+   from the same factorization, the stack's coordinates in it,
+   G = U~^T [U_1..U_T], H = V~^T [V_1..V_T];
+3. aggregate the k x k coordinates: the plain sum (G diag(sigma)) H^T, or
    the trim-elect-disjoint mean of each task's block (G_i diag(sigma_i)) H_i^T;
-5. zero all coordinates outside the block diagonal and map back to the
+4. zero all coordinates outside the block diagonal and map back to the
    ambient shape.
 
 The block mask keeps only interactions between directions that entered the
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import PairedMatrix, TensorContainer
-from .cover import back_project, build_cover_basis, make_mask, project
+from .cover import back_project, frame, make_mask
 from .errors import NumericalError, ValidationError
 from .linalg import _all_finite
 from .task_vector import (
@@ -216,8 +217,7 @@ def dc_merge(tasks: list[TaskVector], cfg: MergeConfig | None = None) -> np.ndar
         cfg = MergeConfig()
     r = resolve_rank(tasks, cfg)
     smoothed = [smooth_energy(decompose(tv, r), cfg.resolved_smoothing()) for tv in tasks]
-    basis = build_cover_basis(smoothed)
-    G, H = project(smoothed, basis)
+    basis, G, H = frame(smoothed)
     G = G * np.concatenate([kd.sigma for kd in smoothed])
     if cfg.merger == "ta":
         merged = G @ H.T

@@ -131,7 +131,7 @@ def alignment_score(U_tilde, V_tilde, decomps) -> float:
     the closed form of the sum over tasks and dyads of the squared
     diagonal coefficient vectors of each projected dyad. The pair must
     pass the ``CoverBasis`` checks. For the whitened pair the two factors
-    are ``cover.stack_coordinates(decomps)``, found without the pair.
+    are ``cover.frame(decomps, basis=False)[1:]``, found without the pair.
     """
     return _alignment(*project(decomps, CoverBasis(U_tilde, V_tilde)))
 

@@ -23,7 +23,7 @@ from dcmerge.merge import (
     dc_merge,
     resolve_rank,
 )
-from dcmerge.cover import build_cover_basis, stack_coordinates
+from dcmerge.cover import build_cover_basis, frame
 from dcmerge.metrics import _alignment, alignment_score
 from dcmerge.task_vector import SmoothingStrategy, TaskVector, decompose
 
@@ -843,7 +843,7 @@ def test_report_measures_at_the_merge_rank_rule(tmp_path):
     assert r == 2
     decomps = [decompose(tv, r) for tv in tvs]
     basis = build_cover_basis(decomps)
-    expected = _alignment(*stack_coordinates(decomps))
+    expected = _alignment(*frame(decomps, basis=False)[1:])
     align = [float(row[3]) for row in rows if row[2] == "alignment_score"]
     assert align == [expected, expected]  # the tensor row and the ALL row
     assert expected == pytest.approx(

@@ -12,9 +12,9 @@ from dcmerge.cover import (
     CoverBasis,
     back_project,
     build_cover_basis,
+    frame,
     make_mask,
     project,
-    stack_coordinates,
 )
 from dcmerge.container import extract_task_vectors, read_container
 from dcmerge.errors import ValidationError
@@ -98,7 +98,7 @@ def test_basis_equivariant_under_task_rescaling():
     assert np.array_equal(base.V_tilde, scaled.V_tilde)
 
 
-# stack_coordinates
+# frame: the coordinates without a basis
 
 
 def whitened_coordinates(decomps):
@@ -116,9 +116,9 @@ def test_stack_coordinates_match_the_whitened_route(t, shape, monkeypatch):
     rng = np.random.default_rng(20 + t)
     decomps = [random_decomp(rng, *shape, 40 // (2 * t)) for _ in range(t)]
     want = whitened_coordinates(decomps)
-    # the eigh route only: whiten would raise here
-    monkeypatch.setattr("dcmerge.cover.whiten", None)
-    for got, ref in zip(stack_coordinates(decomps), want):
+    # the eigh route only: the SVD would raise here
+    monkeypatch.setattr("dcmerge.linalg._dense_svd", None)
+    for got, ref in zip(frame(decomps, basis=False)[1:], want):
         assert relative_gap(got, ref) <= 1e-12
 
 
@@ -143,7 +143,7 @@ def test_stack_coordinates_match_the_whitened_route_on_the_benchmark_sets(
             warnings.simplefilter("ignore")  # a clipped rank is still a rank
             r = resolve_rank(tvs, MergeConfig(mode=mode))
         decomps = [decompose(tv, r) for tv in tvs]
-        for got, ref in zip(stack_coordinates(decomps), whitened_coordinates(decomps)):
+        for got, ref in zip(frame(decomps, basis=False)[1:], whitened_coordinates(decomps)):
             worst = max(worst, relative_gap(got, ref))
         # whiten's Gram path (the tall stacks) and its SVD path (the square ones) both
         # give the SVD's polar factor
@@ -156,11 +156,30 @@ def test_stack_coordinates_match_the_whitened_route_on_the_benchmark_sets(
     assert worst_polar <= 1e-12 and worst_ortho <= 1e-13
 
 
+@pytest.mark.parametrize("mode, n_tasks, layers, d",
+                         [("fft", 4, 1, 192), ("lora", 4, 1, 192), ("fft", 8, 3, 96)])
+def test_frame_coordinates_are_the_projection_on_its_basis_bit_for_bit(
+        tmp_path, mode, n_tasks, layers, d):
+    base_path, task_paths = write_merge_set(tmp_path, seed=31, mode=mode, n_tasks=n_tasks,
+                                            layers=layers, d=d)
+    base = read_container(base_path)
+    tasks = [extract_task_vectors(base, read_container(p), mode).matrices for p in task_paths]
+    for name in sorted(tasks[0]):
+        tvs = [task[name] for task in tasks]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a clipped rank is still a rank
+            r = resolve_rank(tvs, MergeConfig(mode=mode))
+        decomps = [decompose(tv, r) for tv in tvs]
+        basis, G, H = frame(decomps)
+        for got, want in zip((G, H), project(decomps, basis)):
+            assert np.array_equal(got, want), name
+
+
 def test_a_duplicate_task_takes_the_whitened_route_bit_for_bit():
     rng = np.random.default_rng(21)
     kd = random_decomp(rng, 12, 10, 3)
     decomps = [kd, random_decomp(rng, 12, 10, 3), kd]
-    got = stack_coordinates(decomps)
+    got = frame(decomps, basis=False)[1:]
     for g, ref in zip(got, whitened_coordinates(decomps)):
         assert np.array_equal(g, ref)
 
@@ -173,14 +192,14 @@ def test_a_near_duplicate_task_takes_the_whitened_route_bit_for_bit():
     for M in stack_bases(decomps):
         s = np.linalg.svd(M, compute_uv=False)
         assert 1e-8 < s[-1] / s[0] < 1e-6
-    for g, ref in zip(stack_coordinates(decomps), whitened_coordinates(decomps)):
+    for g, ref in zip(frame(decomps, basis=False)[1:], whitened_coordinates(decomps)):
         assert np.array_equal(g, ref)
 
 
 def test_stack_coordinates_check_the_total_width():
     rng = np.random.default_rng(23)
     with pytest.raises(ValidationError, match="total rank 6 exceeds min ambient dimension 5"):
-        stack_coordinates([random_decomp(rng, 6, 5, 3), random_decomp(rng, 6, 5, 3)])
+        frame([random_decomp(rng, 6, 5, 3), random_decomp(rng, 6, 5, 3)], basis=False)
 
 
 @settings(max_examples=40)
@@ -197,7 +216,7 @@ def test_stack_coordinates_are_symmetric_and_agree_with_whitening(t, r, extra, d
     decomps = [random_decomp(rng, *shape, r) for _ in range(t)]
     if duplicate:
         decomps[-1] = decomps[0]
-    for got, ref in zip(stack_coordinates(decomps), whitened_coordinates(decomps)):
+    for got, ref in zip(frame(decomps, basis=False)[1:], whitened_coordinates(decomps)):
         assert np.abs(got - got.T).max() <= 1e-12
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
@@ -212,10 +231,10 @@ def test_project_of_basis_outer_product_is_identity():
            for i in range(2)]
     for coords in project(kds, build_cover_basis(kds)):
         np.testing.assert_allclose(coords, np.eye(4), rtol=0, atol=1e-10)
-    # for any tasks the kernel's coordinates are stack_coordinates' Gram roots
+    # for any tasks the kernel's coordinates are the Gram roots of frame without a basis
     rng = np.random.default_rng(4)
     kds = [random_decomp(rng, 8, 7, 2) for _ in range(2)]
-    for got, want in zip(project(kds, build_cover_basis(kds)), stack_coordinates(kds)):
+    for got, want in zip(project(kds, build_cover_basis(kds)), frame(kds, basis=False)[1:]):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcmerge.cover import frame
 from dcmerge.errors import NumericalError, ValidationError
 from dcmerge.linalg import (
     _SVD_GRAM_GAP,
@@ -325,6 +326,15 @@ def test_whiten_takes_the_svd_for_a_square_or_near_duplicate_stack(lapack_calls)
     np.testing.assert_allclose(g @ g, g, atol=1e-14)
     np.testing.assert_allclose(np.trace(g), 4.0, atol=1e-12)
     np.testing.assert_allclose(q @ (q.T @ w), w, atol=1e-9)
+
+
+def test_a_duplicate_stack_takes_one_eigh_and_one_svd_per_side(lapack_calls):
+    # below the Gram root's floor the coordinates come from the SVD, with no second eigh
+    delta = np.random.default_rng(83).standard_normal((40, 30))
+    kd = decompose(TaskVector(name="t", delta=delta), 5)
+    lapack_calls.clear()
+    frame([kd, kd], basis=False)
+    assert lapack_calls == {"eigh": 2, "svd": 2}
 
 
 def test_whiten_rejects_wide_input():

@@ -173,6 +173,24 @@ def test_merge_single_task_round_trips():
     np.testing.assert_allclose(merged, delta, atol=1e-8)
 
 
+def test_merge_stacks_the_task_bases_once(monkeypatch):
+    import dcmerge.cover
+
+    calls = []
+
+    def counted(decomps, _real=dcmerge.cover.stack_bases):
+        calls.append(len(decomps))
+        return _real(decomps)
+
+    monkeypatch.setattr(dcmerge.cover, "stack_bases", counted)
+    rng = np.random.default_rng(4)
+    tasks = [TaskVector(name=f"t{i}", delta=rng.standard_normal((12, 10))) for i in range(3)]
+    for merger in ("ta", "ties"):
+        calls.clear()
+        dc_merge(tasks, MergeConfig(rank=3, merger=merger))
+        assert calls == [3]
+
+
 def test_merge_two_reported_dyads_keeps_whitened_directions():
     d1 = np.outer([1.0, 0.0], [1.0, 0.0])
     u2 = np.array([0.1104, 0.9939])

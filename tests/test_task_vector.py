@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 import dcmerge.task_vector
-from dcmerge.cover import CoverBasis, build_cover_basis, project, stack_coordinates
+from dcmerge.cover import CoverBasis, build_cover_basis, frame, project
 from dcmerge.errors import NumericalError, ValidationError
 from dcmerge.linalg import SvdTriplet, truncated_svd
 from dcmerge.metrics import _alignment, alignment_score, dir_sim, r_matrix
@@ -556,7 +556,7 @@ def test_stack_bases_zeroes_dead_triplets_and_scores_agree():
         assert not cat[:, ~kept].any()
     # the report's score from Gram roots and the score of the whitened pair count the same columns
     basis = build_cover_basis(decomps)
-    assert _alignment(*stack_coordinates(decomps)) == pytest.approx(
+    assert _alignment(*frame(decomps, basis=False)[1:]) == pytest.approx(
         alignment_score(basis.U_tilde, basis.V_tilde, decomps), rel=1e-12)
 
 
