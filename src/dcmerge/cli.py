@@ -11,13 +11,13 @@ width is 1 and the BLAS keeps its own count.
 ``merge``, ``report``, ``perturb`` and ``inspect`` work on their tensors in
 sorted-name order on the pool (``_per_tensor``). The headers are checked, and
 ranks resolved (for ``merge``, ``report`` and ``optimize-basis`` in one plan,
-``_Plan``), in the calling thread first. Every command but ``merge`` then
-reads each tensor only when it works on it, so it holds about one tensor per
-thread, and ``perturb`` ``put``s its output through ``container_writer``;
-``merge`` reads every tensor before its first merge and writes the merged
-file through ``container_writer``. Each command prints its per-tensor
-results in name order once every tensor is done, so warnings, errors,
-stdout and output bytes do not depend on the width.
+``_Plan``), in the calling thread first; then ``--out`` is opened through
+``container._replacing``, which refuses a bad one before any tensor is read
+and replaces it only on success. Every command but ``merge`` then reads each
+tensor only when it works on it, so it holds about one tensor per thread;
+``merge`` reads every tensor before its first merge. Each command prints its
+per-tensor results in name order once every tensor is done, so warnings,
+errors, stdout and output bytes do not depend on the width.
 
 ``run`` is the process entry and ``main(argv)`` the in-process one. The
 modules every data command reads with load here; ``metrics``, ``optimizer``,
@@ -45,6 +45,8 @@ import numpy as np
 from .container import (
     _DTYPE_NAMES,
     ContainerReader,
+    _replacing,
+    _write_at,
     container_writer,
     detect_mode,
     pair_tensors,
@@ -79,6 +81,17 @@ def _rank_arg(text: str):
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
+
+
+def _write_csv(fd: int, header, rows) -> None:
+    """``header`` and ``rows``, each row's last value by ``_fmt``, as CSV lines into ``fd``."""
+    import csv
+    import io
+
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(
+        [header, *((*row[:-1], _fmt(row[-1])) for row in rows)])
+    _write_at(fd, memoryview(text.getvalue().encode()), 0)
 
 
 def _or_nan(metric, *args) -> float:
@@ -268,8 +281,6 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    import csv
-
     from .metrics import _alignment, cos_sim, projected_dir_sim
 
     with contextlib.ExitStack() as files:
@@ -285,10 +296,9 @@ def _cmd_report(args) -> int:
             label = f"{args.merged}: tensor {name!r}"
             if spec.ndim != 2:
                 raise ValidationError(f"{label} must be 2-D, got shape {spec.shape}")
-            if spec.shape != base.specs[name].shape:
-                raise ValidationError(
-                    f"{label} has shape {spec.shape}, base is {base.specs[name].shape}"
-                )
+            if spec.shape != (shape := base.specs[name].shape):
+                raise ValidationError(f"{label} has shape {spec.shape}, base is {shape}")
+        out = files.enter_context(_replacing(args.out))
 
         def tensor_rows(name):
             arr = base.read(name)
@@ -318,19 +328,14 @@ def _cmd_report(args) -> int:
         rows = [row for rs in _per_tensor(tensor_rows, plan.ranks, _pool_width).values()
                 for row in rs]
 
-    def column(task, metric):
-        return [value for _, t, m, value in rows if t == task and m == metric]
+        def column(task, metric):
+            return [value for _, t, m, value in rows if t == task and m == metric]
 
-    summary = [("ALL", path, metric, _nanmean(column(path, metric)))
-               for path in args.task for metric in ("cos_sim", "projected_dir_sim")]
-    align = float(np.mean(column("", "alignment_score")))
-    rows += summary + [("ALL", "", "alignment_score", align)]
-
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["tensor", "task", "metric", "value"])
-        for tensor, task, metric, value in rows:
-            writer.writerow([tensor, task, metric, _fmt(value)])
+        summary = [("ALL", path, metric, _nanmean(column(path, metric)))
+                   for path in args.task for metric in ("cos_sim", "projected_dir_sim")]
+        align = float(np.mean(column("", "alignment_score")))
+        rows += summary + [("ALL", "", "alignment_score", align)]
+        _write_csv(out, ("tensor", "task", "metric", "value"), rows)
     print(f"wrote {len(rows)} metric rows for {len(plan.ranks)} tensors -> {args.out}")
     return 0
 
@@ -467,8 +472,6 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_optimize_basis(args) -> int:
-    import csv
-
     from .metrics import _alignment
     from .optimizer import OptimizerConfig, optimize_cover_basis
 
@@ -477,25 +480,22 @@ def _cmd_optimize_basis(args) -> int:
         base = files.enter_context(ContainerReader(args.base))
         plan = _Plan(files, base, args.task, rank=args.rank, tensor=args.tensor)
         lora = plan.pairings[0].matrices[args.tensor].lora_rank is not None
+        out = files.enter_context(_replacing(args.out))
         tvs = plan.task_vectors(args.tensor, None if lora else base.read(args.tensor))
-    r = plan.ranks[args.tensor]
-    decomps = [decompose(tv, r) for tv in tvs]
-    _, Gu, Gv = frame(decomps, basis=False)
+        r = plan.ranks[args.tensor]
+        decomps = [decompose(tv, r) for tv in tvs]
+        _, Gu, Gv = frame(decomps, basis=False)
 
-    # naive initialization: truncated SVD of the plain task-arithmetic sum; the
-    # LoRA sum is the one product [B_1..B_T] [A_1; ..; A_T], decomposed from its factors
-    if lora:
-        Bs, As = zip(*(tv.factors for tv in tvs))
-        init_svd = decompose(from_lora_factors(np.hstack(Bs), np.vstack(As)), Gu.shape[0])
-    else:
-        init_svd = truncated_svd(merge_ta(tv.delta for tv in tvs), Gu.shape[0])
-    init = CoverBasis(U_tilde=init_svd.U, V_tilde=init_svd.V)
-    _, trace = optimize_cover_basis(decomps, init, cfg)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iter", "score"])
-        for it, score, _elapsed in trace.points:
-            writer.writerow([it, _fmt(score)])
+        # naive initialization: truncated SVD of the plain task-arithmetic sum; the
+        # LoRA sum is the one product [B_1..B_T] [A_1; ..; A_T], decomposed from its factors
+        if lora:
+            Bs, As = zip(*(tv.factors for tv in tvs))
+            init_svd = decompose(from_lora_factors(np.hstack(Bs), np.vstack(As)), Gu.shape[0])
+        else:
+            init_svd = truncated_svd(merge_ta(tv.delta for tv in tvs), Gu.shape[0])
+        init = CoverBasis(U_tilde=init_svd.U, V_tilde=init_svd.V)
+        _, trace = optimize_cover_basis(decomps, init, cfg)
+        _write_csv(out, ("iter", "score"), (point[:2] for point in trace.points))
     print(f"initial score (naive TA basis): {trace.points[0][1]:.6f}")
     print(f"whitening score:                {_alignment(Gu, Gv):.6f}")
     print(f"optimized score ({args.iters} iters): {trace.final_score:.6f}")

@@ -12,6 +12,7 @@ File layout, from offset zero:
 
 Writers lay tensors out back to back in sorted-name order with compact
 JSON, so a given container value always serializes to the same bytes.
+Every file the package writes, CSVs included, goes through ``_replacing``.
 """
 
 from __future__ import annotations
@@ -70,9 +71,7 @@ class TensorContainer:
         if not isinstance(name, str) or not name or name == _METADATA_KEY:
             raise ValidationError(f"invalid tensor name {name!r}")
         if not isinstance(arr, np.ndarray) or arr.dtype not in _DTYPE_NAMES:
-            raise ValidationError(
-                f"tensor {name!r} must be a float32 or float64 array"
-            )
+            raise ValidationError(f"tensor {name!r} must be a float32 or float64 array")
 
     def names(self) -> list[str]:
         return sorted(self.tensors)
@@ -127,31 +126,21 @@ def _raw(arr: np.ndarray) -> np.ndarray:
 
 
 def write_container(container: TensorContainer, path):
-    """Serialize a container to ``path`` with the canonical byte layout."""
+    """Serialize a container to ``path`` with the canonical byte layout (``container_writer``)."""
     for name in container.names():
         TensorContainer._check_entry(name, container.tensors[name])
-    head, _ = _layout(container.tensors, container.metadata)
-    with open(path, "wb") as fh:
-        fh.write(head)
+    with container_writer(path, container.tensors, container.metadata) as put:
         for name in container.names():
-            fh.write(_raw(container.tensors[name]).data)
+            put(name, container.tensors[name])
 
 
 @contextlib.contextmanager
-def container_writer(path, specs, metadata):
-    """``put(name, arr)``, which writes tensor ``name`` of a new container at ``path``.
-
-    The header is laid out from ``specs`` and ``metadata`` as
-    ``write_container`` lays it out, and ``put`` writes each array at its
-    offset, in any order and from any thread, so once every tensor is put
-    the file holds the canonical bytes. They go to a new file next to
-    ``path`` (next to the file a symlink names), which replaces ``path`` when
-    the block ends and is removed if it raises, or if a tensor of ``specs``
-    was never put, leaving ``path`` as it was.
-    The new file gets the permissions ``open(path, "wb")`` gives: an
-    existing file's mode, else the default mode under the umask. A ``path``
-    that exists and is not a regular file, or that ``open(path, "wb")``
-    could not open, is refused before anything is written.
+def _replacing(path):
+    """The descriptor of a new file ``.<name>.<random>.tmp`` next to ``path``
+    (next to the file a symlink names) with the permissions ``open(path, "wb")``
+    gives, which replaces ``path`` when the block ends and is removed if it
+    raises. A ``path`` that exists and is not a regular file, or that
+    ``open(path, "wb")`` could not open, is refused before the file is made.
     """
     target = os.path.realpath(path)
     try:
@@ -165,24 +154,12 @@ def container_writer(path, specs, metadata):
     directory, name = os.path.split(target)
     while True:
         temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
-        try:
+        with contextlib.suppress(FileExistsError):
             fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             break
-        except FileExistsError:
-            continue
     try:
         try:
-            head, offsets = _layout(specs, metadata)
-            _write_at(fd, memoryview(head), 0)
-            written = set()
-
-            def put(name, arr):
-                _write_at(fd, memoryview(_raw(arr).reshape(-1).view(np.uint8)), offsets[name])
-                written.add(name)
-
-            yield put
-            if missing := sorted(offsets.keys() - written):
-                raise ContainerError(f"tensor {missing[0]!r} was laid out but never written")
+            yield fd
             if mode is not None:
                 os.fchmod(fd, stat.S_IMODE(mode))
         finally:
@@ -191,6 +168,28 @@ def container_writer(path, specs, metadata):
     except BaseException:
         os.unlink(temp)
         raise
+
+
+@contextlib.contextmanager
+def container_writer(path, specs, metadata):
+    """``put(name, arr)``, which writes tensor ``name`` of a new container at ``path``.
+
+    ``put`` writes each array at its offset in the canonical layout of
+    ``specs`` and ``metadata``, in any order and from any thread. The file
+    replaces ``path`` (``_replacing``) only if every tensor was put.
+    """
+    with _replacing(path) as fd:
+        head, offsets = _layout(specs, metadata)
+        _write_at(fd, memoryview(head), 0)
+        written = set()
+
+        def put(name, arr):
+            _write_at(fd, memoryview(_raw(arr).reshape(-1).view(np.uint8)), offsets[name])
+            written.add(name)
+
+        yield put
+        if missing := sorted(offsets.keys() - written):
+            raise ContainerError(f"tensor {missing[0]!r} was laid out but never written")
 
 
 def _write_at(fd: int, data: memoryview, offset: int) -> None:

@@ -346,6 +346,53 @@ def test_an_exact_duplicate_is_stable_under_a_tiny_rescale(case, first):
     assert relative_gap(got, want) <= 1e-12
 
 
+# tasks that share directions (README "Kernels"): the cover basis is Löwdin's
+# symmetric orthogonalization of the stacked bases
+
+
+def _near_parallel_ta_merge(eps):
+    """The rank-5 TA merge of a 30 x 24 task A and B = A + eps ||A|| E / ||E||."""
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((30, 24)) * 0.8 ** np.arange(24)
+    e = rng.standard_normal((30, 24))
+    b = a + eps * np.linalg.norm(a) * e / np.linalg.norm(e)
+    return dc_merge([TaskVector(name="a", delta=a), TaskVector(name="b", delta=b)],
+                    MergeConfig(mode="fft", rank=5))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "two tasks that share a direction each sit 45 degrees from their bisector, so the "
+    "merge gains a full-energy term along their difference, until whiten's 1e-8 cut "
+    "joins them: cos 0.707 for eps from 1e-6 to 1e-1, 1.000 for eps <= 1e-8"))
+def test_near_parallel_tasks_merge_the_same_way_on_both_sides_of_the_whiten_cut():
+    above, below = _near_parallel_ta_merge(1e-6), _near_parallel_ta_merge(1e-9)
+    cos = np.sum(above * below) / (np.linalg.norm(above) * np.linalg.norm(below))
+    assert cos > 0.99
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ta_keeps_one_tth_of_a_part_every_task_shares_and_ties_less(seed):
+    rng = np.random.default_rng(seed)
+    t, d = 4, 96
+
+    def orthonormal(width):
+        return np.linalg.qr(rng.standard_normal((d, width)))[0]
+
+    left, right = orthonormal(8), orthonormal(8)
+    shared = (left * np.linspace(2.0, 1.0, 8)) @ right.T
+    deltas = [shared + (orthonormal(16) * np.linspace(1.5, 0.5, 16)) @ orthonormal(16).T
+              for _ in range(t)]
+    tasks = [TaskVector(name=f"t{i}", delta=delta) for i, delta in enumerate(deltas)]
+
+    def kept(merged):
+        """The share of the plain sum's norm the merge keeps in the shared part's subspace."""
+        return np.linalg.norm(left.T @ merged @ right) / np.linalg.norm(
+            left.T @ sum(deltas) @ right)
+
+    assert abs(kept(dc_merge(tasks, MergeConfig(mode="fft", rank=24))) - 1 / t) <= 1e-12
+    assert kept(dc_merge(tasks, MergeConfig(mode="fft", rank=24, merger="ties"))) < 1 / t
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("mode", ["fft", "lora"])
 @pytest.mark.parametrize("merger", ["ta", "ties"])

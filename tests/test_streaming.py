@@ -1,6 +1,6 @@
 """Reading one tensor at a time (``ContainerReader``), the two halves of the
-pairing rule, and ``merge`` and ``perturb`` writing their outputs through
-``container_writer``."""
+pairing rule, and every output written through the one writer that checks
+``--out`` first and replaces it only on success."""
 
 import os
 import stat
@@ -8,7 +8,7 @@ import stat
 import numpy as np
 import pytest
 
-from dcmerge import cli
+from dcmerge import cli, container
 from dcmerge.cli import main
 from dcmerge.container import (
     ContainerReader,
@@ -130,7 +130,8 @@ def test_the_streamed_writer_keeps_the_permissions_open_gives(tmp_path):
     fresh, plain = tmp_path / "fresh.dcm", tmp_path / "plain.dcm"
     with container_writer(fresh, tensors, {}) as put:
         put("w", tensors["w"])
-    write_container(TensorContainer(tensors=tensors), plain)
+    with open(plain, "wb"):
+        pass
     assert stat.S_IMODE(fresh.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
     os.chmod(fresh, 0o640)
     with container_writer(fresh, tensors, {}) as put:
@@ -142,7 +143,85 @@ def test_the_streamed_writer_refuses_an_out_that_is_not_a_regular_file(tmp_path)
     with pytest.raises(ValidationError, match="exists and is not a regular file"):
         with container_writer(tmp_path, {"w": np.ones(3)}, {}):
             pass
+    with pytest.raises(ValidationError, match="exists and is not a regular file"):
+        write_container(TensorContainer(tensors={"w": np.ones(3)}), tmp_path)
     assert os.listdir(tmp_path) == []
+
+
+def test_write_container_failing_part_way_leaves_an_existing_file_alone(tmp_path, monkeypatch):
+    out = tmp_path / "out.dcm"
+    write_container(TensorContainer(tensors={"a": np.ones(3), "b": np.zeros(2)}), out)
+    before = out.read_bytes()
+    calls = []
+    real_raw = container._raw
+
+    def failing_raw(arr):
+        calls.append(arr)
+        if len(calls) == 2:
+            raise RuntimeError("stop")
+        return real_raw(arr)
+
+    monkeypatch.setattr(container, "_raw", failing_raw)
+    with pytest.raises(RuntimeError, match="stop"):
+        write_container(TensorContainer(tensors={"a": np.full(3, 2.0), "b": np.ones(2)}), out)
+    assert len(calls) == 2
+    assert out.read_bytes() == before
+    assert os.listdir(tmp_path) == ["out.dcm"]
+
+
+def _report_argv(base_path, merged, task_paths, out):
+    return ["report", "--base", str(base_path), "--merged", str(merged),
+            "--task", *map(str, task_paths), "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["report", "optimize-basis"])
+def test_an_out_in_a_missing_directory_exits_2_before_any_decomposition(
+        tmp_path, monkeypatch, capsys, command):
+    base_path, task_paths = _fft_set(tmp_path)
+    merged = tmp_path / "m.dcm"
+    assert main(_merge_argv(base_path, task_paths, merged)) == 0
+    calls = []
+    real_decompose = cli.decompose
+
+    def counting_decompose(*args, **kwargs):
+        calls.append(args)
+        return real_decompose(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "decompose", counting_decompose)
+    out = tmp_path / "missing" / "out.csv"
+    argv = {"report": _report_argv(base_path, merged, task_paths, out),
+            "optimize-basis": ["optimize-basis", "--base", str(base_path), "--task",
+                               *map(str, task_paths), "--tensor", "a.weight", "--eta", "1e-3",
+                               "--iters", "2", "--out", str(out)]}[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
+    assert not (tmp_path / "missing").exists()
+
+
+def test_a_report_failing_part_way_through_its_rows_leaves_an_existing_csv_alone(
+        tmp_path, monkeypatch):
+    base_path, task_paths = _fft_set(tmp_path)
+    merged, out = tmp_path / "m.dcm", tmp_path / "r.csv"
+    assert main(_merge_argv(base_path, task_paths, merged)) == 0
+    out.write_bytes(b"an earlier report\n")
+    before = sorted(os.listdir(tmp_path))
+    formatted = []
+    real_fmt = cli._fmt
+
+    def failing_fmt(value):
+        formatted.append(value)
+        if len(formatted) == 5:
+            raise RuntimeError("stop")
+        return real_fmt(value)
+
+    monkeypatch.setattr(cli, "_fmt", failing_fmt)
+    with pytest.raises(RuntimeError, match="stop"):
+        main(_report_argv(base_path, merged, task_paths, out))
+    assert len(formatted) == 5
+    assert out.read_bytes() == b"an earlier report\n"
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_pairing_from_headers_agrees_with_extraction(tmp_path):
