@@ -154,9 +154,13 @@ def _replacing(path):
     directory, name = os.path.split(target)
     while True:
         temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
-        with contextlib.suppress(FileExistsError):
+        try:
             fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             break
+        except FileExistsError:
+            pass
+        except OSError as exc:  # name the path the user gave, not the temporary file
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         try:
             yield fd

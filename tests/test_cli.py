@@ -1,6 +1,5 @@
 import csv
 import os
-import runpy
 import subprocess
 import sys
 import warnings
@@ -27,6 +26,8 @@ from dcmerge.cover import build_cover_basis, frame
 from dcmerge.metrics import _alignment, alignment_score
 from dcmerge.task_vector import SmoothingStrategy, TaskVector, decompose
 
+from helpers import write_merge_set
+
 
 def write_fft_fixture(tmp_path, n_tasks=2, seed=0):
     rng = np.random.default_rng(seed)
@@ -52,12 +53,6 @@ def write_fft_fixture(tmp_path, n_tasks=2, seed=0):
         write_container(task, path)
         task_paths.append(path)
     return base_path, task_paths
-
-
-def write_merge_set(out_dir, **kwargs):
-    """The benchmark's seeded checkpoint set (``perfbench/gen.py``)."""
-    gen = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"))
-    return gen["write_merge_set"](out_dir, **kwargs)
 
 
 def merge_args(base, tasks, out, *extra):
@@ -431,6 +426,8 @@ def test_perturb_energy_that_overflows_the_task_dtype_exits_3(tmp_path, capsys):
     write_container(TensorContainer(tensors={"w.weight": np.zeros((8, 6), np.float32)}),
                     tmp_path / "base.dcm")
     write_container(TensorContainer(tensors=lora), tmp_path / "task.dcm")
+    out_path.write_bytes(b"an earlier output")
+    before = sorted(os.listdir(tmp_path))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(["perturb", "--base", str(tmp_path / "base.dcm"),
@@ -439,7 +436,8 @@ def test_perturb_energy_that_overflows_the_task_dtype_exits_3(tmp_path, capsys):
     assert rc == 3
     assert capsys.readouterr().err == (
         "numerical error: tensor 'w.lora_B' is not finite after perturbation\n")
-    assert not out_path.exists()
+    assert out_path.read_bytes() == b"an earlier output"
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_perturb_direction_records_metadata(tmp_path, capsys):
@@ -505,21 +503,8 @@ def test_report_csv_structure(tmp_path):
     merged_path = tmp_path / "merged.dcm"
     assert main(merge_args(base_path, task_paths, merged_path, "--rank", "2")) == 0
     report_path = tmp_path / "report.csv"
-    rc = main(
-        [
-            "report",
-            "--base",
-            str(base_path),
-            "--merged",
-            str(merged_path),
-            "--task",
-            str(task_paths[0]),
-            str(task_paths[1]),
-            "--out",
-            str(report_path),
-        ]
-    )
-    assert rc == 0
+    report = report_args(base_path, merged_path, task_paths, report_path)
+    assert main(report) == 0
     with open(report_path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["tensor", "task", "metric", "value"]
@@ -529,6 +514,15 @@ def test_report_csv_structure(tmp_path):
     assert "alignment_score" in metrics
     for row in rows[1:]:
         float(row[3])  # every value parses
+
+    # run again over the CSV at mode 640: the mode and the bytes stay, no temporary file does
+    first = report_path.read_bytes()
+    report_path.chmod(0o640)
+    assert main(report) == 0
+    assert report_path.stat().st_mode & 0o777 == 0o640
+    assert report_path.read_bytes() == first
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        ["base.dcm", "merged.dcm", "report.csv", "task0.dcm", "task1.dcm"])
 
 
 def test_report_writes_nan_for_a_frozen_layer(tmp_path):
@@ -861,8 +855,18 @@ def test_report_on_a_duplicated_task_writes_finite_alignment_scores(tmp_path):
     report_path = tmp_path / "report.csv"
     assert main(report_args(base_path, merged_path, tasks, report_path)) == 0
     with open(report_path, newline="") as fh:
-        align = [float(row[3]) for row in csv.reader(fh) if row[2] == "alignment_score"]
-    assert len(align) == 7 and np.isfinite(align).all()  # six matrices and the ALL row
+        align = {row[0]: float(row[3]) for row in csv.reader(fh) if row[2] == "alignment_score"}
+    assert len(align) == 7 and np.isfinite(list(align.values())).all()  # six matrices and ALL
+
+    # each score, from the Gram square roots, is the one on the whitened basis
+    base = read_container(base_path)
+    matrices = [extract_task_vectors(base, read_container(p), "fft").matrices for p in tasks]
+    for name in matrices[0]:
+        tvs = [m[name] for m in matrices]
+        decomps = [decompose(tv, resolve_rank(tvs, MergeConfig(mode="fft"))) for tv in tvs]
+        basis = build_cover_basis(decomps)
+        want = alignment_score(basis.U_tilde, basis.V_tilde, decomps)
+        assert align[name] == pytest.approx(want, rel=1e-12), name
 
 
 def write_scaled_set(folder, scale):
@@ -1035,7 +1039,7 @@ def test_optimize_basis_above_64_rows_runs(tmp_path, capsys):
     trace_path = tmp_path / "trace.csv"
     rc = main(
         ["optimize-basis", "--base", base_path, "--task", *task_paths,
-         "--tensor", "layers.0.attn.q.weight", "--eta", "1e-3", "--iters", "2",
+         "--tensor", "layers.0.mlp.up.weight", "--eta", "1e-3", "--iters", "2",
          "--out", str(trace_path)]
     )
     assert rc == 0, capsys.readouterr().err
@@ -1043,6 +1047,7 @@ def test_optimize_basis_above_64_rows_runs(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["iter", "score"]
     assert [int(r[0]) for r in rows[1:]] == [0, 1, 2]
+    assert float(rows[-1][1]) >= float(rows[1][1])  # 384 x 96: the ascent does not lower it
 
 
 def test_optimize_basis_starts_a_lora_tensor_from_its_factors(tmp_path, monkeypatch):

@@ -1,6 +1,4 @@
-import runpy
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,14 +21,7 @@ from dcmerge.merge import MergeConfig, resolve_rank
 from dcmerge.metrics import alignment_score
 from dcmerge.task_vector import TaskVector, decompose, reconstruct, stack_bases
 
-
-def random_decomp(rng, m, n, r):
-    return decompose(TaskVector(name="t", delta=rng.standard_normal((m, n))), r)
-
-
-def random_orthonormal(rng, d, k):
-    q, r = np.linalg.qr(rng.standard_normal((d, k)))
-    return q * np.sign(np.diag(r))
+from helpers import random_decomp, random_orthonormal, write_merge_set
 
 
 # build_cover_basis
@@ -120,12 +111,6 @@ def test_stack_coordinates_match_the_whitened_route(t, shape, monkeypatch):
     monkeypatch.setattr("dcmerge.linalg._dense_svd", None)
     for got, ref in zip(frame(decomps, basis=False)[1:], want):
         assert relative_gap(got, ref) <= 1e-12
-
-
-def write_merge_set(out_dir, **kwargs):
-    """The benchmark's seeded checkpoint set (``perfbench/gen.py``)."""
-    gen = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"))
-    return gen["write_merge_set"](out_dir, **kwargs)
 
 
 @pytest.mark.parametrize("mode, n_tasks, layers, d",

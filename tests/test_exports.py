@@ -1,8 +1,10 @@
+import ast
 import importlib
 import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,3 +35,18 @@ def test_every_submodule_resolves_as_an_attribute_of_a_fresh_package():
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_package_imports_only_the_stdlib_numpy_and_itself():
+    # every import statement, those inside functions included, so a lazy import of
+    # another dependency fails here and not only on an install without test extras
+    allowed = sys.stdlib_module_names | {"numpy", "dcmerge"}
+    found = []
+    for path in sorted(Path(dcmerge.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                found += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.append((path.name, node.module))
+    assert found
+    assert [(f, m) for f, m in found if m.split(".")[0] not in allowed] == []

@@ -27,10 +27,7 @@ from dcmerge.task_vector import (
     smooth_energy,
 )
 
-
-def random_orthonormal(rng, d, k):
-    q, r = np.linalg.qr(rng.standard_normal((d, k)))
-    return q * np.sign(np.diag(r))
+from helpers import random_orthonormal
 
 
 def with_spectrum(rng, m, n, s):

@@ -298,6 +298,7 @@ def test_a_single_task_merges_to_its_rank_r_part(case):
     deltas, r = case
     part = reconstruct(decompose(TaskVector(name="t", delta=deltas[0]), r))
     assert relative_gap(merge_deltas(deltas[:1], r), part) <= 1e-10
+    assert relative_gap(merge_deltas(deltas[:1] * 2, r), part) <= 1e-10  # merged with itself
 
 
 @settings(max_examples=40)

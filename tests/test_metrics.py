@@ -18,14 +18,7 @@ from dcmerge.metrics import (
 )
 from dcmerge.task_vector import TaskVector, decompose, reconstruct
 
-
-def random_decomp(rng, m, n, r):
-    return decompose(TaskVector(name="t", delta=rng.standard_normal((m, n))), r)
-
-
-def random_orthonormal(rng, d, k):
-    q, r = np.linalg.qr(rng.standard_normal((d, k)))
-    return q * np.sign(np.diag(r))
+from helpers import random_decomp, random_orthonormal
 
 
 # cos_sim

@@ -13,9 +13,7 @@ from dcmerge.optimizer import (
 )
 from dcmerge.task_vector import TaskVector, decompose, from_lora_factors, stack_bases
 
-
-def random_decomp(rng, m, n, r):
-    return decompose(TaskVector(name="t", delta=rng.standard_normal((m, n))), r)
+from helpers import random_decomp
 
 
 def ta_init(decomps, k):

@@ -4,11 +4,9 @@ import pytest
 from dcmerge.errors import NumericalError, ValidationError
 from dcmerge.metrics import cos_sim, dir_sim
 from dcmerge.perturb import direction_perturb, energy_perturb
-from dcmerge.task_vector import TaskVector, decompose, reconstruct
+from dcmerge.task_vector import reconstruct
 
-
-def random_decomp(rng, m, n, r):
-    return decompose(TaskVector(name="t", delta=rng.standard_normal((m, n))), r)
+from helpers import random_decomp
 
 
 # energy_perturb

@@ -19,7 +19,8 @@ from dcmerge import cli
 from dcmerge.container import TensorContainer, read_container, write_container
 from dcmerge.errors import NumericalError, ValidationError
 
-from test_cli import _env_without_thread_variables, merge_args, report_args, write_merge_set
+from helpers import write_merge_set
+from test_cli import _env_without_thread_variables, merge_args, report_args
 
 # a new CLI process at the processor count, then at width 1
 WIDTHS = ({}, {"OPENBLAS_NUM_THREADS": "1"})
@@ -56,10 +57,12 @@ def test_merge_and_report_bytes_do_not_depend_on_the_pool_width(tmp_path, dtype)
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("kind", ["energy", "direction"])
-def test_perturb_and_inspect_output_does_not_depend_on_the_pool_width(tmp_path, kind):
+@pytest.mark.parametrize("mode, kind", [("fft", "energy"), ("fft", "direction"),
+                                        ("lora", "energy"), ("lora", "direction")],
+                         ids=["energy", "direction", "lora-energy", "lora-direction"])
+def test_perturb_and_inspect_output_does_not_depend_on_the_pool_width(tmp_path, mode, kind):
     base_path, (task_path,) = write_merge_set(
-        tmp_path, seed=5, mode="fft", n_tasks=1, layers=2, d=48
+        tmp_path, seed=5, mode=mode, n_tasks=1, layers=2, d=48
     )
     outputs = []
     for i, extra in enumerate(WIDTHS):

@@ -174,29 +174,33 @@ def _report_argv(base_path, merged, task_paths, out):
             "--task", *map(str, task_paths), "--out", str(out)]
 
 
-@pytest.mark.parametrize("command", ["report", "optimize-basis"])
+@pytest.mark.parametrize("command", ["merge", "perturb", "report", "optimize-basis"])
 def test_an_out_in_a_missing_directory_exits_2_before_any_decomposition(
         tmp_path, monkeypatch, capsys, command):
     base_path, task_paths = _fft_set(tmp_path)
     merged = tmp_path / "m.dcm"
     assert main(_merge_argv(base_path, task_paths, merged)) == 0
-    calls = []
-    real_decompose = cli.decompose
+    reads = []
+    real_read = ContainerReader.read
 
-    def counting_decompose(*args, **kwargs):
-        calls.append(args)
-        return real_decompose(*args, **kwargs)
+    def counting_read(self, name):
+        reads.append(name)
+        return real_read(self, name)
 
-    monkeypatch.setattr(cli, "decompose", counting_decompose)
+    monkeypatch.setattr(ContainerReader, "read", counting_read)
     out = tmp_path / "missing" / "out.csv"
-    argv = {"report": _report_argv(base_path, merged, task_paths, out),
+    argv = {"merge": _merge_argv(base_path, task_paths, out),
+            "perturb": ["perturb", "--base", str(base_path), "--task", str(task_paths[0]),
+                        "--kind", "direction", "--p", "0.5", "--seed", "1", "--out", str(out)],
+            "report": _report_argv(base_path, merged, task_paths, out),
             "optimize-basis": ["optimize-basis", "--base", str(base_path), "--task",
                                *map(str, task_paths), "--tensor", "a.weight", "--eta", "1e-3",
                                "--iters", "2", "--out", str(out)]}[command]
     capsys.readouterr()
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and ".tmp" not in err
+    assert reads == []  # so no tensor was decomposed either
     assert not (tmp_path / "missing").exists()
 
 
