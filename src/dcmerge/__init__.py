@@ -10,7 +10,8 @@ load numpy, after it has chosen OpenBLAS's start-up thread count
 
 import importlib
 
-# submodule -> the public names it provides
+# submodule -> its public names: the one list of them, every function and class
+# the submodule defines without a leading underscore
 _SUBMODULES = {
     "container": (
         "ContainerReader",
@@ -27,10 +28,11 @@ _SUBMODULES = {
         "vector_delta",
         "write_container",
     ),
-    "cover": ("CoverBasis", "back_project", "build_cover_basis", "make_mask", "project"),
+    "cover": ("CoverBasis", "back_project", "build_cover_basis", "frame", "make_mask", "project"),
     "errors": ("ContainerError", "DcMergeError", "NumericalError", "ValidationError"),
     "linalg": (
         "SvdTriplet",
+        "as_matrix",
         "matrix_exp_skew",
         "orthogonal_complement_sample",
         "truncated_svd",

@@ -64,8 +64,6 @@ from .merge import (
 )
 from .task_vector import SmoothingStrategy, decompose, from_lora_factors
 
-__all__ = ["main", "run"]
-
 
 def _rank_arg(text: str):
     if text == "auto":
@@ -381,6 +379,8 @@ def _cmd_perturb(args) -> int:
 
     if not 0.0 <= args.p <= 1.0:
         raise ValidationError(f"p must be in [0, 1], got {args.p}")
+    if args.seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {args.seed}")
     with contextlib.ExitStack() as files:
         base = files.enter_context(ContainerReader(args.base))
         task = files.enter_context(ContainerReader(args.task))
@@ -508,9 +508,11 @@ def _cmd_accuracy_report(args) -> int:
 
     from .metrics import TaskAccuracy, accuracy_report
 
-    with open(args.table, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        raw = [row for row in reader if row and any(cell.strip() for cell in row)]
+    try:  # _write_csv writes UTF-8
+        with open(args.table, encoding="utf-8", newline="") as fh:
+            raw = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+    except UnicodeDecodeError:
+        raise ValidationError(f"accuracy table {args.table!r} is not UTF-8 text") from None
     if not raw:
         raise ValidationError(f"accuracy table {args.table!r} is empty")
 
@@ -520,7 +522,11 @@ def _cmd_accuracy_report(args) -> int:
                 f"accuracy rows need 4 columns (task, merged, finetuned, "
                 f"zeroshot), got {len(row)}: {row!r}"
             )
-        return TaskAccuracy(row[0].strip(), *map(float, row[1:]))
+        try:
+            values = [float(cell) for cell in row[1:]]
+        except ValueError as exc:
+            raise ValidationError(f"bad number in accuracy table: {exc}") from None
+        return TaskAccuracy(row[0].strip(), *values)
 
     def is_number(cell):
         try:
@@ -532,10 +538,7 @@ def _cmd_accuracy_report(args) -> int:
     start = 0 if any(map(is_number, raw[0][1:4])) else 1  # a header holds no number
     if start == len(raw):
         raise ValidationError("accuracy table has a header but no data rows")
-    try:
-        table = [parse_row(row) for row in raw[start:]]
-    except ValueError as exc:
-        raise ValidationError(f"bad number in accuracy table: {exc}") from None
+    table = [parse_row(row) for row in raw[start:]]
 
     report = accuracy_report(table)
     print(f"{'task':<24} {'normalized':>12} {'nai':>12}")

@@ -31,22 +31,6 @@ from .errors import ContainerError, ValidationError
 from .linalg import _all_finite
 from .task_vector import TaskVector, _product_shape, from_fft_delta, from_lora_factors
 
-__all__ = [
-    "TensorContainer",
-    "TensorSpec",
-    "ContainerReader",
-    "container_writer",
-    "PairedMatrix",
-    "Pairing",
-    "pair_tensors",
-    "vector_delta",
-    "ExtractedVectors",
-    "read_container",
-    "write_container",
-    "extract_task_vectors",
-    "detect_mode",
-]
-
 _DTYPES = {"F32": np.dtype("<f4"), "F64": np.dtype("<f8")}
 _DTYPE_NAMES = {np.dtype("float32"): "F32", np.dtype("float64"): "F64"}
 _METADATA_KEY = "__metadata__"

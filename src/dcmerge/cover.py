@@ -19,15 +19,6 @@ from .errors import ValidationError
 from .linalg import _ORTHO_TOL, _frozen, _polar_frame, as_matrix
 from .task_vector import stack_bases
 
-__all__ = [
-    "CoverBasis",
-    "frame",
-    "build_cover_basis",
-    "project",
-    "back_project",
-    "make_mask",
-]
-
 
 @dataclass(frozen=True)
 class CoverBasis:

@@ -15,15 +15,6 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 
-__all__ = [
-    "SvdTriplet",
-    "as_matrix",
-    "truncated_svd",
-    "whiten",
-    "matrix_exp_skew",
-    "orthogonal_complement_sample",
-]
-
 _ORTHO_TOL = 1e-8
 _WHITEN_CUT = 1e-8  # whiten drops the directions at or below this share of S[0]
 _WHITEN_GRAM_FLOOR = 1e-2  # kappa < 10 above it, so the Gram path's rounding is near 1e-14

@@ -36,16 +36,6 @@ from .task_vector import (
     smooth_energy,
 )
 
-__all__ = [
-    "MergeConfig",
-    "resolve_rank",
-    "merge_ta",
-    "merge_ties",
-    "dc_merge",
-    "assemble_model",
-    "assemble_tensor",
-]
-
 
 @dataclass(frozen=True)
 class MergeConfig:

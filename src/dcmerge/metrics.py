@@ -22,18 +22,6 @@ from .cover import CoverBasis, project
 from .errors import NumericalError, ValidationError
 from .linalg import SvdTriplet, _frozen, _unit_scaled, as_matrix, whiten
 
-__all__ = [
-    "RMatrix",
-    "TaskAccuracy",
-    "AccuracyReport",
-    "cos_sim",
-    "r_matrix",
-    "dir_sim",
-    "projected_dir_sim",
-    "alignment_score",
-    "accuracy_report",
-]
-
 
 @dataclass(frozen=True)
 class RMatrix:

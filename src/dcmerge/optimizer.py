@@ -37,8 +37,6 @@ from .linalg import (
 from .metrics import _alignment
 from .task_vector import stack_bases
 
-__all__ = ["OptimizerConfig", "OptimizationTrace", "optimize_cover_basis"]
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -47,8 +45,9 @@ class OptimizerConfig:
     log_every: int = 1
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValidationError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValidationError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}")
         for name in ("max_iters", "log_every"):
             value = getattr(self, name)
             if type(value) is not int or value < 1:

@@ -14,8 +14,6 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .linalg import SvdTriplet, _all_finite, orthogonal_complement_sample
 
-__all__ = ["energy_perturb", "direction_perturb"]
-
 
 def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)

@@ -17,17 +17,6 @@ import numpy as np
 from .errors import ValidationError
 from .linalg import SvdTriplet, _abs_max, _all_finite, _frozen, as_matrix, truncated_svd
 
-__all__ = [
-    "TaskVector",
-    "SmoothingStrategy",
-    "from_fft_delta",
-    "from_lora_factors",
-    "decompose",
-    "smooth_energy",
-    "reconstruct",
-    "stack_bases",
-]
-
 
 @dataclass(frozen=True, init=False)
 class TaskVector:

@@ -1088,8 +1088,9 @@ def test_optimize_basis_starts_a_lora_tensor_from_its_factors(tmp_path, monkeypa
 
 @pytest.mark.parametrize("tensor, eta, iters, message", [
     ("s.weight", "1e-3", "0", "max_iters must be a positive int, got 0"),
-    ("s.weight", "0", "2", "learning_rate must be positive, got 0.0"),
-], ids=["iters", "eta"])
+    ("s.weight", "0", "2", "learning_rate must be positive and finite, got 0.0"),
+    ("s.weight", "inf", "2", "learning_rate must be positive and finite, got inf"),
+], ids=["iters", "eta", "eta-inf"])
 def test_optimize_basis_checks_its_arguments_before_reading_a_tensor(
         tmp_path, capsys, tensor, eta, iters, message):
     # every tensor of task1 is NaN, so reading any tensor would be the error instead
@@ -1248,22 +1249,36 @@ def test_perturb_p_outside_the_unit_interval_exits_2_before_reading_a_file(tmp_p
     assert not (tmp_path / "p.dcm").exists()
 
 
-@pytest.mark.parametrize("text, message", [
-    ("\n", "is empty"),
-    ("taskA,0.8,0.9\n", "accuracy rows need 4 columns (task, merged, finetuned, zeroshot), got 3"),
-    ("task,merged,finetuned,zeroshot\n", "accuracy table has a header but no data rows"),
-    ("taskA,0.8,high,0.5\n", "bad number in accuracy table: could not convert string"),
+def test_perturb_negative_seed_exits_2_before_reading_a_file(tmp_path, capsys):
+    rc = main(["perturb", "--task", str(tmp_path / "no-task.dcm"),
+               "--base", str(tmp_path / "no-base.dcm"), "--kind", "direction",
+               "--p", "0.5", "--seed", "-1", "--out", str(tmp_path / "p.dcm")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+    assert not (tmp_path / "p.dcm").exists()
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"\n", "accuracy table {table!r} is empty"),
+    (b"taskA,0.8,0.9\n", "accuracy rows need 4 columns (task, merged, finetuned, zeroshot), "
+                          "got 3: ['taskA', '0.8', '0.9']"),
+    (b"task,merged,finetuned,zeroshot\n", "accuracy table has a header but no data rows"),
+    (b"taskA,0.8,high,0.5\n", "bad number in accuracy table: could not convert string to "
+                              "float: 'high'"),
     # a number among its cells makes the first row data, not a header
-    ("taskA,high,0.9,0.5\ntaskB,0.8,0.9,0.5\n",
+    (b"taskA,high,0.9,0.5\ntaskB,0.8,0.9,0.5\n",
      "bad number in accuracy table: could not convert string to float: 'high'"),
-], ids=["empty", "three-columns", "header-only", "bad-number", "first-row-bad-number"])
-def test_accuracy_report_of_a_malformed_table_exits_2(tmp_path, capsys, text, message):
+    (b"taskA,1.5,0.9,0.5\n", "merged accuracy for task 'taskA' must be in [0, 1]"),
+    (b"task\xe9,0.8,0.9,0.5\n", "accuracy table {table!r} is not UTF-8 text"),
+], ids=["empty", "three-columns", "header-only", "bad-number", "first-row-bad-number",
+        "out-of-range", "not-utf-8"])
+def test_accuracy_report_of_a_malformed_table_exits_2(tmp_path, capsys, data, message):
     table = tmp_path / "acc.csv"
-    table.write_text(text)
+    table.write_bytes(data)
     assert main(["accuracy-report", "--table", str(table)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err == f"error: {message.format(table=str(table))}\n"
 
 
 def test_inspect_prints_the_metadata_and_an_all_zero_spectrum(tmp_path, capsys):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import subspace_angles
 
 from dcmerge.cover import (
     CoverBasis,
@@ -337,6 +336,7 @@ def test_mask_block_out_of_range():
 
 def test_fixed_pair_tasks_preserve_generating_subspaces():
     from dcmerge.merge import MergeConfig, dc_merge
+    scipy_linalg = pytest.importorskip("scipy.linalg")
 
     rng = np.random.default_rng(10)
     m, n, t, r = 32, 24, 4, 3
@@ -352,8 +352,8 @@ def test_fixed_pair_tasks_preserve_generating_subspaces():
     merged = dc_merge(tasks, MergeConfig(rank=r, mask_block=1))
     mu, ms, mv = np.linalg.svd(merged, full_matrices=False)
     rank = int(np.sum(ms > 1e-10 * ms[0]))
-    assert subspace_angles(mu[:, :rank], u0).max() <= 1e-6
-    assert subspace_angles(mv.T[:, :rank], v0).max() <= 1e-6
+    assert scipy_linalg.subspace_angles(mu[:, :rank], u0).max() <= 1e-6
+    assert scipy_linalg.subspace_angles(mv.T[:, :rank], v0).max() <= 1e-6
 
 
 def test_cover_basis_validation():

@@ -3,7 +3,7 @@ import pytest
 
 from dcmerge.cover import CoverBasis, build_cover_basis
 from dcmerge.errors import NumericalError, ValidationError
-from dcmerge.linalg import _skew_eigh, matrix_exp_skew, truncated_svd
+from dcmerge.linalg import SvdTriplet, _skew_eigh, matrix_exp_skew, truncated_svd
 from dcmerge.metrics import _alignment, alignment_score
 from dcmerge.optimizer import (
     OptimizerConfig,
@@ -25,8 +25,9 @@ def ta_init(decomps, k):
 
 
 def test_config_validation():
-    with pytest.raises(ValidationError):
-        OptimizerConfig(learning_rate=0.0)
+    for rate in (0.0, np.inf, np.nan):
+        with pytest.raises(ValidationError):
+            OptimizerConfig(learning_rate=rate)
     with pytest.raises(ValidationError):
         OptimizerConfig(max_iters=0)
     with pytest.raises(ValidationError):
@@ -194,10 +195,15 @@ def test_too_large_step_is_numerical_error():
     rng = np.random.default_rng(9)
     decomps = [random_decomp(rng, 6, 6, 2) for _ in range(2)]
     init = ta_init(decomps, 4)
+    # four copies of one direction pull a start 45 degrees from it hard enough that
+    # the largest finite step overflows A to inf
+    e = np.eye(4)
+    copies = [SvdTriplet(U=e[:, :1], sigma=np.ones(1), V=e[:, :1])] * 4
+    tilted = e[:, :2].sum(axis=1, keepdims=True) / np.sqrt(2.0)
     with np.errstate(all="ignore"):
-        # A overflows to inf on the first step
         with pytest.raises(NumericalError, match="iteration 1: U parameters are non-finite"):
-            optimize_cover_basis(decomps, init, OptimizerConfig(learning_rate=np.inf))
+            optimize_cover_basis(copies, CoverBasis(U_tilde=tilted, V_tilde=tilted),
+                                 OptimizerConfig(learning_rate=np.finfo(float).max))
         # A stays finite, but the iterate's phases are lost
         with pytest.raises(NumericalError, match=r"iteration \d+: U iterate columns are not"):
             optimize_cover_basis(decomps, init, OptimizerConfig(learning_rate=1e300))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import subspace_angles
 
 import dcmerge.task_vector
 from dcmerge.cover import CoverBasis, build_cover_basis, frame, project
@@ -449,12 +448,13 @@ def test_averaging_is_idempotent():
 
 
 def test_smoothing_preserves_row_and_column_spaces():
+    scipy_linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(4)
     kd = decompose(TaskVector(name="t", delta=rng.standard_normal((8, 6))), 3)
     for s in [SmoothingStrategy.averaging(), SmoothingStrategy.linear(3.0)]:
         out = reconstruct(smooth_energy(kd, s))
         orig = reconstruct(kd)
-        u_angles = subspace_angles(
+        u_angles = scipy_linalg.subspace_angles(
             np.linalg.svd(out, full_matrices=False)[0][:, :3],
             np.linalg.svd(orig, full_matrices=False)[0][:, :3],
         )
