@@ -54,7 +54,7 @@ from .container import (
 )
 from .cover import CoverBasis, frame, make_mask
 from .errors import NumericalError, ValidationError
-from .linalg import _all_finite, _checked_matrix, _dense_svd, truncated_svd
+from .linalg import _all_finite, _checked_matrix, _dense_svd, _unit_scaled, truncated_svd
 from .merge import (
     MergeConfig,
     assemble_tensor,
@@ -442,8 +442,8 @@ def _cmd_perturb(args) -> int:
                 except ValidationError as exc:  # p is valid, so: a one-entry spectrum
                     raise ValidationError(f"{name}: {exc}; pass --rank 2 or more") from None
                 U_new, V_new = kd.U, kd.V
-                achieved = float(kd.sigma @ sigma_hat
-                                 / (np.linalg.norm(kd.sigma) * np.linalg.norm(sigma_hat)))
+                (a, _), (b, _) = _unit_scaled(kd.sigma), _unit_scaled(sigma_hat)  # exact
+                achieved = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
             else:
                 kd_new = direction_perturb(kd, args.p, seeds[name])
                 U_new, sigma_hat, V_new = kd_new.U, kd_new.sigma, kd_new.V
@@ -508,8 +508,8 @@ def _cmd_accuracy_report(args) -> int:
 
     from .metrics import TaskAccuracy, accuracy_report
 
-    try:  # _write_csv writes UTF-8
-        with open(args.table, encoding="utf-8", newline="") as fh:
+    try:  # _write_csv writes UTF-8; a spreadsheet's export may start with a byte-order mark
+        with open(args.table, encoding="utf-8-sig", newline="") as fh:
             raw = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
     except UnicodeDecodeError:
         raise ValidationError(f"accuracy table {args.table!r} is not UTF-8 text") from None

@@ -12,11 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .linalg import SvdTriplet, _all_finite, orthogonal_complement_sample
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+from .linalg import SvdTriplet, _all_finite, _unit_scaled, orthogonal_complement_sample
 
 
 def energy_perturb(
@@ -44,12 +40,14 @@ def energy_perturb(
         raise ValidationError("sigma must be finite and non-negative")
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p must be in [0, 1], got {p}")
-    norm = np.linalg.norm(sigma)
+    # the norm squares every entry, so it is taken at a power-of-two scale undone at the end
+    unit, e = _unit_scaled(sigma)
+    norm = np.linalg.norm(unit)
     if norm == 0.0:
         raise NumericalError("cannot perturb an all-zero spectrum")
-    s = sigma / norm
+    s = unit / norm
 
-    ref = np.full_like(sigma, float(np.mean(sigma)))
+    ref = np.full_like(unit, float(np.mean(unit)))
     if p == 1.0:
         return sigma.copy()
     if sigma.size == 1:
@@ -70,8 +68,8 @@ def energy_perturb(
                 break
         else:
             raise NumericalError("failed to draw a direction orthogonal to sigma")
-    s_perp = _unit(resid)
-    return norm * (p * s + np.sqrt(1.0 - p * p) * s_perp)
+    s_perp = resid / np.linalg.norm(resid)
+    return np.ldexp(norm * (p * s + np.sqrt(1.0 - p * p) * s_perp), e)
 
 
 def direction_perturb(kd: SvdTriplet, p: float, seed: int) -> SvdTriplet:

@@ -7,16 +7,14 @@ thread has no worker thread.
 """
 
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import dcmerge
 from dcmerge import _blas
 from dcmerge.container import TensorContainer, write_container
+
+from helpers import merge_args, python, write_fft_set
 
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
@@ -27,16 +25,9 @@ needs_openblas = pytest.mark.skipif(
 
 
 def _fresh_python(code, *argv, **variables):
-    """Words of the last line ``code`` prints in a new interpreter.
-
-    The interpreter's only thread variables are ``variables``.
-    """
-    env = {k: v for k, v in os.environ.items() if k not in _blas.USER_VARIABLES}
-    src = str(Path(dcmerge.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env.update(variables)
-    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
-                          capture_output=True, text=True)
+    """Words of the last line ``code`` prints in a new interpreter whose only thread
+    variables are ``variables``."""
+    proc = python("-c", code, *argv, **variables)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1].split()
 
@@ -50,18 +41,10 @@ print(cli._pool_width, len(os.listdir("/proc/self/task")),
 """
 
 
-def _fixture(tmp_path, shapes=((8, 6),)):
-    """merge argv over a base and two fft tasks holding one tensor per shape."""
-    rng = np.random.default_rng(0)
-    base = {f"t{i}.weight": rng.standard_normal(s) for i, s in enumerate(shapes)}
-    write_container(TensorContainer(tensors=base), tmp_path / "base.dcm")
-    tasks = []
-    for i in range(2):
-        task = {name: w + 0.1 * rng.standard_normal(w.shape) for name, w in base.items()}
-        tasks.append(str(tmp_path / f"task{i}.dcm"))
-        write_container(TensorContainer(tensors=task), tasks[-1])
-    return ["merge", "--base", str(tmp_path / "base.dcm"), "--task", *tasks,
-            "--out", str(tmp_path / "merged.dcm"), "--mode", "fft"]
+def _merge_set(tmp_path, shapes=((8, 6),)):
+    """merge argv over a base and two fft tasks holding one tensor t<i>.weight per shape."""
+    base, tasks = write_fft_set(tmp_path, {f"t{i}.weight": s for i, s in enumerate(shapes)})
+    return merge_args(base, tasks, tmp_path / "merged.dcm")
 
 
 def test_import_dcmerge_loads_no_numpy():
@@ -120,7 +103,7 @@ assert cli.main(sys.argv[1:]) == 0
 print(cli._pool_width, *set(seen + [threads()]))
 """
     default = _fresh_python("import os, numpy; print(len(os.listdir('/proc/self/task')))")
-    assert _fresh_python(code, *_fixture(tmp_path)) == ["1", *default]
+    assert _fresh_python(code, *_merge_set(tmp_path)) == ["1", *default]
 
 
 def test_main_still_merges_without_openblas(tmp_path):
@@ -132,7 +115,7 @@ from dcmerge import cli
 assert cli.main(sys.argv[1:]) == 0
 print(cli._pool_width)
 """
-    assert _fresh_python(code, *_fixture(tmp_path)) == ["1"]
+    assert _fresh_python(code, *_merge_set(tmp_path)) == ["1"]
     assert (tmp_path / "merged.dcm").exists()
 
 
@@ -140,7 +123,7 @@ print(cli._pool_width)
 @pytest.mark.parametrize("task_shape, rc", [((8, 6), 0), ((8, 5), 2)])
 def test_main_sets_one_thread_and_restores_the_count(tmp_path, task_shape, rc):
     # a task of another shape than the base fails the command when it is paired
-    argv = _fixture(tmp_path)
+    argv = _merge_set(tmp_path)
     write_container(TensorContainer(tensors={"t0.weight": np.zeros(task_shape)}),
                     tmp_path / "task1.dcm")
     code = """
@@ -208,12 +191,12 @@ print(cli._pool_width, len(idents), max(seen), threads())
 def test_main_runs_one_blas_thread_and_the_whole_pool_at_every_size(tmp_path, shapes):
     pool = min(CPUS, 2)
     # the pool's threads are all the process has while it merges: no BLAS worker
-    assert _fresh_python(_POOL_RUN, *_fixture(tmp_path, shapes)) == [str(CPUS), str(pool),
-                                                                     str(pool), "1"]
+    assert _fresh_python(_POOL_RUN, *_merge_set(tmp_path, shapes)) == [
+        str(CPUS), str(pool), str(pool), "1"]
 
 
 @needs_openblas
-def test_main_from_256_runs_on_every_processor(tmp_path):
-    # the processors go to the tensor pool, which merges the 256x256 tensors in parallel
-    width, merged, _, _ = _fresh_python(_POOL_RUN, *_fixture(tmp_path, [(256, 256)] * 2))
+def test_main_merges_two_equal_tensors_in_parallel_on_every_processor(tmp_path):
+    # the processors go to the tensor pool, which merges the two 256x256 tensors at once
+    width, merged, _, _ = _fresh_python(_POOL_RUN, *_merge_set(tmp_path, [(256, 256)] * 2))
     assert (width, merged) == (str(CPUS), str(min(CPUS, 2)))

@@ -1,70 +1,27 @@
 import csv
 import os
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import dcmerge
 from dcmerge.cli import main
-from dcmerge.container import (
-    TensorContainer,
-    extract_task_vectors,
-    read_container,
-    write_container,
-)
-from dcmerge.merge import (
-    MergeConfig,
-    assemble_model,
-    dc_merge,
-    resolve_rank,
-)
+from dcmerge.container import TensorContainer, extract_task_vectors, read_container, write_container
+from dcmerge.merge import MergeConfig, assemble_model, dc_merge, resolve_rank
 from dcmerge.cover import build_cover_basis, frame
 from dcmerge.metrics import _alignment, alignment_score
 from dcmerge.task_vector import SmoothingStrategy, TaskVector, decompose
 
-from helpers import write_merge_set
+from helpers import (merge_args, optimize_args, perturb_args, poison, python, recast,
+                     relative_gap, report_args, write_fft_set, write_lora_set, write_merge_set)
 
-
-def write_fft_fixture(tmp_path, n_tasks=2, seed=0):
-    rng = np.random.default_rng(seed)
-    base = TensorContainer(
-        tensors={
-            "enc.weight": rng.standard_normal((8, 6)),
-            "enc.bias": rng.standard_normal(8),
-        }
-    )
-    base_path = tmp_path / "base.dcm"
-    write_container(base, base_path)
-    task_paths = []
-    for i in range(n_tasks):
-        task = TensorContainer(
-            tensors={
-                "enc.weight": base.tensors["enc.weight"]
-                + 0.1 * rng.standard_normal((8, 6)),
-                "enc.bias": base.tensors["enc.bias"]
-                + 0.1 * rng.standard_normal(8),
-            }
-        )
-        path = tmp_path / f"task{i}.dcm"
-        write_container(task, path)
-        task_paths.append(path)
-    return base_path, task_paths
-
-
-def merge_args(base, tasks, out, *extra):
-    args = ["merge", "--base", str(base), "--task"]
-    args += [str(t) for t in tasks]
-    args += ["--out", str(out), "--mode", "fft"]
-    args += list(extra)
-    return args
+# the tensors of the small fft sets most tests here merge
+ENC = {"enc.weight": (8, 6), "enc.bias": (8,)}
 
 
 def test_merge_matches_programmatic_pipeline(tmp_path):
-    base_path, task_paths = write_fft_fixture(tmp_path)
+    base_path, task_paths = write_fft_set(tmp_path, ENC)
     out_path = tmp_path / "merged.dcm"
     rc = main(merge_args(base_path, task_paths, out_path, "--rank", "2"))
     assert rc == 0
@@ -89,7 +46,7 @@ def test_merge_matches_programmatic_pipeline(tmp_path):
 
 
 def test_merge_double_run_is_bitwise_identical(tmp_path):
-    base_path, task_paths = write_fft_fixture(tmp_path, seed=1)
+    base_path, task_paths = write_fft_set(tmp_path, ENC, seed=1)
     out1 = tmp_path / "m1.dcm"
     out2 = tmp_path / "m2.dcm"
     assert main(merge_args(base_path, task_paths, out1)) == 0
@@ -98,7 +55,7 @@ def test_merge_double_run_is_bitwise_identical(tmp_path):
 
 
 def test_merge_has_no_seed_option(tmp_path, capsys):
-    base_path, task_paths = write_fft_fixture(tmp_path, seed=1)
+    base_path, task_paths = write_fft_set(tmp_path, ENC, seed=1)
     with pytest.raises(SystemExit) as exc:
         main(merge_args(base_path, task_paths, tmp_path / "m.dcm", "--seed", "7"))
     assert exc.value.code == 2
@@ -106,146 +63,31 @@ def test_merge_has_no_seed_option(tmp_path, capsys):
     assert not (tmp_path / "m.dcm").exists()
 
 
-def _package_env(**extra):
-    src = str(Path(dcmerge.__file__).resolve().parents[1])
-    path = [src, os.environ.get("PYTHONPATH")]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **extra)
-
-
-def test_merge_output_independent_of_blas_threads(tmp_path):
-    # large enough that the BLAS products and SVDs run multi-threaded when allowed
-    base_path, task_paths = write_merge_set(
-        tmp_path, seed=2, mode="fft", n_tasks=3, layers=1, d=96
-    )
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"m{threads}.dcm"
-        env = _package_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        proc = subprocess.run(
-            [sys.executable, "-m", "dcmerge.cli", *merge_args(base_path, task_paths, out)],
-            env=env, capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
-
-
-def _env_without_thread_variables(**extra):
-    env = _package_env(**extra)
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        if var not in extra:
-            env.pop(var, None)
-    return env
-
-
-def _run_python(args, env):
-    proc = subprocess.run(
-        [sys.executable, *map(str, args)], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
-def test_default_threads_match_explicit_counts_below_256(tmp_path):
-    # the CLI picks one BLAS thread here; merge and report bytes must not show it
-    base_path, task_paths = write_merge_set(
-        tmp_path, seed=2, mode="fft", n_tasks=3, layers=1, d=96
-    )
-    outputs = set()
-    for threads in (None, "1", "2"):
-        extra = {} if threads is None else {"OPENBLAS_NUM_THREADS": threads}
-        env = _env_without_thread_variables(**extra)
-        merged, report = tmp_path / f"m{threads}.dcm", tmp_path / f"r{threads}.csv"
-        _run_python(["-m", "dcmerge.cli", *merge_args(base_path, task_paths, merged)],
-                    env)
-        _run_python(["-m", "dcmerge.cli", "report", "--base", base_path,
-                     "--merged", merged, "--task", *task_paths, "--out", report], env)
-        outputs.add((merged.read_bytes(), report.read_bytes()))
-    assert len(outputs) == 1
-
-
-def test_float64_bytes_from_256_match_one_blas_thread(tmp_path):
-    # the pool's width follows the processor count, the BLAS stays on one
-    # thread; float64 copies, since a float32 output would round away the
-    # last bits of eigh and svd that OpenBLAS's thread count moves at this size
-    base_path, task_paths = write_merge_set(
-        tmp_path, seed=3, mode="fft", n_tasks=2, layers=1, d=256
-    )
-    for path in [base_path, *task_paths]:
-        c = read_container(path)
-        tensors = {name: arr.astype(np.float64) for name, arr in c.tensors.items()}
-        write_container(TensorContainer(tensors=tensors), path)
-    outputs = []
-    for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
-        env = _env_without_thread_variables(**extra)
-        merged = tmp_path / f"m{len(outputs)}.dcm"
-        report = tmp_path / f"r{len(outputs)}.csv"
-        _run_python(["-m", "dcmerge.cli", *merge_args(base_path, task_paths, merged)], env)
-        _run_python(["-m", "dcmerge.cli", *report_args(base_path, merged, task_paths, report)],
-                    env)
-        outputs.append((merged.read_bytes(), report.read_bytes()))
-    assert outputs[0] == outputs[1]
-
-
 def test_merge_lora_checkpoints(tmp_path):
-    rng = np.random.default_rng(3)
-    base = TensorContainer(tensors={"q.weight": rng.standard_normal((8, 6))})
-    base_path = tmp_path / "base.dcm"
-    write_container(base, base_path)
-    task_paths = []
-    for i in range(2):
-        task = TensorContainer(
-            tensors={
-                "q.lora_B": rng.standard_normal((8, 2)),
-                "q.lora_A": rng.standard_normal((2, 6)),
-            }
-        )
-        path = tmp_path / f"task{i}.dcm"
-        write_container(task, path)
-        task_paths.append(path)
+    base_path, task_paths = write_lora_set(tmp_path, ranks=[2, 2], seed=3)
     out_path = tmp_path / "merged.dcm"
-    rc = main(
-        [
-            "merge",
-            "--base",
-            str(base_path),
-            "--task",
-            str(task_paths[0]),
-            str(task_paths[1]),
-            "--out",
-            str(out_path),
-            "--mode",
-            "lora",
-        ]
-    )
-    assert rc == 0
-    got = read_container(out_path)
-    assert got.tensors["q.weight"].shape == (8, 6)
-    assert not np.array_equal(got.tensors["q.weight"], base.tensors["q.weight"])
+    assert main(merge_args(base_path, task_paths, out_path, mode="lora")) == 0
+    got = read_container(out_path).tensors["q.weight"]
+    assert got.shape == (8, 6)
+    assert not np.array_equal(got, read_container(base_path).tensors["q.weight"])
 
 
 def test_merge_alpha_zero_rejected(tmp_path):
-    base_path, task_paths = write_fft_fixture(tmp_path, seed=4)
-    rc = main(
-        merge_args(base_path, task_paths, tmp_path / "m.dcm", "--alpha", "0.0")
-    )
-    assert rc == 2
+    base_path, task_paths = write_fft_set(tmp_path, ENC, seed=4)
+    assert main(merge_args(base_path, task_paths, tmp_path / "m.dcm", "--alpha", "0.0")) == 2
 
 
 @pytest.mark.parametrize("alpha", ["inf", "nan"])
 def test_merge_non_finite_alpha_exits_2(tmp_path, alpha):
-    base_path, task_paths = write_fft_fixture(tmp_path, seed=4)
+    base_path, task_paths = write_fft_set(tmp_path, ENC, seed=4)
     out_path = tmp_path / "m.dcm"
     assert main(merge_args(base_path, task_paths, out_path, "--alpha", alpha)) == 2
     assert not out_path.exists()
 
 
 def test_merge_alpha_that_overflows_the_base_dtype_exits_3(tmp_path, capsys):
-    base_path, task_paths = write_fft_fixture(tmp_path, seed=4)
-    for path in [base_path, *task_paths]:  # a float32 cast of base + 1e300 * delta is Inf
-        tensors = read_container(path).tensors
-        float32 = {name: arr.astype(np.float32) for name, arr in tensors.items()}
-        write_container(TensorContainer(float32), path)
+    base_path, task_paths = write_fft_set(tmp_path, ENC, seed=4)
+    recast([base_path, *task_paths], np.float32)  # a float32 cast of base + 1e300 * delta is Inf
     out_path = tmp_path / "m.dcm"
     rc = main(merge_args(base_path, task_paths, out_path, "--alpha", "1e300"))
     assert rc == 3
@@ -256,13 +98,11 @@ def test_merge_alpha_that_overflows_the_base_dtype_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("written, asked", [("fft", "lora"), ("lora", "fft")])
 def test_merge_in_a_mode_the_checkpoints_do_not_hold_exits_2(tmp_path, capsys, written, asked):
     if written == "fft":
-        base_path, task_paths = write_fft_fixture(tmp_path)
+        base_path, task_paths = write_fft_set(tmp_path, ENC)
     else:
-        base_path, task_paths = write_lora_fixture(tmp_path, ranks=[2, 2])
+        base_path, task_paths = write_lora_set(tmp_path, ranks=[2, 2])
     out_path = tmp_path / "m.dcm"
-    rc = main(["merge", "--base", str(base_path), "--task", *map(str, task_paths),
-               "--out", str(out_path), "--mode", asked])
-    assert rc == 2
+    assert main(merge_args(base_path, task_paths, out_path, mode=asked)) == 2
     assert f"{task_paths[0]}: holds {written} checkpoint tensors" in capsys.readouterr().err
     assert not out_path.exists()
 
@@ -280,7 +120,7 @@ def test_merge_of_checkpoints_without_a_shared_matrix_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("lacking", [0, 1])
 def test_merge_of_a_1d_tensor_missing_from_a_task_exits_2(tmp_path, capsys, lacking):
-    base_path, task_paths = write_fft_fixture(tmp_path, seed=23)
+    base_path, task_paths = write_fft_set(tmp_path, ENC, seed=23)
     merged_path = tmp_path / "merged.dcm"
     assert main(merge_args(base_path, task_paths, merged_path)) == 0
     tensors = dict(read_container(task_paths[lacking]).tensors)
@@ -296,13 +136,11 @@ def test_merge_of_a_1d_tensor_missing_from_a_task_exits_2(tmp_path, capsys, lack
     assert not out_path.exists()
     # report and optimize-basis read matrix tensors alone and still take the set
     assert main(report_args(base_path, merged_path, task_paths, tmp_path / "r.csv")) == 0
-    assert main(["optimize-basis", "--base", str(base_path), "--task", *map(str, task_paths),
-                 "--tensor", "enc.weight", "--eta", "1e-3", "--iters", "2",
-                 "--out", str(tmp_path / "trace.csv")]) == 0
+    assert main(optimize_args(base_path, task_paths, tmp_path / "t.csv", "enc.weight")) == 0
 
 
 def test_mask_block_zero_names_its_flag(tmp_path, capsys):
-    base_path, task_paths = write_fft_fixture(tmp_path)
+    base_path, task_paths = write_fft_set(tmp_path, ENC)
     with pytest.raises(SystemExit) as exit_info:
         main(merge_args(base_path, task_paths, tmp_path / "m.dcm", "--mask-block", "0"))
     assert exit_info.value.code == 2
@@ -312,10 +150,8 @@ def test_mask_block_zero_names_its_flag(tmp_path, capsys):
 
 
 def test_missing_input_file_exits_2(tmp_path):
-    rc = main(
-        merge_args(tmp_path / "nope.dcm", [tmp_path / "also-nope.dcm"], tmp_path / "m.dcm")
-    )
-    assert rc == 2
+    assert main(merge_args(tmp_path / "nope.dcm", [tmp_path / "also-nope.dcm"],
+                           tmp_path / "m.dcm")) == 2
 
 
 @pytest.mark.parametrize("kind", ["energy", "direction"])
@@ -335,9 +171,8 @@ def test_perturb_leaves_a_zero_delta_unchanged(tmp_path, capsys, mode, kind):
     write_container(TensorContainer(tensors=base), tmp_path / "base.dcm")
     write_container(TensorContainer(tensors=task), tmp_path / "task.dcm")
     out_path = tmp_path / "out.dcm"
-    rc = main(["perturb", "--task", str(tmp_path / "task.dcm"), "--base", str(tmp_path / "base.dcm"),
-               "--kind", kind, "--p", "0.5", "--seed", "0", "--out", str(out_path)])
-    assert rc == 0
+    assert main(perturb_args(tmp_path / "base.dcm", tmp_path / "task.dcm", out_path,
+                             kind=kind, seed=0)) == 0
     printed = capsys.readouterr().out.splitlines()
     assert printed[0].startswith("v.weight: rank ")
     assert printed[1:] == ["w.weight: zero delta, left unchanged",
@@ -356,10 +191,8 @@ def test_perturb_writes_a_zero_lora_delta_at_another_rank_as_zero_factors(tmp_pa
     write_container(TensorContainer(tensors=base), tmp_path / "base.dcm")
     write_container(TensorContainer(tensors=task), tmp_path / "task.dcm")
     out_path = tmp_path / "out.dcm"
-    rc = main(["perturb", "--task", str(tmp_path / "task.dcm"), "--base", str(tmp_path / "base.dcm"),
-               "--kind", "direction", "--p", "0.5", "--seed", "0", "--out", str(out_path),
-               "--rank", "3"])
-    assert rc == 0
+    assert main(perturb_args(tmp_path / "base.dcm", tmp_path / "task.dcm", out_path,
+                             "--rank", 3, seed=0)) == 0
     got = read_container(out_path).tensors
     assert got["v.lora_B"].shape == got["w.lora_B"].shape == (16, 3)
     assert got["w.lora_A"].shape == (3, 12)
@@ -375,9 +208,7 @@ def test_perturb_writes_a_1d_tensor_named_like_a_lora_pairs_matrix_through(tmp_p
                     tmp_path / "base.dcm")
     write_container(TensorContainer(tensors=task), tmp_path / "task.dcm")
     out_path = tmp_path / "out.dcm"
-    rc = main(["perturb", "--task", str(tmp_path / "task.dcm"), "--base", str(tmp_path / "base.dcm"),
-               "--kind", "direction", "--p", "0.5", "--seed", "0", "--out", str(out_path)])
-    assert rc == 0
+    assert main(perturb_args(tmp_path / "base.dcm", tmp_path / "task.dcm", out_path, seed=0)) == 0
     printed = capsys.readouterr().out.splitlines()
     assert printed[0].startswith("w.weight: rank 2, achieved similarity ")
     assert printed[1:] == [f"perturbed 1 tensors -> {out_path}"]
@@ -389,18 +220,17 @@ def test_perturb_writes_a_1d_tensor_named_like_a_lora_pairs_matrix_through(tmp_p
 
 def test_perturb_energy_at_working_rank_one(tmp_path, capsys):
     # the auto rank of an 8 x 6 fft task is max(1, 6 // 4) = 1
-    base_path, task_paths = write_fft_fixture(tmp_path, n_tasks=1, seed=8)
+    base_path, task_paths = write_fft_set(tmp_path, ENC, 1, 8)
     out_path = tmp_path / "out.dcm"
-    perturb = ["perturb", "--base", str(base_path), "--task", str(task_paths[0]),
-               "--kind", "energy", "--seed", "0", "--out", str(out_path)]
-    assert main(perturb + ["--p", "1"]) == 0
+    perturb = perturb_args(base_path, task_paths[0], out_path, kind="energy", seed=0)
+    assert main([*perturb, "--p", "1"]) == 0
     assert capsys.readouterr().out.startswith("enc.weight: rank 1, achieved similarity 1.000000\n")
     out_path.unlink()
-    assert main(perturb + ["--p", "0.5"]) == 2
+    assert main(perturb) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: enc.weight: a one-entry spectrum") and "--rank 2" in err
     assert not out_path.exists()
-    assert main(perturb + ["--p", "0.5", "--rank", "2"]) == 0
+    assert main([*perturb, "--rank", "2"]) == 0
 
 
 def test_perturb_energy_that_overflows_the_task_dtype_exits_3(tmp_path, capsys):
@@ -413,9 +243,8 @@ def test_perturb_energy_that_overflows_the_task_dtype_exits_3(tmp_path, capsys):
     out_path = tmp_path / "out.dcm"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy overflow warning in place of the error
-        rc = main(["perturb", "--base", str(tmp_path / "base.dcm"),
-                   "--task", str(tmp_path / "task.dcm"), "--kind", "energy", "--p", "0",
-                   "--seed", "1", "--out", str(out_path)])
+        rc = main(perturb_args(tmp_path / "base.dcm", tmp_path / "task.dcm", out_path,
+                               kind="energy", p=0))
     assert rc == 3
     assert "numerical error: tensor 'w.weight' is not finite" in capsys.readouterr().err
     assert not out_path.exists()
@@ -430,9 +259,7 @@ def test_perturb_energy_that_overflows_the_task_dtype_exits_3(tmp_path, capsys):
     before = sorted(os.listdir(tmp_path))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = main(["perturb", "--base", str(tmp_path / "base.dcm"),
-                   "--task", str(tmp_path / "task.dcm"), "--kind", "direction", "--p", "0.5",
-                   "--seed", "1", "--out", str(out_path)])
+        rc = main(perturb_args(tmp_path / "base.dcm", tmp_path / "task.dcm", out_path))
     assert rc == 3
     assert capsys.readouterr().err == (
         "numerical error: tensor 'w.lora_B' is not finite after perturbation\n")
@@ -441,28 +268,9 @@ def test_perturb_energy_that_overflows_the_task_dtype_exits_3(tmp_path, capsys):
 
 
 def test_perturb_direction_records_metadata(tmp_path, capsys):
-    base_path, task_paths = write_fft_fixture(tmp_path, n_tasks=1, seed=6)
+    base_path, task_paths = write_fft_set(tmp_path, ENC, 1, 6)
     out_path = tmp_path / "pert.dcm"
-    rc = main(
-        [
-            "perturb",
-            "--task",
-            str(task_paths[0]),
-            "--base",
-            str(base_path),
-            "--kind",
-            "direction",
-            "--p",
-            "0.49",
-            "--seed",
-            "11",
-            "--out",
-            str(out_path),
-            "--rank",
-            "2",
-        ]
-    )
-    assert rc == 0
+    assert main(perturb_args(base_path, task_paths[0], out_path, "--rank", 2, p=0.49, seed=11)) == 0
     printed = capsys.readouterr().out
     assert "0.49" in printed
     got = read_container(out_path)
@@ -475,31 +283,15 @@ def test_perturb_direction_records_metadata(tmp_path, capsys):
 
 
 def test_perturb_deterministic_per_seed(tmp_path):
-    base_path, task_paths = write_fft_fixture(tmp_path, n_tasks=1, seed=7)
-    out1 = tmp_path / "p1.dcm"
-    out2 = tmp_path / "p2.dcm"
-    args = [
-        "perturb",
-        "--task",
-        str(task_paths[0]),
-        "--base",
-        str(base_path),
-        "--kind",
-        "direction",
-        "--p",
-        "0.3",
-        "--seed",
-        "21",
-        "--rank",
-        "2",
-    ]
-    assert main(args + ["--out", str(out1)]) == 0
-    assert main(args + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    base_path, task_paths = write_fft_set(tmp_path, ENC, 1, 7)
+    outs = [tmp_path / "p1.dcm", tmp_path / "p2.dcm"]
+    for out in outs:
+        assert main(perturb_args(base_path, task_paths[0], out, "--rank", 2, p=0.3, seed=21)) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_report_csv_structure(tmp_path):
-    base_path, task_paths = write_fft_fixture(tmp_path, n_tasks=2, seed=8)
+    base_path, task_paths = write_fft_set(tmp_path, ENC, 2, 8)
     merged_path = tmp_path / "merged.dcm"
     assert main(merge_args(base_path, task_paths, merged_path, "--rank", "2")) == 0
     report_path = tmp_path / "report.csv"
@@ -536,9 +328,7 @@ def test_report_writes_nan_for_a_frozen_layer(tmp_path):
     merged = str(tmp_path / "merged.dcm")
     report = tmp_path / "report.csv"
     assert main(merge_args(base_path, [frozen, tuned], merged)) == 0
-    rc = main(["report", "--base", base_path, "--merged", merged,
-               "--task", frozen, tuned, "--out", str(report)])
-    assert rc == 0
+    assert main(report_args(base_path, merged, [frozen, tuned], report)) == 0
     with open(report, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     for tensor in ("w", "ALL"):
@@ -549,31 +339,10 @@ def test_report_writes_nan_for_a_frozen_layer(tmp_path):
 
 
 def test_optimize_basis_trace_is_non_decreasing(tmp_path):
-    base_path, task_paths = write_fft_fixture(tmp_path, n_tasks=2, seed=9)
+    base_path, task_paths = write_fft_set(tmp_path, ENC, 2, 9)
     trace_path = tmp_path / "trace.csv"
-    rc = main(
-        [
-            "optimize-basis",
-            "--base",
-            str(base_path),
-            "--task",
-            str(task_paths[0]),
-            str(task_paths[1]),
-            "--tensor",
-            "enc.weight",
-            "--eta",
-            "1e-3",
-            "--iters",
-            "25",
-            "--out",
-            str(trace_path),
-            "--rank",
-            "2",
-            "--log-every",
-            "5",
-        ]
-    )
-    assert rc == 0
+    assert main(optimize_args(base_path, task_paths, trace_path, "enc.weight",
+                              "--rank", 2, "--log-every", 5, iters=25)) == 0
     with open(trace_path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["iter", "score"]
@@ -599,8 +368,17 @@ def test_accuracy_report_table(tmp_path, capsys):
     assert "average" in out.lower()
 
 
+def test_accuracy_report_reads_a_table_saved_with_a_byte_order_mark(tmp_path, capsys):
+    # spreadsheet exports often start UTF-8 text with one
+    table = tmp_path / "acc.csv"
+    table.write_bytes(b"\xef\xbb\xbfcifar,0.8,0.9,0.5\n")
+    assert main(["accuracy-report", "--table", str(table)]) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row == f"{'cifar':<24} {0.8 / 0.9:>12.6f} {0.75:>12.6f}"
+
+
 def test_inspect_lists_tensors(tmp_path, capsys):
-    base_path, _ = write_fft_fixture(tmp_path, seed=10)
+    base_path, _ = write_fft_set(tmp_path, ENC, seed=10)
     rc = main(["inspect", str(base_path)])
     assert rc == 0
     out = capsys.readouterr().out
@@ -645,70 +423,24 @@ def test_inspect_svd_non_convergence_exits_3(tmp_path, monkeypatch, capsys):
 def test_inspect_of_a_malformed_header_exits_2_without_a_traceback(tmp_path, payload, message):
     path = tmp_path / "bad.dcm"
     path.write_bytes(len(payload).to_bytes(8, "little") + payload + b"\x00" * 8)
-    proc = subprocess.run([sys.executable, "-m", "dcmerge.cli", "inspect", str(path)],
-                          env=_env_without_thread_variables(), capture_output=True, text=True)
+    proc = python("-m", "dcmerge.cli", "inspect", path)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith(message) and "Traceback" not in proc.stderr
 
 
 def test_report_to_unwritable_path_exits_2(tmp_path):
-    base_path, task_paths = write_fft_fixture(tmp_path, seed=11)
+    base_path, task_paths = write_fft_set(tmp_path, ENC, seed=11)
     merged_path = tmp_path / "merged.dcm"
     assert main(merge_args(base_path, task_paths, merged_path)) == 0
-    rc = main(
-        [
-            "report",
-            "--base",
-            str(base_path),
-            "--merged",
-            str(merged_path),
-            "--task",
-            str(task_paths[0]),
-            "--out",
-            str(tmp_path / "no-such-dir" / "report.csv"),
-        ]
-    )
-    assert rc == 2
-
-
-def write_lora_fixture(tmp_path, ranks, seed=12):
-    rng = np.random.default_rng(seed)
-    base = TensorContainer(tensors={"q.weight": rng.standard_normal((8, 6))})
-    base_path = tmp_path / "base.dcm"
-    write_container(base, base_path)
-    task_paths = []
-    for i, r in enumerate(ranks):
-        task = TensorContainer(
-            tensors={
-                "q.lora_B": rng.standard_normal((8, r)),
-                "q.lora_A": rng.standard_normal((r, 6)),
-            }
-        )
-        path = tmp_path / f"task{i}.dcm"
-        write_container(task, path)
-        task_paths.append(path)
-    return base_path, task_paths
-
-
-def report_args(base, merged, tasks, out):
-    return ["report", "--base", str(base), "--merged", str(merged),
-            "--task", *map(str, tasks), "--out", str(out)]
-
-
-def _poison(path, name, value):
-    """Rewrite the container at ``path`` with one non-finite entry in tensor ``name``."""
-    container = read_container(path)
-    tensors = dict(container.tensors)
-    tensors[name] = tensors[name].copy()
-    tensors[name][1, 2] = value
-    write_container(TensorContainer(tensors=tensors, metadata=container.metadata), path)
+    out = tmp_path / "no-such-dir" / "report.csv"
+    assert main(report_args(base_path, merged_path, task_paths[:1], out)) == 2
 
 
 @pytest.mark.parametrize(
     "write_fixture, mode, tensor",
     [
-        (write_fft_fixture, "fft", "enc.weight"),
-        (lambda tmp_path: write_lora_fixture(tmp_path, ranks=[2, 2]), "lora", "q.lora_A"),
+        (lambda tmp_path: write_fft_set(tmp_path, ENC), "fft", "enc.weight"),
+        (lambda tmp_path: write_lora_set(tmp_path, ranks=[2, 2]), "lora", "q.lora_A"),
     ],
     ids=["fft", "lora"],
 )
@@ -716,33 +448,27 @@ def test_merge_names_the_file_and_tensor_that_is_non_finite(
     tmp_path, capsys, write_fixture, mode, tensor
 ):
     base_path, task_paths = write_fixture(tmp_path)
-    _poison(task_paths[1], tensor, np.inf)
-    merge = ["merge", "--base", str(base_path), "--task", *map(str, task_paths),
-             "--out", str(tmp_path / "m.dcm"), "--mode", mode]
-    assert main(merge) == 2
+    poison(task_paths[1], tensor, np.inf, index=8)  # entry (1, 2)
+    assert main(merge_args(base_path, task_paths, tmp_path / "m.dcm", mode=mode)) == 2
     err = capsys.readouterr().err
     assert f"error: {task_paths[1]}: tensor {tensor!r} contains non-finite entries" in err
 
 
 def test_merge_names_the_file_and_tensor_whose_lora_product_overflows(tmp_path, capsys):
-    base_path, task_paths = write_lora_fixture(tmp_path, ranks=[2, 2])
+    base_path, task_paths = write_lora_set(tmp_path, ranks=[2, 2])
     huge = {"q.lora_B": np.full((8, 2), 1e200), "q.lora_A": np.full((2, 6), 1e200)}
     write_container(TensorContainer(tensors=huge), task_paths[1])
-    merge = ["merge", "--base", str(base_path), "--task", *map(str, task_paths),
-             "--out", str(tmp_path / "m.dcm"), "--mode", "lora"]
-    assert main(merge) == 2
+    assert main(merge_args(base_path, task_paths, tmp_path / "m.dcm", mode="lora")) == 2
     err = capsys.readouterr().err
     assert f"error: {task_paths[1]}: delta of q.weight contains non-finite entries" in err
     assert not (tmp_path / "m.dcm").exists()
 
 
 def test_merge_rejects_zero_width_lora_factors_by_file_and_tensor(tmp_path, capsys):
-    base_path, task_paths = write_lora_fixture(tmp_path, ranks=[2, 2])
+    base_path, task_paths = write_lora_set(tmp_path, ranks=[2, 2])
     empty = {"q.lora_B": np.zeros((8, 0)), "q.lora_A": np.zeros((0, 6))}
     write_container(TensorContainer(tensors=empty), task_paths[0])
-    merge = ["merge", "--base", str(base_path), "--task", *map(str, task_paths),
-             "--out", str(tmp_path / "m.dcm"), "--mode", "lora"]
-    assert main(merge) == 2
+    assert main(merge_args(base_path, task_paths, tmp_path / "m.dcm", mode="lora")) == 2
     err = capsys.readouterr().err
     assert (
         f"error: {task_paths[0]}: tensor 'q.lora_B' (8, 0) and tensor 'q.lora_A' (0, 6) "
@@ -751,20 +477,18 @@ def test_merge_rejects_zero_width_lora_factors_by_file_and_tensor(tmp_path, caps
 
 
 def test_merge_names_the_file_and_1d_tensor_that_is_non_finite(tmp_path, capsys):
-    base_path, task_paths = write_fft_fixture(tmp_path)
-    tensors = dict(read_container(task_paths[1]).tensors)
-    tensors["enc.bias"] = np.where(np.arange(8) == 3, np.nan, tensors["enc.bias"])
-    write_container(TensorContainer(tensors), task_paths[1])
+    base_path, task_paths = write_fft_set(tmp_path, ENC)
+    poison(task_paths[1], "enc.bias", index=3)
     assert main(merge_args(base_path, task_paths, tmp_path / "m.dcm")) == 2
     err = capsys.readouterr().err
     assert f"error: {task_paths[1]}: 1-D tensor 'enc.bias' or its base is not finite" in err
 
 
 def test_report_names_the_file_and_tensor_that_is_non_finite(tmp_path, capsys):
-    base_path, task_paths = write_fft_fixture(tmp_path, seed=19)
+    base_path, task_paths = write_fft_set(tmp_path, ENC, seed=19)
     merged_path = tmp_path / "merged.dcm"
     assert main(merge_args(base_path, task_paths, merged_path)) == 0
-    _poison(merged_path, "enc.weight", np.nan)
+    poison(merged_path, "enc.weight", index=8)
     rc = main(report_args(base_path, merged_path, task_paths, tmp_path / "r.csv"))
     assert rc == 2
     err = capsys.readouterr().err
@@ -774,18 +498,10 @@ def test_report_names_the_file_and_tensor_that_is_non_finite(tmp_path, capsys):
 
 @pytest.mark.parametrize("shape", [(1, 6), (6, 8)])
 def test_report_rejects_a_merged_tensor_of_another_shape(tmp_path, capsys, shape):
-    rng = np.random.default_rng(32)
-    base = rng.standard_normal((8, 6))
-    write_container(TensorContainer(tensors={"q.weight": base}), tmp_path / "base.dcm")
-    task_paths = []
-    for i in range(2):
-        task_paths.append(tmp_path / f"task{i}.dcm")
-        tuned = base + 0.1 * rng.standard_normal((8, 6))
-        write_container(TensorContainer(tensors={"q.weight": tuned}), task_paths[-1])
+    base_path, task_paths = write_fft_set(tmp_path, {"q.weight": (8, 6)}, seed=32)
     merged = tmp_path / "merged.dcm"
     write_container(TensorContainer(tensors={"q.weight": np.ones(shape)}), merged)
-    rc = main(report_args(tmp_path / "base.dcm", merged, task_paths, tmp_path / "r.csv"))
-    assert rc == 2
+    assert main(report_args(base_path, merged, task_paths, tmp_path / "r.csv")) == 2
     err = capsys.readouterr().err
     assert f"error: {merged}: tensor 'q.weight' has shape {shape}, base is (8, 6)" in err
     assert not (tmp_path / "r.csv").exists()
@@ -815,12 +531,10 @@ def test_merge_of_more_tasks_than_min_dim_exits_2_without_a_clip_warning(tmp_pat
 
 def test_report_measures_at_the_merge_rank_rule(tmp_path):
     # LoRA rank 3 with three tasks overflows min(8, 6) = 6 and clips to 2
-    base_path, task_paths = write_lora_fixture(tmp_path, ranks=[3, 3, 3])
+    base_path, task_paths = write_lora_set(tmp_path, ranks=[3, 3, 3])
     merged_path = tmp_path / "merged.dcm"
-    merge = ["merge", "--base", str(base_path), "--task", *map(str, task_paths),
-             "--out", str(merged_path), "--mode", "lora"]
     with pytest.warns(UserWarning, match="clipping to rank 2"):
-        assert main(merge) == 0
+        assert main(merge_args(base_path, task_paths, merged_path, mode="lora")) == 0
     report_path = tmp_path / "report.csv"
     with pytest.warns(UserWarning, match="clipping to rank 2"):
         assert main(report_args(base_path, merged_path, task_paths, report_path)) == 0
@@ -889,8 +603,19 @@ def test_merge_of_tasks_at_1e_minus_162_is_the_rescaled_unit_merge(tmp_path):
         out = base.parent / "merged.dcm"
         assert main(merge_args(base, tasks, out, "--rank", "4")) == 0
         merged[scale] = read_container(out).tensors["w"] / scale
-    gap = np.linalg.norm(merged[1e-162] - merged[1.0]) / np.linalg.norm(merged[1.0])
-    assert gap <= 1e-12
+    assert relative_gap(merged[1e-162], merged[1.0]) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e170])
+def test_perturb_energy_of_tasks_far_from_unit_scale_is_the_rescaled_unit_one(tmp_path, scale):
+    # the norm of an unscaled spectrum under- or overflows here
+    perturbed = {}
+    for s in (1.0, scale):
+        base, tasks = write_scaled_set(tmp_path / f"{s:g}", s)
+        out = base.parent / "p.dcm"
+        assert main(perturb_args(base, tasks[0], out, kind="energy")) == 0
+        perturbed[s] = read_container(out).tensors["w"] / s
+    assert relative_gap(perturbed[scale], perturbed[1.0]) <= 1e-12
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -903,7 +628,8 @@ def test_report_is_scale_invariant(tmp_path, scale):
         assert main(merge_args(base, tasks, merged)) == 0
         assert main(report_args(base, merged, tasks, report)) == 0
         with open(report, newline="") as fh:
-            rows[s] = [(t, Path(task).name, m, float(v)) for t, task, m, v in list(csv.reader(fh))[1:]]
+            rows[s] = [(t, Path(task).name, m, float(v))
+                       for t, task, m, v in list(csv.reader(fh))[1:]]
     assert len(rows[scale]) == len(rows[1.0])
     for (*key, unit), (*got_key, got) in zip(rows[1.0], rows[scale]):
         assert got_key == key
@@ -913,24 +639,17 @@ def test_report_is_scale_invariant(tmp_path, scale):
 
 
 def test_optimize_basis_rank_above_min_dim_exits_2(tmp_path, capsys):
-    base_path, task_paths = write_fft_fixture(tmp_path, seed=13)
-    rc = main(
-        ["optimize-basis", "--base", str(base_path),
-         "--task", *map(str, task_paths), "--tensor", "enc.weight",
-         "--eta", "1e-3", "--iters", "2", "--out", str(tmp_path / "trace.csv"),
-         "--rank", "7"]
-    )
-    assert rc == 2
+    base_path, task_paths = write_fft_set(tmp_path, ENC, seed=13)
+    trace = tmp_path / "trace.csv"
+    assert main(optimize_args(base_path, task_paths, trace, "enc.weight", "--rank", 7)) == 2
     assert "rank 7 exceeds min(m, n) = 6" in capsys.readouterr().err
-    assert not (tmp_path / "trace.csv").exists()
+    assert not trace.exists()
 
 
 def test_report_on_mixed_lora_ranks_exits_2_like_merge(tmp_path, capsys):
-    base_path, task_paths = write_lora_fixture(tmp_path, ranks=[1, 2])
+    base_path, task_paths = write_lora_set(tmp_path, ranks=[1, 2])
     merged_path = tmp_path / "merged.dcm"
-    merge = ["merge", "--base", str(base_path), "--task", *map(str, task_paths),
-             "--out", str(merged_path), "--mode", "lora"]
-    assert main(merge) == 2
+    assert main(merge_args(base_path, task_paths, merged_path, mode="lora")) == 2
     merge_err = capsys.readouterr().err
     assert "same LoRA rank" in merge_err
     # the report needs a merged file; any checkpoint of the base layout serves
@@ -941,24 +660,10 @@ def test_report_on_mixed_lora_ranks_exits_2_like_merge(tmp_path, capsys):
 
 @pytest.mark.parametrize("merger", ["ta", "ties"])
 def test_merge_lora_from_factors_matches_the_dense_pipeline(tmp_path, merger):
-    rng = np.random.default_rng(14)
-    base = TensorContainer(tensors={"q.weight": rng.standard_normal((24, 20))})
-    base_path = tmp_path / "base.dcm"
-    write_container(base, base_path)
-    task_paths = []
-    for i in range(3):
-        task = TensorContainer(
-            tensors={
-                "q.lora_B": rng.standard_normal((24, 3)),
-                "q.lora_A": rng.standard_normal((3, 20)),
-            }
-        )
-        task_paths.append(tmp_path / f"task{i}.dcm")
-        write_container(task, task_paths[-1])
+    base_path, task_paths = write_lora_set(tmp_path, [3, 3, 3], seed=14, shape=(24, 20))
     out_path = tmp_path / "merged.dcm"
-    rc = main(["merge", "--base", str(base_path), "--task", *map(str, task_paths),
-               "--out", str(out_path), "--mode", "lora", "--merger", merger])
-    assert rc == 0
+    assert main(merge_args(base_path, task_paths, out_path, "--merger", merger, mode="lora")) == 0
+    base = read_container(base_path)
 
     tvs = [
         extract_task_vectors(base, read_container(p), mode="lora").matrices["q.weight"]
@@ -974,7 +679,7 @@ def test_merge_lora_from_factors_matches_the_dense_pipeline(tmp_path, merger):
 def test_cli_start_up_does_not_import_scipy(tmp_path):
     # nor, for --help and merge, the modules only the other subcommands use,
     # nor the ones concurrent.futures would bring in: the tensor pool is threading
-    base_path, task_paths = write_fft_fixture(tmp_path)
+    base_path, task_paths = write_fft_set(tmp_path, ENC)
     merge = merge_args(base_path, task_paths, tmp_path / "m.dcm")
     code = (
         "import contextlib, io, sys\n"
@@ -993,9 +698,7 @@ def test_cli_start_up_does_not_import_scipy(tmp_path):
         f"    assert dcmerge.cli.main({merge!r}) == 0\n"
         "check('merge')\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True
-    )
+    proc = python("-c", code)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -1022,9 +725,7 @@ def test_the_module_entry_keeps_exit_codes_output_and_atexit(argv, code):
         f"sys.argv = ['dcmerge', *{argv!r}]\n"
         "runpy.run_module('dcmerge.cli', run_name='__main__', alter_sys=True)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=_package_env(), capture_output=True, text=True
-    )
+    proc = python("-c", script)
     assert proc.returncode == code
     usage = proc.stdout if code == 0 else proc.stderr
     assert usage.startswith("usage: dcmerge"), (proc.stdout, proc.stderr)
@@ -1037,11 +738,7 @@ def test_optimize_basis_above_64_rows_runs(tmp_path, capsys):
         tmp_path, seed=15, mode="fft", n_tasks=2, layers=1, d=96
     )
     trace_path = tmp_path / "trace.csv"
-    rc = main(
-        ["optimize-basis", "--base", base_path, "--task", *task_paths,
-         "--tensor", "layers.0.mlp.up.weight", "--eta", "1e-3", "--iters", "2",
-         "--out", str(trace_path)]
-    )
+    rc = main(optimize_args(base_path, task_paths, trace_path, "layers.0.mlp.up.weight"))
     assert rc == 0, capsys.readouterr().err
     with open(trace_path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -1077,9 +774,7 @@ def test_optimize_basis_starts_a_lora_tensor_from_its_factors(tmp_path, monkeypa
     monkeypatch.setattr(cli, "truncated_svd", no_dense_path)
     monkeypatch.setattr(task_vector, "truncated_svd", no_dense_path)
     monkeypatch.setattr(optimizer, "optimize_cover_basis", recording_optimize)
-    assert main(["optimize-basis", "--base", base_path, "--task", *task_paths,
-                 "--tensor", tensor, "--eta", "1e-2", "--iters", "2",
-                 "--out", str(tmp_path / "trace.csv")]) == 0
+    assert main(optimize_args(base_path, task_paths, tmp_path / "t.csv", tensor, eta="1e-2")) == 0
     (start,) = starts
     signs = np.sign(np.sum(start.U_tilde * dense.U, axis=0))
     np.testing.assert_allclose(start.U_tilde * signs, dense.U, rtol=0, atol=1e-12)
@@ -1101,14 +796,13 @@ def test_optimize_basis_checks_its_arguments_before_reading_a_tensor(
              {k: np.full(v.shape, np.nan) for k, v in base.items()}]
     for i, task in enumerate(tasks):
         write_container(TensorContainer(task), tmp_path / f"task{i}.dcm")
-    rc = main(["optimize-basis", "--base", str(tmp_path / "base.dcm"),
-               "--task", str(tmp_path / "task0.dcm"), str(tmp_path / "task1.dcm"),
-               "--tensor", tensor, "--eta", eta, "--iters", iters,
-               "--out", str(tmp_path / "trace.csv")])
-    assert rc == 2
+    tasks = [tmp_path / "task0.dcm", tmp_path / "task1.dcm"]
+    trace = tmp_path / "trace.csv"
+    assert main(optimize_args(tmp_path / "base.dcm", tasks, trace, tensor, eta=eta,
+                              iters=iters)) == 2
     err = capsys.readouterr().err
     assert message in err and "non-finite" not in err
-    assert not (tmp_path / "trace.csv").exists()
+    assert not trace.exists()
 
 
 def test_optimize_basis_runs_without_scipy(tmp_path):
@@ -1116,18 +810,15 @@ def test_optimize_basis_runs_without_scipy(tmp_path):
         tmp_path, seed=16, mode="fft", n_tasks=3, layers=1, d=32
     )
     trace_path = tmp_path / "trace.csv"
-    argv = ["optimize-basis", "--base", base_path, "--task", *task_paths,
-            "--tensor", "layers.0.attn.q.weight", "--eta", "1e-2", "--iters", "4",
-            "--out", str(trace_path)]
+    argv = optimize_args(base_path, task_paths, trace_path, "layers.0.attn.q.weight",
+                         eta="1e-2", iters=4)
     code = (
         "import sys\n"
         "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
         "from dcmerge.cli import main\n"
         f"sys.exit(main({argv!r}))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True
-    )
+    proc = python("-c", code)
     assert proc.returncode == 0, proc.stderr
     with open(trace_path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -1136,18 +827,10 @@ def test_optimize_basis_runs_without_scipy(tmp_path):
 
 
 def test_optimize_basis_too_large_step_exits_3(tmp_path, capsys):
-    rng = np.random.default_rng(17)
-    weight = rng.standard_normal((16, 12))
-    tuned = weight + 0.1 * rng.standard_normal((16, 12))
-    write_container(TensorContainer(tensors={"q.weight": weight}), tmp_path / "base.dcm")
-    write_container(TensorContainer(tensors={"q.weight": tuned}), tmp_path / "task.dcm")
+    base_path, task_paths = write_fft_set(tmp_path, {"q.weight": (16, 12)}, 1, 17)
     trace_path = tmp_path / "trace.csv"
-    rc = main(
-        ["optimize-basis", "--base", str(tmp_path / "base.dcm"),
-         "--task", str(tmp_path / "task.dcm"), "--tensor", "q.weight",
-         "--eta", "1e20", "--iters", "3", "--out", str(trace_path)]
-    )
-    assert rc == 3
+    assert main(optimize_args(base_path, task_paths, trace_path, "q.weight", eta="1e20",
+                              iters=3)) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical error: iteration ")
     assert "lower the learning rate (--eta)" in err
@@ -1180,7 +863,7 @@ def test_merge_of_a_task_tensor_the_base_lacks_exits_2(tmp_path, capsys, extra, 
 
 @pytest.mark.parametrize("command", ["merge", "report"])
 def test_a_lora_factor_whose_target_the_base_lacks_exits_2(tmp_path, capsys, command):
-    base_path, task_paths = write_lora_fixture(tmp_path, ranks=[2, 2])
+    base_path, task_paths = write_lora_set(tmp_path, ranks=[2, 2])
     rng = np.random.default_rng(30)
     for path in task_paths:
         tensors = dict(read_container(path).tensors)
@@ -1189,8 +872,7 @@ def test_a_lora_factor_whose_target_the_base_lacks_exits_2(tmp_path, capsys, com
         write_container(TensorContainer(tensors=tensors), path)
     out_path = tmp_path / "out"
     if command == "merge":
-        args = ["merge", "--base", str(base_path), "--task", *map(str, task_paths),
-                "--out", str(out_path), "--mode", "lora"]
+        args = merge_args(base_path, task_paths, out_path, mode="lora")
     else:  # the base serves as the merged checkpoint
         args = report_args(base_path, base_path, task_paths, out_path)
     assert main(args) == 2
@@ -1200,13 +882,9 @@ def test_a_lora_factor_whose_target_the_base_lacks_exits_2(tmp_path, capsys, com
 
 
 def test_the_process_entry_prints_a_clip_warning_without_its_source_line(tmp_path):
-    base_path, task_paths = write_fft_fixture(tmp_path)
+    base_path, task_paths = write_fft_set(tmp_path, ENC)
     out_path = tmp_path / "m.dcm"
-    proc = subprocess.run(
-        [sys.executable, "-m", "dcmerge.cli",
-         *merge_args(base_path, task_paths, out_path, "--rank", "4")],
-        env=_package_env(), capture_output=True, text=True,
-    )
+    proc = python("-m", "dcmerge.cli", *merge_args(base_path, task_paths, out_path, "--rank", 4))
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ("warning: rank 4 with 2 tasks exceeds the cover-basis bound "
                            "min(m, n) = 6 of 'enc.weight'; clipping to rank 3\n")
@@ -1241,19 +919,15 @@ def test_merge_smoothing_flags_apply_their_strategy(tmp_path, flags, strategy):
 
 
 def test_perturb_p_outside_the_unit_interval_exits_2_before_reading_a_file(tmp_path, capsys):
-    rc = main(["perturb", "--task", str(tmp_path / "no-task.dcm"),
-               "--base", str(tmp_path / "no-base.dcm"), "--kind", "energy",
-               "--p", "1.5", "--seed", "0", "--out", str(tmp_path / "p.dcm")])
-    assert rc == 2
+    assert main(perturb_args(tmp_path / "no-base.dcm", tmp_path / "no-task.dcm",
+                             tmp_path / "p.dcm", kind="energy", p=1.5, seed=0)) == 2
     assert capsys.readouterr().err == "error: p must be in [0, 1], got 1.5\n"
     assert not (tmp_path / "p.dcm").exists()
 
 
 def test_perturb_negative_seed_exits_2_before_reading_a_file(tmp_path, capsys):
-    rc = main(["perturb", "--task", str(tmp_path / "no-task.dcm"),
-               "--base", str(tmp_path / "no-base.dcm"), "--kind", "direction",
-               "--p", "0.5", "--seed", "-1", "--out", str(tmp_path / "p.dcm")])
-    assert rc == 2
+    assert main(perturb_args(tmp_path / "no-base.dcm", tmp_path / "no-task.dcm",
+                             tmp_path / "p.dcm", seed=-1)) == 2
     assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
     assert not (tmp_path / "p.dcm").exists()
 
@@ -1292,7 +966,7 @@ def test_inspect_prints_the_metadata_and_an_all_zero_spectrum(tmp_path, capsys):
 
 
 def test_report_on_a_merged_checkpoint_without_a_tensor_exits_2(tmp_path, capsys):
-    base_path, task_paths = write_fft_fixture(tmp_path, seed=33)
+    base_path, task_paths = write_fft_set(tmp_path, ENC, seed=33)
     merged_path = tmp_path / "merged.dcm"
     write_container(TensorContainer(tensors={"enc.bias": np.zeros(8)}), merged_path)
     report_path = tmp_path / "r.csv"
@@ -1302,7 +976,7 @@ def test_report_on_a_merged_checkpoint_without_a_tensor_exits_2(tmp_path, capsys
 
 
 def test_merge_of_tasks_with_different_matrix_tensors_exits_2(tmp_path, capsys):
-    base_path, task_paths = write_fft_fixture(tmp_path, seed=41)
+    base_path, task_paths = write_fft_set(tmp_path, ENC, seed=41)
     tensors = dict(read_container(base_path).tensors)
     tensors["dec.weight"] = np.ones((4, 3))
     write_container(TensorContainer(tensors=tensors), base_path)
@@ -1347,17 +1021,12 @@ def _write_nd_set(tmp_path, mode, shape, task_shape=None, base_has_x=True, seed=
     return tmp_path / "base.dcm", task_paths
 
 
-def _mode_args(args, mode):
-    args[args.index("fft")] = mode
-    return args
-
-
 @pytest.mark.parametrize("mode", ["fft", "lora"])
 @pytest.mark.parametrize("ndim", sorted(ND_SHAPES))
 def test_merge_averages_a_tensor_of_any_ndim_in_the_base_dtype(tmp_path, ndim, mode):
     base_path, task_paths = _write_nd_set(tmp_path, mode, ND_SHAPES[ndim])
     out_path = tmp_path / "m.dcm"
-    assert main(_mode_args(merge_args(base_path, task_paths, out_path), mode)) == 0
+    assert main(merge_args(base_path, task_paths, out_path, mode=mode)) == 0
     x = read_container(base_path).tensors["x"]
     deltas = [read_container(p).tensors["x"].astype(np.float64) - x for p in task_paths]
     want = (x.astype(np.float64) + np.mean(deltas, axis=0)).astype(np.float32)
@@ -1373,7 +1042,7 @@ def test_merge_of_a_tensor_of_another_shape_than_the_base_exits_2(tmp_path, caps
     bad = (shape[0] + 1, *shape[1:]) if shape else (1,)
     base_path, task_paths = _write_nd_set(tmp_path, mode, shape, task_shape=bad)
     out_path = tmp_path / "m.dcm"
-    assert main(_mode_args(merge_args(base_path, task_paths, out_path), mode)) == 2
+    assert main(merge_args(base_path, task_paths, out_path, mode=mode)) == 2
     assert capsys.readouterr().err == (
         f"error: {task_paths[0]}: {len(bad)}-D tensor 'x' has shape {bad} vs base {shape}\n"
     )
@@ -1385,7 +1054,7 @@ def test_merge_of_a_tensor_of_another_shape_than_the_base_exits_2(tmp_path, caps
 def test_merge_of_a_task_only_tensor_of_any_ndim_exits_2(tmp_path, capsys, ndim, mode):
     base_path, task_paths = _write_nd_set(tmp_path, mode, ND_SHAPES[ndim], base_has_x=False)
     out_path = tmp_path / "m.dcm"
-    assert main(_mode_args(merge_args(base_path, task_paths, out_path), mode)) == 2
+    assert main(merge_args(base_path, task_paths, out_path, mode=mode)) == 2
     assert capsys.readouterr().err == (
         f"error: {task_paths[0]}: holds tensor 'x', which the base lacks\n"
     )
@@ -1397,9 +1066,7 @@ def test_merge_of_a_task_only_tensor_of_any_ndim_exits_2(tmp_path, capsys, ndim,
 def test_report_and_optimize_basis_ignore_averaged_tensors(tmp_path, ndim, mode):
     base_path, task_paths = _write_nd_set(tmp_path, mode, ND_SHAPES[ndim])
     merged = tmp_path / "m.dcm"
-    assert main(_mode_args(merge_args(base_path, task_paths, merged), mode)) == 0
-    optimize = ["optimize-basis", "--base", str(base_path), "--task", *map(str, task_paths),
-                "--tensor", "w.weight", "--eta", "1e-3", "--iters", "2", "--rank", "2"]
+    assert main(merge_args(base_path, task_paths, merged, mode=mode)) == 0
     outputs = []
     for drop in (None, 0, "all"):
         for i, path in enumerate(task_paths):
@@ -1409,7 +1076,7 @@ def test_report_and_optimize_basis_ignore_averaged_tensors(tmp_path, ndim, mode)
                 write_container(TensorContainer(tensors=tensors), path)
         report, trace = tmp_path / f"r{drop}.csv", tmp_path / f"t{drop}.csv"
         assert main(report_args(base_path, merged, task_paths, report)) == 0
-        assert main([*optimize, "--out", str(trace)]) == 0
+        assert main(optimize_args(base_path, task_paths, trace, "w.weight", "--rank", 2)) == 0
         outputs.append((report.read_bytes(), trace.read_bytes()))
     assert outputs[0] == outputs[1] == outputs[2]
 
@@ -1418,7 +1085,7 @@ def test_report_and_optimize_basis_ignore_averaged_tensors(tmp_path, ndim, mode)
 def test_a_lora_product_of_another_shape_than_the_base_exits_2_before_decomposing(
     tmp_path, capsys, monkeypatch, command
 ):
-    base_path, task_paths = write_lora_fixture(tmp_path, ranks=[2, 2])
+    base_path, task_paths = write_lora_set(tmp_path, ranks=[2, 2])
     rng = np.random.default_rng(47)
     write_container(TensorContainer(tensors={"q.lora_B": rng.standard_normal((10, 2)),
                                              "q.lora_A": rng.standard_normal((2, 6))}),
@@ -1427,8 +1094,7 @@ def test_a_lora_product_of_another_shape_than_the_base_exits_2_before_decomposin
     monkeypatch.setattr("dcmerge.merge.decompose", lambda *a: decomposed.append(a))
     out_path = tmp_path / "out"
     if command == "merge":
-        args = ["merge", "--base", str(base_path), "--task", *map(str, task_paths),
-                "--out", str(out_path), "--mode", "lora"]
+        args = merge_args(base_path, task_paths, out_path, mode="lora")
     else:  # the base serves as the merged checkpoint
         args = report_args(base_path, base_path, task_paths, out_path)
     assert main(args) == 2

@@ -20,7 +20,7 @@ from dcmerge.merge import MergeConfig, resolve_rank
 from dcmerge.metrics import alignment_score
 from dcmerge.task_vector import TaskVector, decompose, reconstruct, stack_bases
 
-from helpers import random_decomp, random_orthonormal, write_merge_set
+from helpers import random_decomp, random_orthonormal, relative_gap, write_merge_set
 
 
 # build_cover_basis
@@ -94,10 +94,6 @@ def test_basis_equivariant_under_task_rescaling():
 def whitened_coordinates(decomps):
     """U~^T [U_1..U_T] and V~^T [V_1..V_T] through the whitened stacks themselves."""
     return tuple(whiten(M).T @ M for M in stack_bases(decomps))
-
-
-def relative_gap(got, want):
-    return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("t", [2, 4, 8])

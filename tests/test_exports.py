@@ -1,15 +1,15 @@
 import ast
 import importlib
 import inspect
-import os
 import pkgutil
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import dcmerge
+
+from helpers import python
 
 MODULES = ["dcmerge"] + [
     f"dcmerge.{info.name}" for info in pkgutil.iter_modules(dcmerge.__path__)
@@ -49,23 +49,34 @@ def test_every_submodule_resolves_as_an_attribute_of_a_fresh_package():
         f"for name in {names!r}:\n"
         "    assert getattr(dcmerge, name) is sys.modules['dcmerge.' + name], name\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(dcmerge.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = python("-c", code)
     assert proc.returncode == 0, proc.stderr
 
 
-def test_the_package_imports_only_the_stdlib_numpy_and_itself():
-    # every import statement, those inside functions included, so a lazy import of
-    # another dependency fails here and not only on an install without test extras
-    allowed = sys.stdlib_module_names | {"numpy", "dcmerge"}
+def _imports(paths):
+    """(file name, module) of every absolute import statement in ``paths``, those inside
+    functions included."""
     found = []
-    for path in sorted(Path(dcmerge.__file__).parent.rglob("*.py")):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 found += [(path.name, alias.name) for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 found.append((path.name, node.module))
     assert found
+    return found
+
+
+def test_the_package_imports_only_the_stdlib_numpy_and_itself():
+    # a lazy import of another dependency fails here, not only on an install without test extras
+    allowed = sys.stdlib_module_names | {"numpy", "dcmerge"}
+    found = _imports(sorted(Path(dcmerge.__file__).parent.rglob("*.py")))
     assert [(f, m) for f, m in found if m.split(".")[0] not in allowed] == []
+
+
+def test_no_test_module_imports_another():
+    # shared set-up lives in helpers (and conftest), so each test module runs on its own
+    tests = Path(__file__).parent
+    local = {path.stem for path in tests.glob("*.py")} - {"helpers", "conftest"}
+    found = _imports(sorted(tests.glob("*.py")))
+    assert [(f, m) for f, m in found if m.split(".")[0] in local] == []

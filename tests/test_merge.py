@@ -26,6 +26,8 @@ from dcmerge.task_vector import (
     smooth_energy,
 )
 
+from helpers import relative_gap
+
 
 def make_tasks(rng, m, n, t):
     return [
@@ -284,12 +286,6 @@ def task_sets(draw):
 def merge_deltas(deltas, r):
     return dc_merge([TaskVector(name=f"t{i}", delta=d) for i, d in enumerate(deltas)],
                     MergeConfig(rank=r))
-
-
-def relative_gap(got, want):
-    # both norms at one power-of-two scale, since the norm squares every entry
-    e = np.frexp(np.abs(want).max())[1]
-    return np.linalg.norm(np.ldexp(got - want, -e)) / np.linalg.norm(np.ldexp(want, -e))
 
 
 @settings(max_examples=40)

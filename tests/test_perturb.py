@@ -56,7 +56,7 @@ def test_energy_cosine_and_norm_hit_target_exactly():
 def test_energy_is_scale_equivariant_at_any_magnitude():
     # flatness is judged relative to the spectrum, so a small one is not flat
     sigma = np.array([4.0, 2.0, 1.0])
-    for c in (1e-12, 1e-3, 1e5):
+    for c in (1e-170, 1e-12, 1e-3, 1e5, 1e170):
         np.testing.assert_allclose(
             energy_perturb(c * sigma, 0.3), c * energy_perturb(sigma, 0.3), rtol=1e-12
         )

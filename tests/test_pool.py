@@ -3,10 +3,10 @@
 The width is the processor count in a CLI process that started OpenBLAS on
 one thread, and 1 under a thread variable the user set (``_blas.start``).
 Tests that compare widths run the CLI in new processes, with and without
-``OPENBLAS_NUM_THREADS=1``; in-process tests set ``cli._pool_width``.
+``OPENBLAS_NUM_THREADS=1`` (float32 bytes also at ``=2``); in-process tests
+set ``cli._pool_width``.
 """
 
-import subprocess
 import sys
 import threading
 import time
@@ -19,42 +19,45 @@ from dcmerge import cli
 from dcmerge.container import TensorContainer, read_container, write_container
 from dcmerge.errors import NumericalError, ValidationError
 
-from helpers import write_merge_set
-from test_cli import _env_without_thread_variables, merge_args, report_args
+from helpers import (merge_args, optimize_args, perturb_args, python, recast, report_args,
+                     write_fft_set, write_merge_set)
 
 # a new CLI process at the processor count, then at width 1
 WIDTHS = ({}, {"OPENBLAS_NUM_THREADS": "1"})
 
 
-def _cli(argv, env_extra, code="import sys; from dcmerge import cli; sys.exit(cli.main())"):
-    """(exit code, stdout, stderr) of ``code`` run as the CLI on ``argv``."""
-    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
-                          env=_env_without_thread_variables(**env_extra),
-                          capture_output=True, text=True)
-    return proc.returncode, proc.stdout, proc.stderr
+def _outcomes(argv, widths=WIDTHS, code=None):
+    """The set of (exit code, stdout, stderr) of the CLI on ``argv`` in a new process at each
+    of ``widths``, or of ``code`` run as the CLI if given."""
+    entry = ("-m", "dcmerge.cli") if code is None else ("-c", code)
+    return {(p.returncode, p.stdout, p.stderr)
+            for p in (python(*entry, *argv, **extra) for extra in widths)}
 
 
-def _rewrite_as_float64(paths):
-    for path in paths:
-        c = read_container(path)
-        tensors = {name: arr.astype(np.float64) for name, arr in c.tensors.items()}
-        write_container(TensorContainer(tensors=tensors), path)
+# the three tensors of the small fft sets, drawn from seed 31
+ABC = {"a.weight": (10, 6), "b.weight": (10, 7), "c.weight": (10, 8)}
 
 
-@pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_merge_and_report_bytes_do_not_depend_on_the_pool_width(tmp_path, dtype):
+@pytest.mark.parametrize("dtype, widths", [
+    # float32 rounds away the last bits that OpenBLAS's own thread count moves
+    ("float32", WIDTHS + ({"OPENBLAS_NUM_THREADS": "2"},)),
+    ("float64", WIDTHS),
+], ids=["float32", "float64"])
+def test_merge_and_report_bytes_do_not_depend_on_the_pool_width(tmp_path, dtype, widths):
     base_path, task_paths = write_merge_set(
         tmp_path, seed=4, mode="fft", n_tasks=4, layers=1, d=192
     )
     if dtype == "float64":
-        _rewrite_as_float64([base_path, *task_paths])
-    outputs = []
-    for i, extra in enumerate(WIDTHS):
+        recast([base_path, *task_paths], np.float64)
+    outputs = set()
+    for i, extra in enumerate(widths):
         merged, report = tmp_path / f"m{i}.dcm", tmp_path / f"r{i}.csv"
-        assert _cli(merge_args(base_path, task_paths, merged), extra)[0] == 0
-        assert _cli(report_args(base_path, merged, task_paths, report), extra)[0] == 0
-        outputs.append((merged.read_bytes(), report.read_bytes()))
-    assert outputs[0] == outputs[1]
+        for argv in (merge_args(base_path, task_paths, merged),
+                     report_args(base_path, merged, task_paths, report)):
+            proc = python("-m", "dcmerge.cli", *argv, **extra)
+            assert proc.returncode == 0, proc.stderr
+        outputs.add((merged.read_bytes(), report.read_bytes()))
+    assert len(outputs) == 1
 
 
 @pytest.mark.parametrize("mode, kind", [("fft", "energy"), ("fft", "direction"),
@@ -67,11 +70,12 @@ def test_perturb_and_inspect_output_does_not_depend_on_the_pool_width(tmp_path, 
     outputs = []
     for i, extra in enumerate(WIDTHS):
         out = tmp_path / f"p{i}.dcm"
-        perturbed = _cli(["perturb", "--base", base_path, "--task", task_path, "--kind", kind,
-                          "--p", "0.6", "--seed", "11", "--out", out], extra)
-        inspected = _cli(["inspect", out], extra)
-        assert perturbed[0] == inspected[0] == 0, perturbed[2] + inspected[2]
-        outputs.append((perturbed[1].replace(str(out), "OUT"), inspected[1], out.read_bytes()))
+        argv = perturb_args(base_path, task_path, out, kind=kind, p=0.6, seed=11)
+        perturbed = python("-m", "dcmerge.cli", *argv, **extra)
+        inspected = python("-m", "dcmerge.cli", "inspect", out, **extra)
+        assert (perturbed.returncode, inspected.returncode) == (0, 0), perturbed.stderr
+        outputs.append((perturbed.stdout.replace(str(out), "OUT"), inspected.stdout,
+                        out.read_bytes()))
     assert outputs[0] == outputs[1]
 
 
@@ -122,21 +126,8 @@ def test_the_pool_starts_no_name_after_a_failure(exc):
     assert set(started) <= {"a", "b"}
 
 
-def _three_tensor_fixture(tmp_path, shapes=((10, 6), (10, 7), (10, 8))):
-    rng = np.random.default_rng(31)
-    names = [f"{x}.weight" for x in "abc"]
-    base = {name: rng.standard_normal(shape) for name, shape in zip(names, shapes)}
-    write_container(TensorContainer(tensors=base), tmp_path / "base.dcm")
-    task_paths = []
-    for i in range(2):
-        task = {name: w + 0.1 * rng.standard_normal(w.shape) for name, w in base.items()}
-        task_paths.append(tmp_path / f"task{i}.dcm")
-        write_container(TensorContainer(tensors=task), task_paths[-1])
-    return tmp_path / "base.dcm", task_paths
-
-
 def test_the_first_failing_tensor_in_name_order_is_reported(tmp_path, monkeypatch, capsys):
-    base_path, task_paths = _three_tensor_fixture(tmp_path)
+    base_path, task_paths = write_fft_set(tmp_path, ABC, seed=31)
     real = cli.dc_merge
 
     def dc_merge(tasks, cfg):
@@ -158,7 +149,7 @@ def test_the_first_failing_tensor_in_name_order_is_reported(tmp_path, monkeypatc
 
 
 def test_rank_clip_warnings_come_in_name_order(tmp_path, monkeypatch):
-    base_path, task_paths = _three_tensor_fixture(tmp_path)
+    base_path, task_paths = write_fft_set(tmp_path, ABC, seed=31)
     monkeypatch.setattr(cli, "_pool_width", 2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -199,11 +190,9 @@ def test_report_rank_clip_warnings_come_in_name_order_at_every_width(tmp_path, m
         task_paths.append(tmp_path / f"task{i}.dcm")
         write_container(TensorContainer(tensors=task), task_paths[-1])
     merged = tmp_path / "m.dcm"
-    args = merge_args(tmp_path / "base.dcm", task_paths, merged)
-    args[args.index("fft")] = "lora"
     with warnings.catch_warnings(record=True):
         warnings.simplefilter("always")
-        assert cli.main(args) == 0
+        assert cli.main(merge_args(tmp_path / "base.dcm", task_paths, merged, mode="lora")) == 0
     reports = []
     for width in (1, 2):
         monkeypatch.setattr(cli, "_pool_width", width)
@@ -220,12 +209,11 @@ def test_report_rank_clip_warnings_come_in_name_order_at_every_width(tmp_path, m
 
 def test_optimize_basis_plans_only_its_tensor(tmp_path, capsys):
     # at rank 4 with two tasks, a.weight (10 x 3) exits 2 and b.weight (10 x 7) clips
-    base_path, task_paths = _three_tensor_fixture(tmp_path, ((10, 3), (10, 7), (10, 8)))
-    argv = ["optimize-basis", "--base", str(base_path), "--task", *map(str, task_paths),
-            "--eta", "1e-3", "--iters", "2", "--rank", "4", "--out", str(tmp_path / "t.csv")]
+    base_path, task_paths = write_fft_set(tmp_path, {**ABC, "a.weight": (10, 3)}, seed=31)
+    argv = optimize_args(base_path, task_paths, tmp_path / "t.csv", "c.weight", "--rank", 4)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert cli.main([*argv, "--tensor", "c.weight"]) == 0
+        assert cli.main(argv) == 0
     assert caught == [] and capsys.readouterr().err == ""
     assert cli.main([*argv, "--tensor", "d.weight"]) == 2
     assert capsys.readouterr().err == (
@@ -237,7 +225,7 @@ def test_optimize_basis_plans_only_its_tensor(tmp_path, capsys):
 def test_each_command_resolves_each_planned_rank_once_in_the_calling_thread(
     tmp_path, monkeypatch
 ):
-    base_path, task_paths = _three_tensor_fixture(tmp_path)
+    base_path, task_paths = write_fft_set(tmp_path, ABC, seed=31)
     real = cli.resolve_rank
     calls = []
 
@@ -251,13 +239,12 @@ def test_each_command_resolves_each_planned_rank_once_in_the_calling_thread(
     commands = [
         merge_args(base_path, task_paths, merged),
         report_args(base_path, merged, task_paths, tmp_path / "r.csv"),
-        ["optimize-basis", "--base", base_path, "--task", *task_paths, "--tensor", "b.weight",
-         "--eta", "1e-3", "--iters", "2", "--out", tmp_path / "t.csv"],
+        optimize_args(base_path, task_paths, tmp_path / "t.csv", "b.weight"),
     ]
     planned = []
     for argv in commands:
         calls.clear()
-        assert cli.main(list(map(str, argv))) == 0
+        assert cli.main(argv) == 0
         assert {ident for _, ident in calls} == {threading.get_ident()}
         planned.append([name for name, _ in calls])
     everything = ["a.weight", "b.weight", "c.weight"]
@@ -266,11 +253,9 @@ def test_each_command_resolves_each_planned_rank_once_in_the_calling_thread(
 
 def test_perturb_reports_the_first_failing_tensor_in_name_order(tmp_path):
     # a one-entry spectrum has no direction to move energy to: every tensor fails
-    base_path, task_paths = _three_tensor_fixture(tmp_path)
+    base_path, task_paths = write_fft_set(tmp_path, ABC, seed=31)
     out = tmp_path / "p.dcm"
-    argv = ["perturb", "--base", base_path, "--task", task_paths[0], "--kind", "energy",
-            "--p", "0.5", "--seed", "1", "--rank", "1", "--out", out]
-    results = {_cli(argv, extra) for extra in WIDTHS}
+    results = _outcomes(perturb_args(base_path, task_paths[0], out, "--rank", 1, kind="energy"))
     assert len(results) == 1
     ((rc, stdout, stderr),) = results
     assert (rc, stdout) == (2, "")
@@ -298,7 +283,7 @@ sys.exit(cli.main())
 
 
 def test_inspect_reports_the_first_failing_tensor_in_name_order(tmp_path):
-    base_path, _ = _three_tensor_fixture(tmp_path)
-    results = {_cli(["inspect", base_path], extra, _INSPECT_FAILING) for extra in WIDTHS * 3}
+    base_path, _ = write_fft_set(tmp_path, ABC, seed=31)
+    results = _outcomes(["inspect", base_path], WIDTHS * 3, _INSPECT_FAILING)
     # the error alone: no tensor's lines print when one of them fails
     assert results == {(3, "", "numerical error: b did not converge\n")}

@@ -21,35 +21,13 @@ from dcmerge.container import (
 )
 from dcmerge.errors import ContainerError, ValidationError
 
+from helpers import (merge_args, optimize_args, perturb_args, poison, report_args, write_fft_set,
+                     write_lora_set)
+
 has_fd_dir = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 
-
-def _fft_set(tmp_path, names=("a.weight", "b.bias", "c.weight"), n_tasks=3, seed=0):
-    """A float32 base and fft tasks holding ``names``; 2-D unless the name ends in .bias."""
-    rng = np.random.default_rng(seed)
-    base = {name: rng.standard_normal(6 if name.endswith(".bias") else (8, 6)).astype(np.float32)
-            for name in names}
-    write_container(TensorContainer(tensors=base), tmp_path / "base.dcm")
-    task_paths = []
-    for i in range(n_tasks):
-        task = {name: (w + 0.1 * rng.standard_normal(w.shape)).astype(np.float32)
-                for name, w in base.items()}
-        task_paths.append(tmp_path / f"task{i}.dcm")
-        write_container(TensorContainer(tensors=task), task_paths[-1])
-    return tmp_path / "base.dcm", task_paths
-
-
-def _merge_argv(base, tasks, out, mode="fft"):
-    return ["merge", "--base", str(base), "--task", *map(str, tasks), "--out", str(out),
-            "--mode", mode]
-
-
-def _poison(path, name, index=0):
-    tensors = dict(read_container(path).tensors)
-    arr = tensors[name].copy()
-    arr.reshape(-1)[index] = np.nan
-    tensors[name] = arr
-    write_container(TensorContainer(tensors=tensors), path)
+# the tensors of a float32 base and three fft tasks
+SET = {"a.weight": (8, 6), "b.bias": (6,), "c.weight": (8, 6)}
 
 
 def _open_fds():
@@ -169,17 +147,12 @@ def test_write_container_failing_part_way_leaves_an_existing_file_alone(tmp_path
     assert os.listdir(tmp_path) == ["out.dcm"]
 
 
-def _report_argv(base_path, merged, task_paths, out):
-    return ["report", "--base", str(base_path), "--merged", str(merged),
-            "--task", *map(str, task_paths), "--out", str(out)]
-
-
 @pytest.mark.parametrize("command", ["merge", "perturb", "report", "optimize-basis"])
 def test_an_out_in_a_missing_directory_exits_2_before_any_decomposition(
         tmp_path, monkeypatch, capsys, command):
-    base_path, task_paths = _fft_set(tmp_path)
+    base_path, task_paths = write_fft_set(tmp_path, SET, 3, 0, np.float32)
     merged = tmp_path / "m.dcm"
-    assert main(_merge_argv(base_path, task_paths, merged)) == 0
+    assert main(merge_args(base_path, task_paths, merged)) == 0
     reads = []
     real_read = ContainerReader.read
 
@@ -189,13 +162,10 @@ def test_an_out_in_a_missing_directory_exits_2_before_any_decomposition(
 
     monkeypatch.setattr(ContainerReader, "read", counting_read)
     out = tmp_path / "missing" / "out.csv"
-    argv = {"merge": _merge_argv(base_path, task_paths, out),
-            "perturb": ["perturb", "--base", str(base_path), "--task", str(task_paths[0]),
-                        "--kind", "direction", "--p", "0.5", "--seed", "1", "--out", str(out)],
-            "report": _report_argv(base_path, merged, task_paths, out),
-            "optimize-basis": ["optimize-basis", "--base", str(base_path), "--task",
-                               *map(str, task_paths), "--tensor", "a.weight", "--eta", "1e-3",
-                               "--iters", "2", "--out", str(out)]}[command]
+    argv = {"merge": merge_args(base_path, task_paths, out),
+            "perturb": perturb_args(base_path, task_paths[0], out),
+            "report": report_args(base_path, merged, task_paths, out),
+            "optimize-basis": optimize_args(base_path, task_paths, out, "a.weight")}[command]
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -206,9 +176,9 @@ def test_an_out_in_a_missing_directory_exits_2_before_any_decomposition(
 
 def test_a_report_failing_part_way_through_its_rows_leaves_an_existing_csv_alone(
         tmp_path, monkeypatch):
-    base_path, task_paths = _fft_set(tmp_path)
+    base_path, task_paths = write_fft_set(tmp_path, SET, 3, 0, np.float32)
     merged, out = tmp_path / "m.dcm", tmp_path / "r.csv"
-    assert main(_merge_argv(base_path, task_paths, merged)) == 0
+    assert main(merge_args(base_path, task_paths, merged)) == 0
     out.write_bytes(b"an earlier report\n")
     before = sorted(os.listdir(tmp_path))
     formatted = []
@@ -222,14 +192,14 @@ def test_a_report_failing_part_way_through_its_rows_leaves_an_existing_csv_alone
 
     monkeypatch.setattr(cli, "_fmt", failing_fmt)
     with pytest.raises(RuntimeError, match="stop"):
-        main(_report_argv(base_path, merged, task_paths, out))
+        main(report_args(base_path, merged, task_paths, out))
     assert len(formatted) == 5
     assert out.read_bytes() == b"an earlier report\n"
     assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_pairing_from_headers_agrees_with_extraction(tmp_path):
-    base_path, (task_path, *_) = _fft_set(tmp_path)
+    base_path, (task_path, *_) = write_fft_set(tmp_path, SET, 3, 0, np.float32)
     base, task = read_container(base_path), read_container(task_path)
     with ContainerReader(base_path) as b, ContainerReader(task_path) as t:
         pairing = pair_tensors(b.specs, t.specs, "fft")
@@ -273,11 +243,9 @@ def test_a_1d_tensor_named_like_a_lora_pairs_matrix_exits_2_naming_file_and_tens
         task_paths.append(tmp_path / f"task{i}.dcm")
         write_container(TensorContainer(tensors=task), task_paths[-1])
     base, tasks, out = str(tmp_path / "base.dcm"), list(map(str, task_paths)), tmp_path / "out"
-    argv = {"merge": _merge_argv(base, tasks, out, "lora"),
-            "report": ["report", "--base", base, "--merged", base, "--task", *tasks,
-                       "--out", str(out)],
-            "optimize-basis": ["optimize-basis", "--base", base, "--task", *tasks, "--tensor",
-                               "w.weight", "--eta", "1e-3", "--iters", "1", "--out", str(out)]}
+    argv = {"merge": merge_args(base, tasks, out, mode="lora"),
+            "report": report_args(base, base, tasks, out),
+            "optimize-basis": optimize_args(base, tasks, out, "w.weight", iters=1)}
     assert main(argv[command]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {task_paths[0]}: holds 1-D tensor 'w.weight', ")
@@ -296,27 +264,24 @@ def test_a_lora_merge_with_a_full_2d_tensor_exits_2_naming_file_and_tensor(tmp_p
         task_paths.append(tmp_path / f"task{i}.dcm")
         write_container(TensorContainer(tensors=task), task_paths[-1])
     out = tmp_path / "m.dcm"
-    assert main(_merge_argv(tmp_path / "base.dcm", task_paths, out, "lora")) == 2
+    assert main(merge_args(tmp_path / "base.dcm", task_paths, out, mode="lora")) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {task_paths[0]}: holds 2-D tensor 'head.weight', "
                           "which is no LoRA factor")
     assert not out.exists()
     # perturb reads one file and writes such a tensor through from the task
-    argv = ["perturb", "--base", str(tmp_path / "base.dcm"), "--task", str(task_paths[0]),
-            "--kind", "direction", "--p", "0.5", "--seed", "1", "--out", str(out)]
-    assert main(argv) == 0
+    assert main(perturb_args(tmp_path / "base.dcm", task_paths[0], out)) == 0
     assert np.array_equal(read_container(out).tensors["head.weight"], base["head.weight"] + 1.0)
 
 
 def test_a_merge_failing_on_its_last_tensor_leaves_an_existing_out_untouched(tmp_path, capsys):
-    base_path, task_paths = _fft_set(tmp_path)
-    _poison(task_paths[2], "c.weight")  # the last tensor by name
+    base_path, task_paths = write_fft_set(tmp_path, SET, 3, 0, np.float32)
+    poison(task_paths[2], "c.weight")  # the last tensor by name
     out = tmp_path / "m.dcm"
     out.write_bytes(b"an earlier merge")
     before = sorted(os.listdir(tmp_path))
-    perturb = ["perturb", "--base", str(base_path), "--task", str(task_paths[2]), "--kind",
-               "direction", "--p", "0.5", "--seed", "1", "--out", str(out)]
-    for argv in [_merge_argv(base_path, task_paths, out), perturb]:
+    for argv in [merge_args(base_path, task_paths, out),
+                 perturb_args(base_path, task_paths[2], out)]:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"error: {task_paths[2]}: tensor 'c.weight' contains non-finite entries" in err
@@ -327,14 +292,14 @@ def test_a_merge_failing_on_its_last_tensor_leaves_an_existing_out_untouched(tmp
 def test_the_first_non_finite_tensor_by_name_is_reported_then_the_first_file(
     tmp_path, monkeypatch, capsys
 ):
-    base_path, task_paths = _fft_set(tmp_path)
-    _poison(task_paths[0], "c.weight")
-    _poison(task_paths[2], "a.weight")
-    _poison(task_paths[1], "a.weight", index=5)
+    base_path, task_paths = write_fft_set(tmp_path, SET, 3, 0, np.float32)
+    poison(task_paths[0], "c.weight")
+    poison(task_paths[2], "a.weight")
+    poison(task_paths[1], "a.weight", index=5)
     out = tmp_path / "m.dcm"
     for width in (1, 2):
         monkeypatch.setattr(cli, "_pool_width", width)
-        assert main(_merge_argv(base_path, task_paths, out)) == 2
+        assert main(merge_args(base_path, task_paths, out)) == 2
         err = capsys.readouterr().err
         assert err == f"error: {task_paths[1]}: tensor 'a.weight' contains non-finite entries\n"
         assert not out.exists()
@@ -343,25 +308,23 @@ def test_the_first_non_finite_tensor_by_name_is_reported_then_the_first_file(
 def test_perturb_reports_the_first_failing_tensor_by_name_whatever_the_fault(
     tmp_path, monkeypatch, capsys
 ):
-    base_path, task_paths = _fft_set(tmp_path)
-    _poison(task_paths[0], "c.weight")
-    _poison(task_paths[0], "b.bias")
+    base_path, task_paths = write_fft_set(tmp_path, SET, 3, 0, np.float32)
+    poison(task_paths[0], "c.weight")
+    poison(task_paths[0], "b.bias")
     out = tmp_path / "m.dcm"
-    perturb = ["perturb", "--base", str(base_path), "--task", str(task_paths[0]), "--kind",
-               "direction", "--p", "0.5", "--seed", "1", "--out", str(out)]
     for width in (1, 2):
         monkeypatch.setattr(cli, "_pool_width", width)
         # the 1-D b.bias sorts before the matrix c.weight
-        assert main(perturb) == 2
+        assert main(perturb_args(base_path, task_paths[0], out)) == 2
         assert capsys.readouterr().err == (
             f"error: {task_paths[0]}: 1-D tensor 'b.bias' or its base is not finite\n")
         assert not out.exists()
 
 
 def test_optimize_basis_reads_only_its_tensor(tmp_path, monkeypatch, capsys):
-    base_path, task_paths = _fft_set(tmp_path)
-    _poison(task_paths[0], "c.weight")
-    _poison(base_path, "b.bias")
+    base_path, task_paths = write_fft_set(tmp_path, SET, 3, 0, np.float32)
+    poison(task_paths[0], "c.weight")
+    poison(base_path, "b.bias")
     read = []
     real_read = ContainerReader.read
 
@@ -370,10 +333,9 @@ def test_optimize_basis_reads_only_its_tensor(tmp_path, monkeypatch, capsys):
         return real_read(self, name)
 
     monkeypatch.setattr(ContainerReader, "read", recording_read)
-    argv = ["optimize-basis", "--base", str(base_path), "--task", *map(str, task_paths),
-            "--eta", "1e-3", "--iters", "2", "--out", str(tmp_path / "t.csv")]
+    argv = optimize_args(base_path, task_paths, tmp_path / "t.csv", "a.weight")
     # the rule: a NaN in a tensor it does not read does not stop it
-    assert main([*argv, "--tensor", "a.weight"]) == 0
+    assert main(argv) == 0
     assert sorted(read) == sorted(
         (name, "a.weight") for name in ["base.dcm", "task0.dcm", "task1.dcm", "task2.dcm"])
     capsys.readouterr()
@@ -383,14 +345,7 @@ def test_optimize_basis_reads_only_its_tensor(tmp_path, monkeypatch, capsys):
 
 
 def test_optimize_basis_reads_no_base_tensor_for_a_lora_pair(tmp_path, monkeypatch):
-    rng = np.random.default_rng(3)
-    write_container(TensorContainer({"q.weight": rng.standard_normal((8, 6))}),
-                    tmp_path / "base.dcm")
-    task_paths = []
-    for i in range(2):
-        lora = {"q.lora_B": rng.standard_normal((8, 2)), "q.lora_A": rng.standard_normal((2, 6))}
-        task_paths.append(str(tmp_path / f"task{i}.dcm"))
-        write_container(TensorContainer(lora), task_paths[-1])
+    base_path, task_paths = write_lora_set(tmp_path, [2, 2], seed=3)
     read = []
     real_read = ContainerReader.read
 
@@ -399,14 +354,12 @@ def test_optimize_basis_reads_no_base_tensor_for_a_lora_pair(tmp_path, monkeypat
         return real_read(self, name)
 
     monkeypatch.setattr(ContainerReader, "read", recording_read)
-    assert main(["optimize-basis", "--base", str(tmp_path / "base.dcm"), "--task", *task_paths,
-                 "--tensor", "q.weight", "--eta", "1e-3", "--iters", "2",
-                 "--out", str(tmp_path / "t.csv")]) == 0
+    assert main(optimize_args(base_path, task_paths, tmp_path / "t.csv", "q.weight")) == 0
     assert sorted(read) == [(f"task{i}.dcm", f"q.lora_{ab}") for i in range(2) for ab in "AB"]
 
 
 def test_merge_and_report_read_each_tensor_of_each_file_once(tmp_path, monkeypatch):
-    base_path, task_paths = _fft_set(tmp_path)
+    base_path, task_paths = write_fft_set(tmp_path, SET, 3, 0, np.float32)
     read = []
     real_read = ContainerReader.read
 
@@ -417,14 +370,12 @@ def test_merge_and_report_read_each_tensor_of_each_file_once(tmp_path, monkeypat
     monkeypatch.setattr(ContainerReader, "read", recording_read)
     assert not hasattr(cli, "read_container")  # no command reads a file whole
     merged = tmp_path / "m.dcm"
-    assert main(_merge_argv(base_path, task_paths, merged)) == 0
+    assert main(merge_args(base_path, task_paths, merged)) == 0
     files = ["base.dcm", "task0.dcm", "task1.dcm", "task2.dcm"]
     names = ["a.weight", "b.bias", "c.weight"]
     assert sorted(read) == sorted((f, n) for f in files for n in names)
     read.clear()
-    argv = ["report", "--base", str(base_path), "--merged", str(merged),
-            "--task", *map(str, task_paths), "--out", str(tmp_path / "r.csv")]
-    assert main(argv) == 0
+    assert main(report_args(base_path, merged, task_paths, tmp_path / "r.csv")) == 0
     matrices = ["a.weight", "c.weight"]
     assert sorted(read) == sorted((f, n) for f in [*files, "m.dcm"] for n in matrices)
 
@@ -432,28 +383,23 @@ def test_merge_and_report_read_each_tensor_of_each_file_once(tmp_path, monkeypat
 @has_fd_dir
 @pytest.mark.parametrize("fault", ["none", "header", "non-finite", "rank"])
 def test_every_file_a_command_opens_is_closed(tmp_path, fault, capsys):
-    base_path, task_paths = _fft_set(tmp_path)
+    base_path, task_paths = write_fft_set(tmp_path, SET, 3, 0, np.float32)
     merged = tmp_path / "m.dcm"
-    assert main(_merge_argv(base_path, task_paths, merged)) == 0
+    assert main(merge_args(base_path, task_paths, merged)) == 0
     extra = []
     if fault == "header":
         task_paths[2].write_bytes(b"short")
     elif fault == "non-finite":
-        _poison(task_paths[1], "c.weight")
+        poison(task_paths[1], "c.weight")
     elif fault == "rank":
         extra = ["--rank", "7"]
     perturbed = task_paths[2 if fault == "header" else 1]
     commands = [
-        [*_merge_argv(base_path, task_paths, tmp_path / "m2.dcm"), *extra],
-        ["report", "--base", str(base_path), "--merged", str(merged),
-         "--task", *map(str, task_paths), "--out", str(tmp_path / "r.csv")],
-        ["optimize-basis", "--base", str(base_path), "--task", *map(str, task_paths),
-         "--tensor", "c.weight", "--eta", "1e-3", "--iters", "1", "--out",
-         str(tmp_path / "t.csv"), *extra],
+        merge_args(base_path, task_paths, tmp_path / "m2.dcm", *extra),
+        report_args(base_path, merged, task_paths, tmp_path / "r.csv"),
+        optimize_args(base_path, task_paths, tmp_path / "t.csv", "c.weight", *extra, iters=1),
         ["inspect", str(task_paths[2])],
-        ["perturb", "--base", str(base_path), "--task", str(perturbed),
-         "--kind", "direction", "--p", "0.5", "--seed", "1", "--out", str(tmp_path / "p.dcm"),
-         *extra],
+        perturb_args(base_path, perturbed, tmp_path / "p.dcm", *extra),
     ]
     before = _open_fds()
     codes = [main(argv) for argv in commands]
@@ -466,7 +412,7 @@ def test_every_file_a_command_opens_is_closed(tmp_path, fault, capsys):
 @pytest.mark.parametrize("rank, clipped, working", [("4", False, 4), ("7", True, 6)])
 def test_perturb_direction_without_room_for_the_complement_exits_2_before_reading(
         tmp_path, monkeypatch, capsys, rank, clipped, working):
-    base_path, task_paths = _fft_set(tmp_path)
+    base_path, task_paths = write_fft_set(tmp_path, SET, 3, 0, np.float32)
     read = []
     real_read = ContainerReader.read
 
@@ -476,9 +422,7 @@ def test_perturb_direction_without_room_for_the_complement_exits_2_before_readin
 
     monkeypatch.setattr(ContainerReader, "read", recording_read)
     out = tmp_path / "p.dcm"
-    assert main(["perturb", "--base", str(base_path), "--task", str(task_paths[0]),
-                 "--kind", "direction", "--p", "0.5", "--seed", "1", "--out", str(out),
-                 "--rank", rank]) == 2
+    assert main(perturb_args(base_path, task_paths[0], out, "--rank", rank)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: tensor 'a.weight' (8, 6): --kind direction at "
                           f"working rank {working} ")
