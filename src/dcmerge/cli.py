@@ -11,13 +11,14 @@ width is 1 and the BLAS keeps its own count.
 ``merge``, ``report``, ``perturb`` and ``inspect`` work on their tensors in
 sorted-name order on the pool (``_per_tensor``). The headers are checked, and
 ranks resolved (for ``merge``, ``report`` and ``optimize-basis`` in one plan,
-``_Plan``), in the calling thread first; then ``--out`` is opened through
-``container._replacing``, which refuses a bad one before any tensor is read
-and replaces it only on success. Every command but ``merge`` then reads each
-tensor only when it works on it, so it holds about one tensor per thread;
-``merge`` reads every tensor before its first merge. Each command prints its
-per-tensor results in name order once every tensor is done, so warnings,
-errors, stdout and output bytes do not depend on the width.
+``_Plan``), in the calling thread first; then ``--out``, unless it is an input
+(``_check_out``), is opened through ``container._replacing``, which refuses a
+bad one before any tensor is read and replaces it only on success. Every
+command but ``merge`` then reads each tensor only when it works on it, so it
+holds about one tensor per thread; ``merge`` reads every tensor before its
+first merge. Each command prints its per-tensor results in name order once
+every tensor is done, so warnings, errors, stdout and output bytes do not
+depend on the width.
 
 ``run`` is the process entry and ``main(argv)`` the in-process one. The
 modules every data command reads with load here; ``metrics``, ``optimizer``,
@@ -31,6 +32,7 @@ import argparse
 import contextlib
 import dataclasses
 import gc
+import os
 import sys
 import threading
 import warnings
@@ -54,15 +56,9 @@ from .container import (
 )
 from .cover import CoverBasis, frame, make_mask
 from .errors import NumericalError, ValidationError
-from .linalg import _all_finite, _checked_matrix, _dense_svd, _unit_scaled, truncated_svd
-from .merge import (
-    MergeConfig,
-    assemble_tensor,
-    dc_merge,
-    merge_ta,
-    resolve_rank,
-)
-from .task_vector import SmoothingStrategy, decompose, from_lora_factors
+from .linalg import _all_finite, _checked_matrix, _dense_svd
+from .merge import MergeConfig, assemble_tensor, dc_merge, merge_ta, resolve_rank
+from .task_vector import SmoothingStrategy, TaskVector, decompose, from_lora_factors
 
 
 def _rank_arg(text: str):
@@ -107,6 +103,9 @@ def _nanmean(values) -> float:
 
 
 def _smoothing_from_flags(args) -> SmoothingStrategy | None:
+    for flag, value, kind in (("--rho", args.rho, "linear"), ("--tau", args.tau, "interp")):
+        if value is not None and args.smoothing != kind:
+            raise ValidationError(f"{flag} applies only to --smoothing {kind}")
     if args.smoothing is None:
         return None
     if args.smoothing == "none":
@@ -114,8 +113,16 @@ def _smoothing_from_flags(args) -> SmoothingStrategy | None:
     if args.smoothing == "avg":
         return SmoothingStrategy.averaging()
     if args.smoothing == "linear":
-        return SmoothingStrategy.linear(args.rho)
-    return SmoothingStrategy.interpolate(args.tau)
+        return SmoothingStrategy.linear(5.0 if args.rho is None else args.rho)
+    return SmoothingStrategy.interpolate(0.5 if args.tau is None else args.tau)
+
+
+def _check_out(out, **inputs) -> None:
+    """Refuse an ``--out`` that is the file of an input, named by its flag in ``inputs``."""
+    for flag, paths in inputs.items():
+        for path in paths:
+            if os.path.exists(out) and os.path.samefile(out, path):
+                raise ValidationError(f"--out {out} is the --{flag} file {path}; write elsewhere")
 
 
 def _per_tensor(fn, names, width: int) -> dict:
@@ -234,6 +241,13 @@ class _Plan:
                 tvs.append(p.matrices[name].task_vector(task.read, base))
         return tvs
 
+    def measure(self, name, base):
+        """Matrix ``name``'s task vectors, their decompositions at its rank, and their G and H."""
+        tvs = self.task_vectors(name, base)
+        decomps = [decompose(tv, self.ranks[name]) for tv in tvs]
+        _, Gu, Gv = frame(decomps, basis=False)
+        return tvs, decomps, Gu, Gv
+
 
 def _cmd_merge(args) -> int:
     if not 0 < args.alpha < np.inf:
@@ -250,7 +264,7 @@ def _cmd_merge(args) -> int:
             if lost:
                 raise ValidationError(f"{path}: lacks {base.specs[lost[0]].ndim}-D tensor "
                                       f"{lost[0]!r}, which another task has")
-
+        _check_out(args.out, base=[args.base], task=args.task)
         with container_writer(args.out, base.specs, base.metadata) as put:
             # every input is read and checked, by name and then by file, before the first merge
             arrays = {name: base.read(name) for name in sorted(base.specs)}
@@ -296,17 +310,15 @@ def _cmd_report(args) -> int:
                 raise ValidationError(f"{label} must be 2-D, got shape {spec.shape}")
             if spec.shape != (shape := base.specs[name].shape):
                 raise ValidationError(f"{label} has shape {spec.shape}, base is {shape}")
+        _check_out(args.out, base=[args.base], merged=[args.merged], task=args.task)
         out = files.enter_context(_replacing(args.out))
 
         def tensor_rows(name):
             arr = base.read(name)
-            tvs = plan.task_vectors(name, arr)
+            tvs, decomps, Gu, Gv = plan.measure(name, arr)
             label = f"{args.merged}: tensor {name!r}"
             merged_delta = np.subtract(_checked_matrix(merged.read(name), label), arr,
                                        dtype=np.float64)
-            r = plan.ranks[name]
-            decomps = [decompose(tv, r) for tv in tvs]
-            _, Gu, Gv = frame(decomps, basis=False)
             rows = []
             for path, tv, kd in zip(args.task, tvs, decomps):
                 # undefined where a task or the merge left the tensor at the base
@@ -318,7 +330,7 @@ def _cmd_report(args) -> int:
 
             # block structure, one block per task, of sum_i U~^T U_i diag(sigma_i) V_i^T V~
             summed = (Gu * np.concatenate([kd.sigma for kd in decomps])) @ Gv.T
-            blocks = make_mask(Gu.shape[0], r)
+            blocks = make_mask(Gu.shape[0], plan.ranks[name])
             rows += [(name, "", f"block_mean_abs[{i},{j}]", float(np.mean(np.abs(summed[bi, bj]))))
                      for i, bi in enumerate(blocks) for j, bj in enumerate(blocks)]
             return rows
@@ -374,7 +386,7 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
-    from .metrics import dir_sim
+    from .metrics import cos_sim, dir_sim
     from .perturb import direction_perturb, energy_perturb
 
     if not 0.0 <= args.p <= 1.0:
@@ -442,8 +454,7 @@ def _cmd_perturb(args) -> int:
                 except ValidationError as exc:  # p is valid, so: a one-entry spectrum
                     raise ValidationError(f"{name}: {exc}; pass --rank 2 or more") from None
                 U_new, V_new = kd.U, kd.V
-                (a, _), (b, _) = _unit_scaled(kd.sigma), _unit_scaled(sigma_hat)  # exact
-                achieved = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+                achieved = cos_sim(kd.sigma[None], sigma_hat[None])
             else:
                 kd_new = direction_perturb(kd, args.p, seeds[name])
                 U_new, sigma_hat, V_new = kd_new.U, kd_new.sigma, kd_new.V
@@ -462,6 +473,7 @@ def _cmd_perturb(args) -> int:
 
         metadata = {**task.metadata, "dcmerge.perturb.kind": args.kind,
                     "dcmerge.perturb.p": repr(args.p), "dcmerge.perturb.seed": str(args.seed)}
+        _check_out(args.out, base=[args.base], task=[args.task])
         with container_writer(args.out, specs, metadata) as put:
             done = _per_tensor(lambda job: (perturbed if job[1] else written_through)(job[0]),
                                jobs, _pool_width)
@@ -480,19 +492,21 @@ def _cmd_optimize_basis(args) -> int:
         base = files.enter_context(ContainerReader(args.base))
         plan = _Plan(files, base, args.task, rank=args.rank, tensor=args.tensor)
         lora = plan.pairings[0].matrices[args.tensor].lora_rank is not None
+        _check_out(args.out, base=[args.base], task=args.task)
         out = files.enter_context(_replacing(args.out))
-        tvs = plan.task_vectors(args.tensor, None if lora else base.read(args.tensor))
-        r = plan.ranks[args.tensor]
-        decomps = [decompose(tv, r) for tv in tvs]
-        _, Gu, Gv = frame(decomps, basis=False)
+        tvs, decomps, Gu, Gv = plan.measure(args.tensor,
+                                            None if lora else base.read(args.tensor))
 
-        # naive initialization: truncated SVD of the plain task-arithmetic sum; the
+        # naive initialization: decomposition of the plain task-arithmetic sum; the
         # LoRA sum is the one product [B_1..B_T] [A_1; ..; A_T], decomposed from its factors
         if lora:
             Bs, As = zip(*(tv.factors for tv in tvs))
-            init_svd = decompose(from_lora_factors(np.hstack(Bs), np.vstack(As)), Gu.shape[0])
+            ta = from_lora_factors(np.hstack(Bs), np.vstack(As))
         else:
-            init_svd = truncated_svd(merge_ta(tv.delta for tv in tvs), Gu.shape[0])
+            summed = merge_ta(tv.delta for tv in tvs)
+            summed.setflags(write=False)  # so the task vector keeps it uncopied
+            ta = TaskVector("", summed)
+        init_svd = decompose(ta, Gu.shape[0])
         init = CoverBasis(U_tilde=init_svd.U, V_tilde=init_svd.V)
         _, trace = optimize_cover_basis(decomps, init, cfg)
         _write_csv(out, ("iter", "score"), (point[:2] for point in trace.points))
@@ -569,10 +583,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoothing", choices=["none", "avg", "linear", "interp"],
                    default=None,
                    help="energy smoothing (default: avg for lora, none for fft)")
-    p.add_argument("--rho", type=float, default=5.0,
-                   help="max-to-min ratio clamp for linear smoothing")
-    p.add_argument("--tau", type=float, default=0.5,
-                   help="blend factor for interpolated smoothing")
+    p.add_argument("--rho", type=float, default=None,
+                   help="max-to-min ratio clamp for linear smoothing (default: 5)")
+    p.add_argument("--tau", type=float, default=None,
+                   help="blend factor for interpolated smoothing (default: 0.5)")
     p.add_argument("--merger", choices=["ta", "ties"], default="ta")
     p.add_argument("--ties-keep", type=float, default=0.1)
     p.add_argument("--mask-block", type=_rank_arg, default=None,

@@ -78,15 +78,15 @@ def _unit_scaled(arr: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _frozen(a, label: str, keep=()) -> np.ndarray:
-    """``as_matrix(a)``, copied and made read-only unless it is so and owns its data.
+    """``as_matrix(a)``, read-only: copied unless it is so and owns its data, or is new.
 
     An array whose dtype is in ``keep`` is checked the same way but keeps its dtype.
     """
-    arr = np.asarray(a)
-    arr = _checked_matrix(arr, label) if arr.dtype in keep else as_matrix(arr, label)
-    if arr.flags.writeable or arr.base is not None:
+    src = np.asarray(a)
+    arr = _checked_matrix(src, label) if src.dtype in keep else as_matrix(src, label)
+    if arr.base is not None or (arr is src and arr.flags.writeable):
         arr = arr.copy()
-        arr.setflags(write=False)
+    arr.setflags(write=False)
     return arr
 
 

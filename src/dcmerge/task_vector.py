@@ -15,20 +15,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import SvdTriplet, _abs_max, _all_finite, _frozen, as_matrix, truncated_svd
+from .linalg import SvdTriplet, _abs_max, _all_finite, _frozen, truncated_svd
 
 
 @dataclass(frozen=True, init=False)
 class TaskVector:
     """A named weight delta, held as a dense matrix or as LoRA factors (B, A).
 
-    Give exactly one of ``delta`` and ``factors``. A factor-backed task
-    vector keeps B (m x p) and A (p x n), with ``lora_rank`` = p, and not
-    their product: ``delta`` builds B A on each read and does not keep it.
-    Its finiteness is checked here, from the bound p max|B| max|A| on every
-    entry, and B A is formed only when the bound does not rule out an
-    overflow. Arrays are stored read-only: a read-only float64 C-contiguous
-    array that owns its data is kept as it is, and anything else is copied.
+    ``TaskVector(name, delta)`` keeps a dense delta. ``from_lora_factors``
+    builds the factor-backed kind: it keeps B (m x p) and A (p x n), with
+    ``lora_rank`` = p, and not their product; ``delta`` builds B A on each
+    read, and B A is formed to check finiteness only when the bound
+    p max|B| max|A| on its entries does not rule out an overflow. Arrays
+    are stored read-only: a read-only float64 C-contiguous array that owns
+    its data is kept as it is, and anything else is copied.
     ``from_fft_delta`` makes a third kind, which keeps the fine-tuned
     weight and its base and takes their difference on each read.
     """
@@ -39,22 +39,8 @@ class TaskVector:
     _dense: np.ndarray | None
     _inputs: tuple[np.ndarray, np.ndarray] | None
 
-    def __init__(self, name: str, delta=None, lora_rank: int | None = None, factors=None):
-        label = name or "task vector"
-        if (delta is None) == (factors is None):
-            raise ValidationError(f"{label}: give exactly one of delta and factors")
-        if factors is not None:
-            B, A = (_frozen(f, f"LoRA factor of {label}") for f in factors)
-            p = B.shape[1]
-            if p != A.shape[0] or p == 0 or lora_rank != p:
-                raise ValidationError(
-                    f"LoRA factors {B.shape} x {A.shape} of {label} do not match "
-                    f"lora_rank {lora_rank}"
-                )
-            self._set(name, lora_rank, (B, A), None, None)
-            self._check_finite(p * _abs_max(B) * _abs_max(A))
-        else:
-            self._set(name, lora_rank, None, _frozen(delta, f"delta of {label}"), None)
+    def __init__(self, name: str, delta, lora_rank: int | None = None):
+        self._set(name, lora_rank, None, _frozen(delta, f"delta of {name or 'task vector'}"), None)
 
     def _set(self, name, lora_rank, factors, dense, inputs) -> None:
         object.__setattr__(self, "name", name)
@@ -183,18 +169,12 @@ def from_lora_factors(B, A, name: str = "", labels=("B", "A")) -> TaskVector:
     ``labels`` name the factors in error messages. The product is not
     formed here (see ``TaskVector``).
     """
-    B = np.array(B, dtype=np.float64, order="C")
-    A = np.array(A, dtype=np.float64, order="C")
-    _product_shape(B.shape, A.shape, labels)
-    # read-only, so the TaskVector keeps them uncopied
-    B.setflags(write=False)
-    A.setflags(write=False)
-    try:
-        return TaskVector(name, lora_rank=B.shape[1], factors=(B, A))
-    except ValidationError:  # name the first factor that is not finite
-        for arr, label in zip((B, A), labels):
-            as_matrix(arr, label)
-        raise
+    _product_shape(np.shape(B), np.shape(A), labels)
+    B, A = _frozen(B, labels[0]), _frozen(A, labels[1])
+    tv = object.__new__(TaskVector)
+    tv._set(name, B.shape[1], (B, A), None, None)
+    tv._check_finite(B.shape[1] * _abs_max(B) * _abs_max(A))
+    return tv
 
 
 def _product_shape(b_shape, a_shape, labels) -> tuple[int, int]:

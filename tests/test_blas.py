@@ -179,13 +179,7 @@ print(cli._pool_width, len(idents), max(seen), threads())
 @needs_openblas
 @pytest.mark.parametrize(
     "shapes",
-    [
-        [(255, 300), (64, 64)],
-        [(300, 255), (64, 64)],
-        [(16, 16), (8, 8)],
-        [(256, 300), (64, 64)],
-        [(64, 64), (300, 256)],
-    ],
+    [[(16, 16), (8, 8)], [(256, 300), (64, 64)]],
     ids=lambda shapes: "+".join(f"{m}x{n}" for m, n in shapes),
 )
 def test_main_runs_one_blas_thread_and_the_whole_pool_at_every_size(tmp_path, shapes):

@@ -676,6 +676,24 @@ def test_merge_lora_from_factors_matches_the_dense_pipeline(tmp_path, merger):
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
+def test_the_readme_cli_examples_parse():
+    import shlex
+
+    from dcmerge import cli
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1].replace("\\\n", " ")
+    examples = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("dcmerge ")]
+    for argv in examples:
+        args = cli._build_parser().parse_args(argv)
+        assert args.command == argv[0]
+        if args.command == "merge":
+            cli._smoothing_from_flags(args)
+    assert {argv[0] for argv in examples} == {
+        "merge", "report", "inspect", "perturb", "optimize-basis", "accuracy-report"}
+
+
 def test_cli_start_up_does_not_import_scipy(tmp_path):
     # nor, for --help and merge, the modules only the other subcommands use,
     # nor the ones concurrent.futures would bring in: the tensor pool is threading
@@ -748,7 +766,7 @@ def test_optimize_basis_above_64_rows_runs(tmp_path, capsys):
 
 
 def test_optimize_basis_starts_a_lora_tensor_from_its_factors(tmp_path, monkeypatch):
-    from dcmerge import cli, optimizer, task_vector
+    from dcmerge import optimizer, task_vector
     from dcmerge.linalg import truncated_svd
 
     base_path, task_paths = write_merge_set(
@@ -771,7 +789,6 @@ def test_optimize_basis_starts_a_lora_tensor_from_its_factors(tmp_path, monkeypa
         starts.append(init)
         return real_optimize(decomps, init, cfg)
 
-    monkeypatch.setattr(cli, "truncated_svd", no_dense_path)
     monkeypatch.setattr(task_vector, "truncated_svd", no_dense_path)
     monkeypatch.setattr(optimizer, "optimize_cover_basis", recording_optimize)
     assert main(optimize_args(base_path, task_paths, tmp_path / "t.csv", tensor, eta="1e-2")) == 0
@@ -896,7 +913,9 @@ def test_the_process_entry_prints_a_clip_warning_without_its_source_line(tmp_pat
     (["--smoothing", "avg"], SmoothingStrategy.averaging()),
     (["--smoothing", "linear", "--rho", "3"], SmoothingStrategy.linear(3.0)),
     (["--smoothing", "interp", "--tau", "0.25"], SmoothingStrategy.interpolate(0.25)),
-], ids=["none", "avg", "linear", "interp"])
+    (["--smoothing", "linear"], SmoothingStrategy.linear(5.0)),
+    (["--smoothing", "interp"], SmoothingStrategy.interpolate(0.5)),
+], ids=["none", "avg", "linear", "interp", "linear-default", "interp-default"])
 def test_merge_smoothing_flags_apply_their_strategy(tmp_path, flags, strategy):
     rng = np.random.default_rng(31)
     weight = rng.standard_normal((8, 6)).astype(np.float32)
@@ -916,6 +935,19 @@ def test_merge_smoothing_flags_apply_their_strategy(tmp_path, flags, strategy):
     delta = dc_merge(tasks, MergeConfig(mode="fft", rank=2, smoothing=strategy))
     want = (weight.astype(np.float64) + delta).astype(np.float32)
     assert np.array_equal(read_container(out_path).tensors["enc.weight"], want)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--smoothing", "avg", "--rho", "3"], "--rho applies only to --smoothing linear"),
+    (["--smoothing", "linear", "--tau", "0.9"], "--tau applies only to --smoothing interp"),
+    (["--tau", "0.9"], "--tau applies only to --smoothing interp"),
+], ids=["rho-avg", "tau-linear", "tau-default"])
+def test_merge_smoothing_parameter_of_another_kind_exits_2(tmp_path, capsys, flags, message):
+    base_path, task_paths = write_fft_set(tmp_path, ENC)
+    out_path = tmp_path / "m.dcm"
+    assert main(merge_args(base_path, task_paths, out_path, *flags)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_path.exists()
 
 
 def test_perturb_p_outside_the_unit_interval_exits_2_before_reading_a_file(tmp_path, capsys):

@@ -402,8 +402,7 @@ def test_merge_is_scale_equivariant_over_the_float64_range(scale, merger, mode):
 
     def tasks(c):
         if mode == "lora":
-            return [TaskVector(name=f"t{i}", factors=(c * B, A), lora_rank=4)
-                    for i, (B, A) in enumerate(parts)]
+            return [from_lora_factors(c * B, A, f"t{i}") for i, (B, A) in enumerate(parts)]
         return [TaskVector(name=f"t{i}", delta=c * d) for i, d in enumerate(deltas)]
 
     cfg = MergeConfig(mode=mode, rank=4, merger=merger)

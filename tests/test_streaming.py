@@ -174,6 +174,39 @@ def test_an_out_in_a_missing_directory_exits_2_before_any_decomposition(
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("command, flag, link", [
+    ("merge", "task", "symlink"),
+    ("report", "merged", None),
+    ("perturb", "task", None),
+    ("optimize-basis", "base", "hardlink"),
+])
+def test_an_out_that_is_an_input_exits_2_naming_its_flag_before_any_read(
+        tmp_path, monkeypatch, capsys, command, flag, link):
+    base_path, task_paths = write_fft_set(tmp_path, SET, 3, 0, np.float32)
+    merged = tmp_path / "m.dcm"
+    assert main(merge_args(base_path, task_paths, merged)) == 0
+    target = {"task": task_paths[1], "merged": merged, "base": base_path}[flag]
+    out = target
+    if link is not None:
+        out = tmp_path / "out.dcm"
+        (out.symlink_to if link == "symlink" else out.hardlink_to)(target)
+    before = target.read_bytes()
+    reads = []
+    real_read = ContainerReader.read
+    monkeypatch.setattr(ContainerReader, "read",
+                        lambda self, name: reads.append(name) or real_read(self, name))
+    argv = {"merge": merge_args(base_path, task_paths, out),
+            "perturb": perturb_args(base_path, task_paths[1], out),
+            "report": report_args(base_path, merged, task_paths, out),
+            "optimize-basis": optimize_args(base_path, task_paths, out, "a.weight")}[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: --out {out} is the --{flag} file {target}; " \
+                                      "write elsewhere\n"
+    assert reads == []
+    assert target.read_bytes() == before
+
+
 def test_a_report_failing_part_way_through_its_rows_leaves_an_existing_csv_alone(
         tmp_path, monkeypatch):
     base_path, task_paths = write_fft_set(tmp_path, SET, 3, 0, np.float32)

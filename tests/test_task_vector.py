@@ -231,15 +231,21 @@ def test_degenerate_factors_give_the_dense_decomposition_exactly(case):
     assert np.array_equal(kd.V, ref.V)
 
 
-def test_factors_must_match_delta_and_lora_rank():
+def test_from_lora_factors_keeps_read_only_float64_factors_copied_at_most_once():
     B, A = np.ones((4, 2)), np.ones((2, 3))
-    with pytest.raises(ValidationError):
-        TaskVector(name="t", delta=np.ones((4, 4)), lora_rank=2, factors=(B, A))
-    with pytest.raises(ValidationError):
-        TaskVector(name="t", delta=B @ A, lora_rank=None, factors=(B, A))
     tv = from_lora_factors(B, A)
+    assert tv.lora_rank == 2 and tv.factors[0] is not B and np.array_equal(tv.delta, B @ A)
     with pytest.raises(ValueError):
         tv.factors[0][0, 0] = 5.0
+    B[0, 0] = 5.0
+    assert np.array_equal(tv.delta, np.ones((4, 3)) * 2)
+    # a read-only float64 factor that owns its data is kept; a float32 one is converted once
+    B.setflags(write=False)
+    tv = from_lora_factors(B, A.astype(np.float32))
+    assert tv.factors[0] is B
+    assert tv.factors[1].dtype == np.float64 and tv.factors[1].flags.owndata
+    with pytest.raises(ValidationError, match="have inner dimension 0"):
+        from_lora_factors(np.ones((4, 0)), np.ones((0, 3)))
 
 
 def test_factor_backed_delta_is_built_on_each_read_and_read_only():
@@ -334,20 +340,6 @@ def test_fft_finiteness_comes_from_the_inputs_and_the_bound():
     top = np.finfo(np.float32).max
     tv = from_fft_delta(np.full((2, 3), top, np.float32), np.full((2, 3), -top, np.float32))
     assert np.isfinite(tv.delta).all()
-
-
-def test_task_vector_takes_delta_or_factors_and_a_matching_lora_rank():
-    B, A = np.ones((4, 2)), np.ones((2, 3))
-    with pytest.raises(ValidationError, match="exactly one of delta and factors"):
-        TaskVector(name="t")
-    with pytest.raises(ValidationError, match="exactly one of delta and factors"):
-        TaskVector(name="t", delta=B @ A, lora_rank=2, factors=(B, A))
-    with pytest.raises(ValidationError, match="lora_rank 3"):
-        TaskVector(name="t", lora_rank=3, factors=(B, A))
-    with pytest.raises(ValidationError, match="have inner dimension 0"):
-        from_lora_factors(np.ones((4, 0)), np.ones((0, 3)))
-    tv = TaskVector(name="t", lora_rank=2, factors=(B, A))
-    assert tv.factors[0] is not B and np.array_equal(tv.delta, B @ A)
 
 
 # smoothing
