@@ -231,21 +231,25 @@ def test_degenerate_factors_give_the_dense_decomposition_exactly(case):
     assert np.array_equal(kd.V, ref.V)
 
 
-def test_from_lora_factors_keeps_read_only_float64_factors_copied_at_most_once():
+def test_factors_must_match_delta_and_lora_rank():
     B, A = np.ones((4, 2)), np.ones((2, 3))
+    # the dense constructor takes no factors; lora_rank and delta come from them
+    with pytest.raises(TypeError):
+        TaskVector("t", B @ A, 2, factors=(B, A))
+    with pytest.raises(ValidationError, match="not 2-D factors of one product"):
+        from_lora_factors(B, np.ones((3, 3)))
     tv = from_lora_factors(B, A)
-    assert tv.lora_rank == 2 and tv.factors[0] is not B and np.array_equal(tv.delta, B @ A)
+    assert tv.lora_rank == 2 and tv.shape == (4, 3) and np.array_equal(tv.delta, B @ A)
     with pytest.raises(ValueError):
         tv.factors[0][0, 0] = 5.0
-    B[0, 0] = 5.0
-    assert np.array_equal(tv.delta, np.ones((4, 3)) * 2)
-    # a read-only float64 factor that owns its data is kept; a float32 one is converted once
+
+
+def test_from_lora_factors_keeps_read_only_float64_factors_copied_at_most_once():
+    B, A = np.ones((4, 2)), np.ones((2, 3))
     B.setflags(write=False)
     tv = from_lora_factors(B, A.astype(np.float32))
     assert tv.factors[0] is B
     assert tv.factors[1].dtype == np.float64 and tv.factors[1].flags.owndata
-    with pytest.raises(ValidationError, match="have inner dimension 0"):
-        from_lora_factors(np.ones((4, 0)), np.ones((0, 3)))
 
 
 def test_factor_backed_delta_is_built_on_each_read_and_read_only():
@@ -340,6 +344,20 @@ def test_fft_finiteness_comes_from_the_inputs_and_the_bound():
     top = np.finfo(np.float32).max
     tv = from_fft_delta(np.full((2, 3), top, np.float32), np.full((2, 3), -top, np.float32))
     assert np.isfinite(tv.delta).all()
+
+
+def test_task_vector_takes_delta_or_factors_and_a_matching_lora_rank():
+    B, A = np.ones((4, 2)), np.ones((2, 3))
+    with pytest.raises(TypeError):
+        TaskVector(name="t")
+    with pytest.raises(ValidationError, match="have inner dimension 0"):
+        from_lora_factors(np.ones((4, 0)), np.ones((0, 3)))
+    tv = from_lora_factors(B, A)
+    assert tv.lora_rank == 2 and tv.factors[0] is not B and np.array_equal(tv.delta, B @ A)
+    B[0, 0] = 5.0  # the writable factor was copied
+    assert np.array_equal(tv.delta, np.ones((4, 3)) * 2)
+    tv = TaskVector("t", B @ A, lora_rank=2)
+    assert tv.lora_rank == 2 and tv.factors is None
 
 
 # smoothing
