@@ -102,19 +102,25 @@ def _nanmean(values) -> float:
         return float(np.nanmean(values))
 
 
-def _smoothing_from_flags(args) -> SmoothingStrategy | None:
-    for flag, value, kind in (("--rho", args.rho, "linear"), ("--tau", args.tau, "interp")):
-        if value is not None and args.smoothing != kind:
-            raise ValidationError(f"{flag} applies only to --smoothing {kind}")
-    if args.smoothing is None:
-        return None
+def _merge_config(args) -> MergeConfig:
+    """``merge``'s config from its flags; a parameter given with another kind is exit 2."""
+    for flag, value, option, kind in (("--rho", args.rho, "smoothing", "linear"),
+                                      ("--tau", args.tau, "smoothing", "interp"),
+                                      ("--ties-keep", args.ties_keep, "merger", "ties")):
+        if value is not None and getattr(args, option) != kind:
+            raise ValidationError(f"{flag} applies only to --{option} {kind}")
+    smoothing = None  # the mode's default
     if args.smoothing == "none":
-        return SmoothingStrategy.truncate_only()
-    if args.smoothing == "avg":
-        return SmoothingStrategy.averaging()
-    if args.smoothing == "linear":
-        return SmoothingStrategy.linear(5.0 if args.rho is None else args.rho)
-    return SmoothingStrategy.interpolate(0.5 if args.tau is None else args.tau)
+        smoothing = SmoothingStrategy.truncate_only()
+    elif args.smoothing == "avg":
+        smoothing = SmoothingStrategy.averaging()
+    elif args.smoothing == "linear":
+        smoothing = SmoothingStrategy.linear(5.0 if args.rho is None else args.rho)
+    elif args.smoothing == "interp":
+        smoothing = SmoothingStrategy.interpolate(0.5 if args.tau is None else args.tau)
+    return MergeConfig(mode=args.mode, smoothing=smoothing, merger=args.merger,
+                       ties_keep=0.1 if args.ties_keep is None else args.ties_keep,
+                       mask_block=args.mask_block)
 
 
 def _check_out(out, **inputs) -> None:
@@ -252,8 +258,7 @@ class _Plan:
 def _cmd_merge(args) -> int:
     if not 0 < args.alpha < np.inf:
         raise ValidationError(f"alpha must be positive and finite, got {args.alpha}")
-    cfg = MergeConfig(mode=args.mode, smoothing=_smoothing_from_flags(args), merger=args.merger,
-                      ties_keep=args.ties_keep, mask_block=args.mask_block)
+    cfg = _merge_config(args)
     with contextlib.ExitStack() as files:
         base = files.enter_context(ContainerReader(args.base))
         plan = _Plan(files, base, args.task, args.mode, args.rank)
@@ -556,12 +561,9 @@ def _cmd_accuracy_report(args) -> int:
 
     report = accuracy_report(table)
     print(f"{'task':<24} {'normalized':>12} {'nai':>12}")
-    for entry, (_, nai) in zip(table, report.per_task_nai):
-        normalized = entry.merged / entry.finetuned
-        print(f"{entry.task:<24} {normalized:>12.6f} {nai:>12.6f}")
-    nai_values = [v for _, v in report.per_task_nai]
-    print(f"{'average':<24} {report.avg_normalized:>12.6f} "
-          f"{float(np.mean(nai_values)):>12.6f}")
+    for (task, normalized), (_, nai) in zip(report.per_task_normalized, report.per_task_nai):
+        print(f"{task:<24} {normalized:>12.6f} {nai:>12.6f}")
+    print(f"{'average':<24} {report.avg_normalized:>12.6f} {report.avg_nai:>12.6f}")
     return 0
 
 
@@ -588,7 +590,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=None,
                    help="blend factor for interpolated smoothing (default: 0.5)")
     p.add_argument("--merger", choices=["ta", "ties"], default="ta")
-    p.add_argument("--ties-keep", type=float, default=0.1)
+    p.add_argument("--ties-keep", type=float, default=None,
+                   help="fraction of entries TIES keeps (default: 0.1)")
     p.add_argument("--mask-block", type=_rank_arg, default=None,
                    help="structural mask block size: 'auto' or a positive integer")
     p.add_argument("--alpha", type=float, default=1.0,

@@ -454,13 +454,15 @@ class ExtractedVectors:
     """A task file paired with the base (``extract_task_vectors``).
 
     ``matrices`` holds a task vector per 2-D tensor read, ``vectors`` the
-    float64 delta of each other one, to average, and ``unmatched`` the sorted
-    names the base lacks (a LoRA pair, needing no base, stays in ``matrices``).
+    float64 delta of each other one, to average, ``unmatched`` the sorted
+    names the base lacks (a LoRA pair, needing no base, stays in ``matrices``)
+    and ``unpaired`` the sorted names of a lora file's tensors not read.
     """
 
     matrices: dict[str, TaskVector]
     vectors: dict[str, np.ndarray]
     unmatched: tuple[str, ...] = ()
+    unpaired: tuple[str, ...] = ()
 
 
 def detect_mode(task) -> str:
@@ -486,4 +488,4 @@ def extract_task_vectors(
                 for name, pm in pairing.matrices.items()}
     vectors = {name: vector_delta(name, task.tensors[name], base.tensors[name])
                for name in pairing.vectors}
-    return ExtractedVectors(matrices, vectors, pairing.unmatched)
+    return ExtractedVectors(matrices, vectors, pairing.unmatched, pairing.unpaired)

@@ -146,10 +146,12 @@ class TaskAccuracy:
 class AccuracyReport:
     avg_normalized: float
     per_task_nai: tuple
+    per_task_normalized: tuple
+    avg_nai: float
 
 
 def accuracy_report(table) -> AccuracyReport:
-    """Average normalized accuracy and per-task normalized adaptation index.
+    """Per-task normalized accuracy and adaptation index, as (task, value) pairs, and their means.
 
     Normalized accuracy of a task is merged / finetuned; the adaptation
     index is (merged - zeroshot) / (finetuned - zeroshot), which is 1 when
@@ -159,8 +161,7 @@ def accuracy_report(table) -> AccuracyReport:
     rows = list(table)
     if not rows:
         raise ValidationError("accuracy table is empty")
-    nai = []
-    normed = []
+    normed, nai = [], []
     for row in rows:
         if row.finetuned == 0.0:
             raise ValidationError(
@@ -172,6 +173,7 @@ def accuracy_report(table) -> AccuracyReport:
             raise ValidationError(
                 f"task {row.task!r}: fine-tuned accuracy must exceed zero-shot"
             )
-        normed.append(row.merged / row.finetuned)
+        normed.append((row.task, row.merged / row.finetuned))
         nai.append((row.task, (row.merged - row.zeroshot) / gain))
-    return AccuracyReport(float(np.mean(normed)), tuple(nai))
+    means = [float(np.mean([v for _, v in pairs])) for pairs in (normed, nai)]
+    return AccuracyReport(means[0], tuple(nai), tuple(normed), means[1])

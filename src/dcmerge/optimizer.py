@@ -73,7 +73,7 @@ class OptimizationTrace:
         return self.points[-1][1]
 
 
-def _analytic_side_gradient(A, orient, G, other_gram, cat, eig):
+def _analytic_side_gradient(orient, G, other_gram, cat, eig):
     """Exact gradient via the adjoint of the exponential's derivative.
 
     With E = exp(S), S = A - A^T and W = E @ orient, the chain is
@@ -149,8 +149,8 @@ def optimize_cover_basis(
         H = Wv.T @ V_cat
         if it % cfg.log_every == 0:
             points.append((it, _alignment(G, H), time.perf_counter() - start))
-        A += eta * _analytic_side_gradient(A, U0, G, H, U_cat, eig_a)
-        B += eta * _analytic_side_gradient(B, V0, H, G, V_cat, eig_b)
+        A += eta * _analytic_side_gradient(U0, G, H, U_cat, eig_a)
+        B += eta * _analytic_side_gradient(V0, H, G, V_cat, eig_b)
 
     Wu, _ = _iterate(A, U0, cfg.max_iters, "U")
     Wv, _ = _iterate(B, V0, cfg.max_iters, "V")

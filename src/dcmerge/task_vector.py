@@ -36,17 +36,15 @@ class TaskVector:
     name: str
     lora_rank: int | None
     factors: tuple[np.ndarray, np.ndarray] | None
-    _dense: np.ndarray | None
-    _inputs: tuple[np.ndarray, np.ndarray] | None
+    _inputs: tuple[np.ndarray, ...] | None
 
     def __init__(self, name: str, delta, lora_rank: int | None = None):
-        self._set(name, lora_rank, None, _frozen(delta, f"delta of {name or 'task vector'}"), None)
+        self._set(name, lora_rank, None, (_frozen(delta, f"delta of {name or 'task vector'}"),))
 
-    def _set(self, name, lora_rank, factors, dense, inputs) -> None:
+    def _set(self, name, lora_rank, factors, inputs) -> None:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "lora_rank", lora_rank)
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "_dense", dense)
         object.__setattr__(self, "_inputs", inputs)
 
     def _check_finite(self, bound: float) -> None:
@@ -68,11 +66,11 @@ class TaskVector:
         A factor-backed task vector builds B A; one from ``from_fft_delta``
         builds W_ft - W_0 in float64.
         """
-        if self._dense is not None:
-            return self._dense
         if self.factors is not None:
             B, A = self.factors
             delta = B @ A
+        elif len(self._inputs) == 1:
+            return self._inputs[0]
         else:
             delta = np.subtract(*self._inputs, dtype=np.float64)
         delta.setflags(write=False)
@@ -83,7 +81,7 @@ class TaskVector:
         if self.factors is not None:
             B, A = self.factors
             return B.shape[0], A.shape[1]
-        return (self._dense if self._dense is not None else self._inputs[0]).shape
+        return self._inputs[0].shape
 
 
 # every entry of B A is at most p max|B| max|A| in magnitude, and the
@@ -158,7 +156,7 @@ def from_fft_delta(W_ft, W_0, name: str = "", labels=("W_ft", "W_0")) -> TaskVec
         )
     W_ft, W_0 = _frozen(W_ft, labels[0], _STORED), _frozen(W_0, labels[1], _STORED)
     tv = object.__new__(TaskVector)
-    tv._set(name, None, None, None, (W_ft, W_0))
+    tv._set(name, None, None, (W_ft, W_0))
     tv._check_finite(_abs_max(W_ft) + _abs_max(W_0))
     return tv
 
@@ -172,7 +170,7 @@ def from_lora_factors(B, A, name: str = "", labels=("B", "A")) -> TaskVector:
     _product_shape(np.shape(B), np.shape(A), labels)
     B, A = _frozen(B, labels[0]), _frozen(A, labels[1])
     tv = object.__new__(TaskVector)
-    tv._set(name, B.shape[1], (B, A), None, None)
+    tv._set(name, B.shape[1], (B, A), None)
     tv._check_finite(B.shape[1] * _abs_max(B) * _abs_max(A))
     return tv
 
@@ -190,16 +188,20 @@ def _product_shape(b_shape, a_shape, labels) -> tuple[int, int]:
     return b_shape[0], a_shape[1]
 
 
+def _negligible(sigma, shape, top):
+    """Where a singular value of an (m, n) matrix is round-off: sigma <= max(m, n) eps top."""
+    return sigma <= max(shape) * np.finfo(np.float64).eps * top
+
+
 def _factor_svd(B: np.ndarray, A: np.ndarray, r: int) -> SvdTriplet | None:
     """Rank-r SVD of B A from the factors, or None where the dense SVD must decide.
 
     With B = Q_B R_B and A^T = Q_A R_A, B A = Q_B (R_B R_A^T) Q_A^T, so the
     SVD of the small core gives the product's: U = Q_B U_c, V = Q_A V_c.
-    None when r is not a valid rank of the core, when the core's
-    numerical rank is below r (its r-th singular value is at most
-    max(m, n) * eps * s[0]; the leading directions are then not
-    determined by the product alone), or when the core's SVD does not
-    converge, so the dense path reports it.
+    None when r is not a valid rank of the core, when the core's r-th
+    singular value is ``_negligible`` against s[0] (the leading directions
+    are then not determined by the product alone), or when the core's SVD
+    does not converge, so the dense path reports it.
     """
     m, p = B.shape
     n = A.shape[1]
@@ -211,7 +213,7 @@ def _factor_svd(B: np.ndarray, A: np.ndarray, r: int) -> SvdTriplet | None:
         U_c, s, Vt_c = np.linalg.svd(R_B @ R_A.T, full_matrices=False)
     except np.linalg.LinAlgError:
         return None
-    if s[r - 1] <= max(m, n) * np.finfo(np.float64).eps * s[0]:
+    if _negligible(s[r - 1], (m, n), s[0]):
         return None
     return SvdTriplet(Q_B @ U_c[:, :r], s[:r], Q_A @ Vt_c[:r].T)
 
@@ -230,12 +232,10 @@ def decompose(tv: TaskVector, r: int) -> SvdTriplet:
 
 def _linear_weights(sigma: np.ndarray, rho: float) -> np.ndarray:
     r = sigma.size
-    if r == 1:
-        return np.ones(1)
     smax, smin = sigma[0], sigma[-1]
     # a zero tail makes the spectrum ratio infinite; the clamp handles it
     ratio = rho if smin == 0 else min(smax / smin, rho)
-    w = ratio + np.arange(r) * (1.0 - ratio) / (r - 1)
+    w = ratio + np.arange(r) * (1.0 - ratio) / max(r - 1, 1)
     return w / w.sum()
 
 
@@ -244,11 +244,11 @@ def smooth_energy(kd: SvdTriplet, s: SmoothingStrategy) -> SvdTriplet:
 
     All strategies preserve the total energy (the plain sum of singular
     values) and leave the singular vectors untouched. They smooth the live entries
-    only: a dead one (``stack_bases``' rule on the task), NaN or negative keeps its value:
+    only: a dead one (``stack_bases``' rule on the task) keeps its value:
 
     - ``truncate_only``: spectrum unchanged (the truncation already
       happened at decomposition time).
-    - ``averaging``: every entry replaced by the mean.
+    - ``averaging``: every entry replaced by the mean, ``interpolate(0)``.
     - ``linear(rho)``: linearly decreasing weights whose endpoint ratio is
       the spectrum's own max/min ratio clamped at rho, normalized to sum 1
       and scaled by the total energy.
@@ -257,15 +257,14 @@ def smooth_energy(kd: SvdTriplet, s: SmoothingStrategy) -> SvdTriplet:
     if s.kind == "truncate_only":
         return kd
     new = np.array(kd.sigma)
-    live = new > max(kd.source_shape) * np.finfo(np.float64).eps * new.max(initial=0.0)
+    live = ~_negligible(new, kd.source_shape, new.max(initial=0.0))
     if live.any():
         sigma = new[live]
-        if s.kind == "averaging":
-            new[live] = sigma.mean()
-        elif s.kind == "linear":
+        if s.kind == "linear":
             new[live] = sigma.sum() * _linear_weights(sigma, s.rho)
-        else:
-            new[live] = s.tau * sigma + (1.0 - s.tau) * sigma.mean()
+        else:  # averaging is interpolation at tau = 0
+            tau = s.tau if s.kind == "interpolate" else 0.0
+            new[live] = tau * sigma + (1.0 - tau) * sigma.mean()
     return SvdTriplet(kd.U, new, kd.V)
 
 
@@ -291,6 +290,6 @@ def stack_bases(decomps) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(f"decompositions have mixed ambient shapes {sorted(shapes)}")
     Ucat, Vcat = np.hstack([kd.U for kd in decomps]), np.hstack([kd.V for kd in decomps])
     sigma = np.concatenate([kd.sigma for kd in decomps])
-    dead = sigma <= max(Ucat.shape[0], Vcat.shape[0]) * np.finfo(np.float64).eps * sigma.max()
+    dead = _negligible(sigma, decomps[0].source_shape, sigma.max())
     Ucat[:, dead] = Vcat[:, dead] = 0.0
     return Ucat, Vcat

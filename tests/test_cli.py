@@ -689,7 +689,7 @@ def test_the_readme_cli_examples_parse():
         args = cli._build_parser().parse_args(argv)
         assert args.command == argv[0]
         if args.command == "merge":
-            cli._smoothing_from_flags(args)
+            cli._merge_config(args)
     assert {argv[0] for argv in examples} == {
         "merge", "report", "inspect", "perturb", "optimize-basis", "accuracy-report"}
 
@@ -941,7 +941,8 @@ def test_merge_smoothing_flags_apply_their_strategy(tmp_path, flags, strategy):
     (["--smoothing", "avg", "--rho", "3"], "--rho applies only to --smoothing linear"),
     (["--smoothing", "linear", "--tau", "0.9"], "--tau applies only to --smoothing interp"),
     (["--tau", "0.9"], "--tau applies only to --smoothing interp"),
-], ids=["rho-avg", "tau-linear", "tau-default"])
+    (["--merger", "ta", "--ties-keep", "0.9"], "--ties-keep applies only to --merger ties"),
+], ids=["rho-avg", "tau-linear", "tau-default", "ties-keep-ta"])
 def test_merge_smoothing_parameter_of_another_kind_exits_2(tmp_path, capsys, flags, message):
     base_path, task_paths = write_fft_set(tmp_path, ENC)
     out_path = tmp_path / "m.dcm"

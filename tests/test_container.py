@@ -420,6 +420,19 @@ def test_extract_lora_reads_pairs_and_tensors_that_are_not_2d():
     assert out.unmatched == ("k.weight",)
 
 
+def test_extract_lora_names_the_tensors_it_does_not_read():
+    # a head trained in full beside the adapters is 2-D, so the pairing rule reads it in
+    # neither mode's matrices nor vectors; the result names it instead of dropping it
+    rng = np.random.default_rng(9)
+    base = TensorContainer(tensors={"q.weight": np.zeros((5, 4)), "head.weight": np.zeros((3, 5))})
+    task = TensorContainer(tensors={"q.lora_B": rng.standard_normal((5, 2)),
+                                    "q.lora_A": rng.standard_normal((2, 4)),
+                                    "head.weight": np.ones((3, 5))})
+    out = extract_task_vectors(base, task, mode="lora")
+    assert set(out.matrices) == {"q.weight"} and out.vectors == {}
+    assert (out.unmatched, out.unpaired) == ((), ("head.weight",))
+
+
 def test_extract_lora_product_of_another_shape_than_the_base_rejected():
     base = TensorContainer(tensors={"w.weight": np.zeros((8, 6))})
     task = TensorContainer(tensors={"w.lora_B": np.ones((10, 2)), "w.lora_A": np.ones((2, 6))})

@@ -80,3 +80,19 @@ def test_no_test_module_imports_another():
     local = {path.stem for path in tests.glob("*.py")} - {"helpers", "conftest"}
     found = _imports(sorted(tests.glob("*.py")))
     assert [(f, m) for f, m in found if m.split(".")[0] in local] == []
+
+
+def test_no_function_has_a_parameter_it_never_reads():
+    # a parameter no line reads is surface with no effect; *args and **kwargs may pass through
+    unread = []
+    for path in sorted(Path(dcmerge.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {name.id for stmt in body for name in ast.walk(stmt)
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            unread += [f"{path.name}:{node.lineno} {getattr(node, 'name', 'lambda')}({p.arg})"
+                       for p in params if p.arg not in read | {"self", "cls"}]
+    assert unread == []
