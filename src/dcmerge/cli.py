@@ -58,7 +58,7 @@ from .cover import CoverBasis, frame, make_mask
 from .errors import NumericalError, ValidationError
 from .linalg import _all_finite, _checked_matrix, _dense_svd
 from .merge import MergeConfig, assemble_tensor, dc_merge, merge_ta, resolve_rank
-from .task_vector import SmoothingStrategy, TaskVector, decompose, from_lora_factors
+from .task_vector import SmoothingStrategy, TaskVector, _negligible, decompose, from_lora_factors
 
 
 def _rank_arg(text: str):
@@ -103,24 +103,11 @@ def _nanmean(values) -> float:
 
 
 def _merge_config(args) -> MergeConfig:
-    """``merge``'s config from its flags; a parameter given with another kind is exit 2."""
-    for flag, value, option, kind in (("--rho", args.rho, "smoothing", "linear"),
-                                      ("--tau", args.tau, "smoothing", "interp"),
-                                      ("--ties-keep", args.ties_keep, "merger", "ties")):
-        if value is not None and getattr(args, option) != kind:
-            raise ValidationError(f"{flag} applies only to --{option} {kind}")
-    smoothing = None  # the mode's default
-    if args.smoothing == "none":
-        smoothing = SmoothingStrategy.truncate_only()
-    elif args.smoothing == "avg":
-        smoothing = SmoothingStrategy.averaging()
-    elif args.smoothing == "linear":
-        smoothing = SmoothingStrategy.linear(5.0 if args.rho is None else args.rho)
-    elif args.smoothing == "interp":
-        smoothing = SmoothingStrategy.interpolate(0.5 if args.tau is None else args.tau)
-    return MergeConfig(mode=args.mode, smoothing=smoothing, merger=args.merger,
-                       ties_keep=0.1 if args.ties_keep is None else args.ties_keep,
-                       mask_block=args.mask_block)
+    """``merge``'s config from its flags, which the library types check and complete."""
+    kind = {"none": "truncate_only", "avg": "averaging", "linear": "linear", "interp": "interpolate",
+            None: MergeConfig(mode=args.mode).resolved_smoothing().kind}[args.smoothing]
+    return MergeConfig(mode=args.mode, smoothing=SmoothingStrategy(kind, args.rho, args.tau),
+                       merger=args.merger, ties_keep=args.ties_keep, mask_block=args.mask_block)
 
 
 def _check_out(out, **inputs) -> None:
@@ -392,12 +379,9 @@ def _cmd_inspect(args) -> int:
 
 def _cmd_perturb(args) -> int:
     from .metrics import cos_sim, dir_sim
-    from .perturb import direction_perturb, energy_perturb
+    from .perturb import _check_p_and_seed, direction_perturb, energy_perturb
 
-    if not 0.0 <= args.p <= 1.0:
-        raise ValidationError(f"p must be in [0, 1], got {args.p}")
-    if args.seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {args.seed}")
+    _check_p_and_seed(args.p, args.seed)
     with contextlib.ExitStack() as files:
         base = files.enter_context(ContainerReader(args.base))
         task = files.enter_context(ContainerReader(args.task))
@@ -454,10 +438,15 @@ def _cmd_perturb(args) -> int:
                     put(src, arr if arr.shape == spec.shape else np.zeros(spec.shape, spec.dtype))
                 return f"{name}: zero delta, left unchanged", False
             if args.kind == "energy":
+                # energy moves only between the directions the task determines
+                live = ~_negligible(kd.sigma, kd.source_shape, kd.sigma[0])
+                sigma_hat = kd.sigma.copy()
                 try:
-                    sigma_hat = energy_perturb(kd.sigma, args.p, fallback_seed=seeds[name])
-                except ValidationError as exc:  # p is valid, so: a one-entry spectrum
-                    raise ValidationError(f"{name}: {exc}; pass --rank 2 or more") from None
+                    sigma_hat[live] = energy_perturb(kd.sigma[live], args.p,
+                                                     fallback_seed=seeds[name])
+                except ValidationError as exc:  # p and seed are valid, so: one live entry
+                    hint = "pass --rank 2 or more" if ranks[name] == 1 else "its delta has rank 1"
+                    raise ValidationError(f"{name}: {exc}; {hint}") from None
                 U_new, V_new = kd.U, kd.V
                 achieved = cos_sim(kd.sigma[None], sigma_hat[None])
             else:
@@ -586,12 +575,15 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="energy smoothing (default: avg for lora, none for fft)")
     p.add_argument("--rho", type=float, default=None,
-                   help="max-to-min ratio clamp for linear smoothing (default: 5)")
+                   help="max-to-min ratio clamp for linear smoothing "
+                        f"(default: {SmoothingStrategy('linear').rho:g})")
     p.add_argument("--tau", type=float, default=None,
-                   help="blend factor for interpolated smoothing (default: 0.5)")
+                   help="blend factor for interpolated smoothing "
+                        f"(default: {SmoothingStrategy('interpolate').tau:g})")
     p.add_argument("--merger", choices=["ta", "ties"], default="ta")
     p.add_argument("--ties-keep", type=float, default=None,
-                   help="fraction of entries TIES keeps (default: 0.1)")
+                   help="fraction of entries TIES keeps "
+                        f"(default: {MergeConfig(merger='ties').ties_keep:g})")
     p.add_argument("--mask-block", type=_rank_arg, default=None,
                    help="structural mask block size: 'auto' or a positive integer")
     p.add_argument("--alpha", type=float, default=1.0,

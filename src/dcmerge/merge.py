@@ -46,13 +46,14 @@ class MergeConfig:
     default (averaging for lora, truncate_only for fft). ``mask_block=None``
     uses the resolved rank as the block size; a block wider than the cover
     basis is clamped to its width, which keeps every coordinate.
+    ``ties_keep`` is given only with ``merger='ties'`` (default 0.1).
     """
 
     mode: str = "fft"
     rank: int | None = None
     smoothing: SmoothingStrategy | None = None
     merger: str = "ta"
-    ties_keep: float = 0.1
+    ties_keep: float | None = None
     mask_block: int | None = None
 
     def __post_init__(self):
@@ -66,15 +67,16 @@ class MergeConfig:
             raise ValidationError("smoothing must be a SmoothingStrategy or None")
         if self.merger not in ("ta", "ties"):
             raise ValidationError(f"merger must be 'ta' or 'ties', got {self.merger!r}")
-        if not 0.0 < self.ties_keep <= 1.0:
-            raise ValidationError(f"ties_keep must be in (0, 1], got {self.ties_keep}")
+        if self.merger == "ta" and self.ties_keep is not None:
+            raise ValidationError("ties_keep applies only to merger 'ties', not 'ta'")
+        if self.merger == "ties":
+            object.__setattr__(self, "ties_keep", 0.1 if self.ties_keep is None else self.ties_keep)
+            if not 0.0 < self.ties_keep <= 1.0:
+                raise ValidationError(f"ties_keep must be in (0, 1], got {self.ties_keep}")
 
     def resolved_smoothing(self) -> SmoothingStrategy:
-        if self.smoothing is not None:
-            return self.smoothing
-        if self.mode == "lora":
-            return SmoothingStrategy.averaging()
-        return SmoothingStrategy.truncate_only()
+        return self.smoothing or SmoothingStrategy(
+            "averaging" if self.mode == "lora" else "truncate_only")
 
 
 def resolve_rank(tasks: list[TaskVector], cfg: MergeConfig) -> int:

@@ -21,6 +21,7 @@ import numpy as np
 from .cover import CoverBasis, project
 from .errors import NumericalError, ValidationError
 from .linalg import SvdTriplet, _frozen, _unit_scaled, as_matrix, whiten
+from .task_vector import _negligible
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,10 @@ def dir_sim(kdS: SvdTriplet, kdT: SvdTriplet) -> float:
 def projected_dir_sim(kdTask: SvdTriplet, merged) -> float:
     """Directional similarity after restricting ``merged`` to the task's subspace.
 
-    The dir_sim of the task against the rank-r decomposition of the
-    projection U (U^T merged), sum(V * whiten(C^T)) / r for C = U^T merged.
+    The dir_sim of the task's r live dyads (those it determines, by
+    ``stack_bases``' rule) against the rank-r decomposition of the projection
+    U (U^T merged): sum(V * whiten(C^T)) / r for C = U^T merged, with U and
+    V the live columns.
 
     Raises
     ------
@@ -95,16 +98,18 @@ def projected_dir_sim(kdTask: SvdTriplet, merged) -> float:
             f"merged shape {merged.shape} does not match task shape "
             f"{kdTask.source_shape}"
         )
-    if not np.any(kdTask.sigma):
+    live = ~_negligible(kdTask.sigma, kdTask.source_shape, kdTask.sigma[0])
+    if not live.any():  # an all-zero spectrum
         raise NumericalError("task decomposition is zero; its directions are undefined")
+    U, V = kdTask.U[:, live], kdTask.V[:, live]
     merged, _ = _unit_scaled(merged)  # the value is scale-invariant; no norm overflows
-    C = kdTask.U.T @ merged
+    C = U.T @ merged
     # ||C|| equals the projection's norm because U has orthonormal columns
     if np.linalg.norm(C) <= 1e-12 * np.linalg.norm(merged):
         raise NumericalError(
             "merged vector has no component in the task's singular subspace"
         )
-    return float(np.sum(kdTask.V * whiten(C.T)) / kdTask.rank)
+    return float(np.sum(V * whiten(C.T)) / U.shape[1])
 
 
 def _alignment(G: np.ndarray, H: np.ndarray) -> float:

@@ -15,6 +15,14 @@ from .errors import NumericalError, ValidationError
 from .linalg import SvdTriplet, _all_finite, _unit_scaled, orthogonal_complement_sample
 
 
+def _check_p_and_seed(p: float, seed: int | None) -> None:
+    """The rules both perturbations share: p in [0, 1] and, if given, a non-negative seed."""
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(f"p must be in [0, 1], got {p}")
+    if seed is not None and seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
+
+
 def energy_perturb(
     sigma: np.ndarray,
     p: float,
@@ -33,13 +41,12 @@ def energy_perturb(
     ``fallback_seed`` set, a seeded Gaussian direction is projected and
     used instead, otherwise this is reported as a NumericalError.
     """
+    _check_p_and_seed(p, fallback_seed)
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.ndim != 1 or sigma.size == 0:
         raise ValidationError("sigma must be a non-empty 1-D array")
     if not (_all_finite(sigma) and sigma.min() >= 0):
         raise ValidationError("sigma must be finite and non-negative")
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"p must be in [0, 1], got {p}")
     # the norm squares every entry, so it is taken at a power-of-two scale undone at the end
     unit, e = _unit_scaled(sigma)
     norm = np.linalg.norm(unit)
@@ -84,10 +91,9 @@ def direction_perturb(kd: SvdTriplet, p: float, seed: int) -> SvdTriplet:
 
     Needs ambient room for the complements: m >= 2r and n >= 2r.
     """
+    _check_p_and_seed(p, seed)
     if not isinstance(kd, SvdTriplet):
         raise ValidationError("kd must be an SvdTriplet")
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"p must be in [0, 1], got {p}")
     m, n = kd.source_shape
     r = kd.rank
     if m < 2 * r or n < 2 * r:

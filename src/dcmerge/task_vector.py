@@ -97,7 +97,8 @@ _KINDS = ("truncate_only", "averaging", "linear", "interpolate")
 
 @dataclass(frozen=True)
 class SmoothingStrategy:
-    """Which spectrum flattening to apply, with its parameter if any."""
+    """Which spectrum flattening to apply: ``rho`` (default 5.0) goes only with
+    ``linear``, ``tau`` (default 0.5) only with ``interpolate``."""
 
     kind: str
     rho: float | None = None
@@ -108,12 +109,16 @@ class SmoothingStrategy:
             raise ValidationError(
                 f"unknown smoothing kind {self.kind!r}, expected one of {_KINDS}"
             )
-        if self.kind == "linear":
-            if self.rho is None or not self.rho > 1:
-                raise ValidationError("linear smoothing requires rho > 1")
-        elif self.kind == "interpolate":
-            if self.tau is None or not 0 <= self.tau <= 1:
-                raise ValidationError("interpolate requires tau in [0, 1]")
+        for param, kind, default in (("rho", "linear", 5.0), ("tau", "interpolate", 0.5)):
+            if self.kind == kind and getattr(self, param) is None:
+                object.__setattr__(self, param, default)
+            elif self.kind != kind and getattr(self, param) is not None:
+                raise ValidationError(
+                    f"{param} applies only to smoothing kind {kind!r}, not {self.kind!r}")
+        if self.kind == "linear" and not self.rho > 1:
+            raise ValidationError("linear smoothing requires rho > 1")
+        if self.kind == "interpolate" and not 0 <= self.tau <= 1:
+            raise ValidationError("interpolate requires tau in [0, 1]")
 
     @classmethod
     def truncate_only(cls) -> "SmoothingStrategy":

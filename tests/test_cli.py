@@ -10,7 +10,7 @@ from dcmerge.cli import main
 from dcmerge.container import TensorContainer, extract_task_vectors, read_container, write_container
 from dcmerge.merge import MergeConfig, assemble_model, dc_merge, resolve_rank
 from dcmerge.cover import build_cover_basis, frame
-from dcmerge.metrics import _alignment, alignment_score
+from dcmerge.metrics import _alignment, alignment_score, cos_sim
 from dcmerge.task_vector import SmoothingStrategy, TaskVector, decompose
 
 from helpers import (merge_args, optimize_args, perturb_args, poison, python, recast,
@@ -231,6 +231,40 @@ def test_perturb_energy_at_working_rank_one(tmp_path, capsys):
     assert err.startswith("error: enc.weight: a one-entry spectrum") and "--rank 2" in err
     assert not out_path.exists()
     assert main([*perturb, "--rank", "2"]) == 0
+
+
+def test_perturb_energy_moves_energy_only_between_the_directions_the_task_determines(tmp_path):
+    # a rank-2 LoRA pair decomposes at working rank 4 with two round-off entries, whose
+    # directions LAPACK picks from the null spaces; they keep their values
+    base_path, (task_path,) = write_lora_set(tmp_path, [2])
+    out_path = tmp_path / "p.dcm"
+    assert main(perturb_args(base_path, task_path, out_path, "--rank", 4, kind="energy",
+                             p=0.9)) == 0
+    task, got = read_container(task_path).tensors, read_container(out_path).tensors
+    B, A = task["q.lora_B"], task["q.lora_A"]
+    delta = got["q.lora_B"] @ got["q.lora_A"]
+    cols, rows = np.linalg.qr(B)[0], np.linalg.qr(A.T)[0]
+    outside = delta - cols @ (cols.T @ delta @ rows) @ rows.T
+    assert np.linalg.norm(outside) <= 1e-12 * np.linalg.norm(delta)
+    assert abs(cos_sim(B @ A, delta) - 0.9) <= 1e-12
+
+
+def test_perturb_energy_of_a_rank_one_delta_at_a_higher_rank_exits_2(tmp_path, capsys):
+    base_path, (task_path,) = write_lora_set(tmp_path, [1])
+    out_path = tmp_path / "p.dcm"
+    assert main(perturb_args(base_path, task_path, out_path, "--rank", 2, kind="energy")) == 2
+    assert capsys.readouterr().err == (
+        "error: q.weight: a one-entry spectrum has no direction to rotate toward below p = 1; "
+        "its delta has rank 1\n")
+    assert not out_path.exists()
+
+
+def test_perturb_of_a_file_without_a_matrix_tensor_exits_2(tmp_path, capsys):
+    base_path, task_paths = write_fft_set(tmp_path, {"enc.bias": (8,)})
+    out_path = tmp_path / "p.dcm"
+    assert main(perturb_args(base_path, task_paths[0], out_path)) == 2
+    assert capsys.readouterr().err == "error: no matrix tensors found to perturb\n"
+    assert not out_path.exists()
 
 
 def test_perturb_energy_that_overflows_the_task_dtype_exits_3(tmp_path, capsys):
@@ -504,6 +538,16 @@ def test_report_rejects_a_merged_tensor_of_another_shape(tmp_path, capsys, shape
     assert main(report_args(base_path, merged, task_paths, tmp_path / "r.csv")) == 2
     err = capsys.readouterr().err
     assert f"error: {merged}: tensor 'q.weight' has shape {shape}, base is (8, 6)" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_report_rejects_a_merged_matrix_stored_1d(tmp_path, capsys):
+    base_path, task_paths = write_fft_set(tmp_path, ENC, seed=34)
+    merged = tmp_path / "merged.dcm"
+    write_container(TensorContainer(tensors={"enc.weight": np.ones(6)}), merged)
+    assert main(report_args(base_path, merged, task_paths, tmp_path / "r.csv")) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {merged}: tensor 'enc.weight' must be 2-D, got shape (6,)\n"
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -938,10 +982,12 @@ def test_merge_smoothing_flags_apply_their_strategy(tmp_path, flags, strategy):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--smoothing", "avg", "--rho", "3"], "--rho applies only to --smoothing linear"),
-    (["--smoothing", "linear", "--tau", "0.9"], "--tau applies only to --smoothing interp"),
-    (["--tau", "0.9"], "--tau applies only to --smoothing interp"),
-    (["--merger", "ta", "--ties-keep", "0.9"], "--ties-keep applies only to --merger ties"),
+    (["--smoothing", "avg", "--rho", "3"],
+     "rho applies only to smoothing kind 'linear', not 'averaging'"),
+    (["--smoothing", "linear", "--tau", "0.9"],
+     "tau applies only to smoothing kind 'interpolate', not 'linear'"),
+    (["--tau", "0.9"], "tau applies only to smoothing kind 'interpolate', not 'truncate_only'"),
+    (["--merger", "ta", "--ties-keep", "0.9"], "ties_keep applies only to merger 'ties', not 'ta'"),
 ], ids=["rho-avg", "tau-linear", "tau-default", "ties-keep-ta"])
 def test_merge_smoothing_parameter_of_another_kind_exits_2(tmp_path, capsys, flags, message):
     base_path, task_paths = write_fft_set(tmp_path, ENC)

@@ -359,6 +359,8 @@ def test_cover_basis_validation():
         CoverBasis(U_tilde=np.ones((6, 2)), V_tilde=q)
     with pytest.raises(ValidationError):
         CoverBasis(U_tilde=q, V_tilde=random_orthonormal(rng, 6, 3))
+    with pytest.raises(ValidationError, match=r"basis width 2 exceeds ambient dimension min\(6, 1\)"):
+        CoverBasis(U_tilde=q, V_tilde=np.ones((1, 2)))
 
 
 def test_cover_basis_takes_a_partial_isometry_and_rejects_a_non_projection():

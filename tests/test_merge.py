@@ -15,6 +15,7 @@ from dcmerge.merge import (
     dc_merge,
     merge_ta,
     merge_ties,
+    resolve_rank,
 )
 from dcmerge.optimizer import OptimizerConfig
 from dcmerge.task_vector import (
@@ -118,6 +119,13 @@ def test_ties_keep_validation():
         merge_ties([np.ones((2, 2))], keep=0.0)
     with pytest.raises(ValidationError):
         merge_ties([np.ones((2, 2))], keep=1.5)
+
+
+def test_ties_rejects_no_matrix_and_mixed_shapes():
+    with pytest.raises(ValidationError, match="merge_ties needs at least one matrix"):
+        merge_ties([], keep=0.5)
+    with pytest.raises(ValidationError, match=r"merge_ties got mixed shapes \[\(2, 2\), \(2, 3\)\]"):
+        merge_ties([np.ones((2, 2)), np.ones((2, 3))], keep=0.5)
 
 
 def test_ties_of_empty_matrices_is_empty():
@@ -452,11 +460,34 @@ def test_merge_config_validation():
     with pytest.raises(ValidationError):
         MergeConfig(merger="mean")
     with pytest.raises(ValidationError):
-        MergeConfig(ties_keep=0.0)
+        MergeConfig(merger="ties", ties_keep=0.0)
     with pytest.raises(ValidationError):
         MergeConfig(mask_block=0)
     with pytest.raises(ValidationError):
         dc_merge([], MergeConfig())
+
+
+def test_ties_keep_goes_only_with_ties_and_defaults_there():
+    assert MergeConfig().ties_keep is None
+    assert MergeConfig(merger="ties").ties_keep == 0.1
+    assert MergeConfig(merger="ties", ties_keep=0.4).ties_keep == 0.4
+    with pytest.raises(ValidationError) as exc:
+        MergeConfig(merger="ta", ties_keep=0.9)
+    assert str(exc.value) == "ties_keep applies only to merger 'ties', not 'ta'"
+    with pytest.raises(ValidationError, match=r"ties_keep must be in \(0, 1\], got 1.5"):
+        MergeConfig(merger="ties", ties_keep=1.5)
+
+
+def test_resolve_rank_rejects_mixed_shapes_another_type_and_a_lora_rank_above_min_dim():
+    rng = np.random.default_rng(14)
+    tasks = [TaskVector("a", np.ones((4, 4))), TaskVector("b", np.ones((4, 3)))]
+    with pytest.raises(ValidationError, match=r"task vectors have mixed shapes \[\(4, 3\), \(4, 4\)\]"):
+        resolve_rank(tasks, MergeConfig())
+    with pytest.raises(ValidationError, match="expected TaskVector, got ndarray"):
+        resolve_rank([np.ones((4, 4))], MergeConfig())
+    tv = from_lora_factors(rng.standard_normal((4, 6)), rng.standard_normal((6, 5)))
+    with pytest.raises(ValidationError, match=r"LoRA rank 6 exceeds min\(m, n\) = 4"):
+        resolve_rank([tv], MergeConfig(mode="lora"))
 
 
 @pytest.mark.parametrize("make, value", [
@@ -501,6 +532,14 @@ def test_merge_resolved_smoothing_defaults():
 
 
 # assemble_model
+
+
+def test_assemble_rejects_an_empty_or_misshaped_vector_delta():
+    base = TensorContainer(tensors={"b": np.zeros(3)})
+    with pytest.raises(ValidationError, match="empty delta list for 1-D tensor 'b'"):
+        assemble_model(base, {}, {"b": []})
+    with pytest.raises(ValidationError, match=r"1-D delta for 'b' has shape \(4,\), base is \(3,\)"):
+        assemble_model(base, {}, {"b": [np.zeros(3), np.zeros(4)]})
 
 
 def test_assemble_alpha_zero_returns_base_bitwise():

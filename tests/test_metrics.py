@@ -18,7 +18,7 @@ from dcmerge.metrics import (
 )
 from dcmerge.task_vector import TaskVector, decompose, reconstruct
 
-from helpers import random_decomp, random_orthonormal
+from helpers import random_decomp, random_orthonormal, relative_gap
 
 
 # cos_sim
@@ -183,6 +183,33 @@ def test_projected_dir_sim_of_a_zero_task_errors():
         projected_dir_sim(kd, np.eye(4))
 
 
+def test_projected_dir_sim_does_not_depend_on_how_dead_directions_are_completed():
+    # a rank-2 task at rank 4: LAPACK completes U and V with arbitrary null-space columns
+    rng = np.random.default_rng(21)
+    tv = TaskVector(name="t", delta=rng.standard_normal((12, 2)) @ rng.standard_normal((2, 10)))
+    kd = decompose(tv, 4)
+    other = SvdTriplet(
+        np.hstack([kd.U[:, :2], orthogonal_complement_sample(kd.U[:, :2], 2, seed=1)]),
+        kd.sigma,
+        np.hstack([kd.V[:, :2], orthogonal_complement_sample(kd.V[:, :2], 2, seed=2)]),
+    )
+    assert relative_gap(reconstruct(other), reconstruct(kd)) <= 1e-14
+    merged = rng.standard_normal((12, 10))
+    want = projected_dir_sim(decompose(tv, 2), merged)
+    assert projected_dir_sim(kd, merged) == pytest.approx(want, rel=0, abs=1e-12)
+    assert projected_dir_sim(other, merged) == pytest.approx(want, rel=0, abs=1e-12)
+
+
+def test_r_matrix_and_projected_dir_sim_reject_another_shape():
+    rng = np.random.default_rng(22)
+    kd = random_decomp(rng, 8, 6, 2)
+    with pytest.raises(ValidationError, match=r"ambient shapes differ: \(8, 6\) vs \(6, 8\)"):
+        r_matrix(kd, random_decomp(rng, 6, 8, 2))
+    with pytest.raises(ValidationError,
+                       match=r"merged shape \(6, 8\) does not match task shape \(8, 6\)"):
+        projected_dir_sim(kd, np.ones((6, 8)))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-14, 1e200, 1e300])
 def test_cos_sim_and_projected_dir_sim_are_scale_invariant(scale):
@@ -336,8 +363,12 @@ def test_accuracy_report_single_row_arithmetic():
 
 
 def test_accuracy_report_rejects_degenerate_rows():
-    with pytest.raises(ValidationError):
-        accuracy_report([TaskAccuracy(task="a", merged=0.5, finetuned=0.4, zeroshot=0.4)])
+    with pytest.raises(ValidationError, match="'a': fine-tuned accuracy is zero, normalized"):
+        accuracy_report([TaskAccuracy(task="a", merged=0.5, finetuned=0.0, zeroshot=0.0)])
+    for finetuned in (0.4, 0.3):
+        with pytest.raises(ValidationError, match="'a': fine-tuned accuracy must exceed zero-shot"):
+            accuracy_report([TaskAccuracy(task="a", merged=0.5, finetuned=finetuned,
+                                          zeroshot=0.4)])
     with pytest.raises(ValidationError):
         accuracy_report([])
     with pytest.raises(ValidationError):

@@ -184,6 +184,14 @@ def test_direction_p_validation():
         direction_perturb(kd, -0.5, seed=0)
 
 
+def test_a_negative_seed_is_rejected_by_both_perturbations():
+    kd = random_decomp(np.random.default_rng(9), 10, 10, 2)
+    with pytest.raises(ValidationError, match="seed must be non-negative, got -1"):
+        direction_perturb(kd, 0.5, -1)
+    with pytest.raises(ValidationError, match="seed must be non-negative, got -1"):
+        energy_perturb(np.array([3.0, 1.0]), 0.5, fallback_seed=-1)
+
+
 def test_degradation_is_monotone_in_p():
     # the cosine between original and perturbed deltas equals p itself, so
     # sweeping p traces a strictly increasing similarity curve

@@ -480,6 +480,27 @@ def test_strategy_parameter_validation():
         SmoothingStrategy(kind="bogus")
 
 
+def test_strategy_parameters_default_with_their_own_kind():
+    assert SmoothingStrategy("linear").rho == 5.0
+    assert SmoothingStrategy("interpolate").tau == 0.5
+    assert SmoothingStrategy("linear") == SmoothingStrategy.linear(5.0)
+    assert (SmoothingStrategy("averaging").rho, SmoothingStrategy("averaging").tau) == (None, None)
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("averaging", {"tau": 0.7}, "tau applies only to smoothing kind 'interpolate', not 'averaging'"),
+    ("linear", {"rho": 3.0, "tau": 0.2},
+     "tau applies only to smoothing kind 'interpolate', not 'linear'"),
+    ("interpolate", {"rho": 3.0}, "rho applies only to smoothing kind 'linear', not 'interpolate'"),
+    ("truncate_only", {"rho": 5.0},
+     "rho applies only to smoothing kind 'linear', not 'truncate_only'"),
+], ids=["tau-averaging", "tau-linear", "rho-interpolate", "rho-truncate"])
+def test_strategy_rejects_a_parameter_of_another_kind(kind, params, message):
+    with pytest.raises(ValidationError) as exc:
+        SmoothingStrategy(kind, **params)
+    assert str(exc.value) == message
+
+
 # reconstruct
 
 
