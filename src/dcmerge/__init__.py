@@ -59,7 +59,7 @@ _SUBMODULES = {
         "r_matrix",
     ),
     "optimizer": ("OptimizationTrace", "OptimizerConfig", "optimize_cover_basis"),
-    "perturb": ("direction_perturb", "energy_perturb"),
+    "perturb": ("direction_perturb", "energy_perturb", "perturb_rank", "perturb_task_vector"),
     "task_vector": (
         "SmoothingStrategy",
         "TaskVector",

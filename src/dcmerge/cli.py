@@ -58,7 +58,7 @@ from .cover import CoverBasis, frame, make_mask
 from .errors import NumericalError, ValidationError
 from .linalg import _all_finite, _checked_matrix, _dense_svd
 from .merge import MergeConfig, assemble_tensor, dc_merge, merge_ta, resolve_rank
-from .task_vector import SmoothingStrategy, TaskVector, _negligible, decompose, from_lora_factors
+from .task_vector import SmoothingStrategy, TaskVector, decompose, from_lora_factors
 
 
 def _rank_arg(text: str):
@@ -378,8 +378,7 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
-    from .metrics import cos_sim, dir_sim
-    from .perturb import _check_p_and_seed, direction_perturb, energy_perturb
+    from .perturb import _check_p_and_seed, perturb_rank, perturb_task_vector
 
     _check_p_and_seed(args.p, args.seed)
     with contextlib.ExitStack() as files:
@@ -398,17 +397,9 @@ def _cmd_perturb(args) -> int:
         # each matrix's working rank, which sets the shape of the LoRA factors written
         ranks, specs = {}, dict(task.specs)
         for name, pm in sorted(pairing.matrices.items()):
-            m, n = pm.shape
-            # a single checkpoint has no task count, so merge's rank rule does not apply
-            auto = pm.lora_rank if pm.lora_rank is not None else max(1, min(m, n) // 4)
-            r = ranks[name] = min(args.rank if args.rank is not None else auto, min(m, n))
-            if args.kind == "direction" and 2 * r > min(m, n):  # room for the complement
-                clip = f" (--rank {args.rank} clipped to min(m, n))" if (args.rank or 0) > r else ""
-                raise ValidationError(f"tensor {name!r} {pm.shape}: --kind direction at working "
-                                      f"rank {r}{clip} needs 2 x rank <= min(m, n); the largest "
-                                      f"rank that fits is {min(m, n) // 2}")
+            r = ranks[name] = perturb_rank(pm, args.kind, args.rank)
             if pm.lora_rank is not None:
-                for src, shape in zip(pm.sources, ((m, r), (r, n))):
+                for src, shape in zip(pm.sources, ((pm.shape[0], r), (r, pm.shape[1]))):
                     specs[src] = specs[src]._replace(shape=shape)
         # every task tensor that is no matrix source goes out as it is; a 1-D tensor can
         # share its name with a LoRA pair's matrix, so each job is (name, is_matrix)
@@ -429,35 +420,20 @@ def _cmd_perturb(args) -> int:
             base_arr = base.read(name) if pm.lora_rank is None else None
             with _naming(args.task):
                 tv = pm.task_vector(arrays.__getitem__, base_arr)
-            kd = decompose(tv, ranks[name])
-            if not kd.sigma.any():
-                # no energy or direction to perturb: the task's own tensors go out, as zero
-                # factors where the working rank gives them another shape
+            result = perturb_task_vector(tv, args.kind, args.p, seeds[name], args.rank)
+            if result is None:
+                # the task's own tensors go out, as zero factors where the working rank
+                # gives them another shape
                 for src, arr in arrays.items():
                     spec = specs[src]
                     put(src, arr if arr.shape == spec.shape else np.zeros(spec.shape, spec.dtype))
                 return f"{name}: zero delta, left unchanged", False
-            if args.kind == "energy":
-                # energy moves only between the directions the task determines
-                live = ~_negligible(kd.sigma, kd.source_shape, kd.sigma[0])
-                sigma_hat = kd.sigma.copy()
-                try:
-                    sigma_hat[live] = energy_perturb(kd.sigma[live], args.p,
-                                                     fallback_seed=seeds[name])
-                except ValidationError as exc:  # p and seed are valid, so: one live entry
-                    hint = "pass --rank 2 or more" if ranks[name] == 1 else "its delta has rank 1"
-                    raise ValidationError(f"{name}: {exc}; {hint}") from None
-                U_new, V_new = kd.U, kd.V
-                achieved = cos_sim(kd.sigma[None], sigma_hat[None])
-            else:
-                kd_new = direction_perturb(kd, args.p, seeds[name])
-                U_new, sigma_hat, V_new = kd_new.U, kd_new.sigma, kd_new.V
-                achieved = dir_sim(kd, kd_new)
+            (U, sigma, V), achieved = result
             if pm.lora_rank is None:
-                delta_hat = (U_new * sigma_hat) @ V_new.T
+                delta_hat = (U * sigma) @ V.T
                 put(name, assemble_tensor(name, base_arr, delta_hat, 1.0, specs[name].dtype))
             else:  # B = U diag(sigma), A = V^T, each in the task's dtype
-                for src, factor in zip(pm.sources, (U_new * sigma_hat, V_new.T)):
+                for src, factor in zip(pm.sources, (U * sigma, V.T)):
                     with np.errstate(over="ignore"):  # reported just below
                         factor = factor.astype(specs[src].dtype)
                     if not _all_finite(factor):

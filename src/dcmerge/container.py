@@ -366,6 +366,7 @@ class PairedMatrix:
 
 def vector_delta(name: str, task: np.ndarray, base: np.ndarray) -> np.ndarray:
     """Float64 ``task - base`` of a tensor that is not a matrix; ValidationError if not finite."""
+    pair_tensors({name: base}, {name: task}, "fft")  # the pairing rule's shape check
     delta = np.asarray(np.subtract(task, base, dtype=np.float64))
     if not _all_finite(delta):
         raise ValidationError(f"{task.ndim}-D tensor {name!r} or its base is not finite")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import _ORTHO_TOL, _frozen, _polar_frame, as_matrix
+from .linalg import _ORTHO_TOL, _check_count, _frozen, _polar_frame, as_matrix
 from .task_vector import stack_bases
 
 
@@ -35,12 +35,7 @@ class CoverBasis:
             raise ValidationError(
                 f"basis widths differ: {U.shape[1]} vs {V.shape[1]}"
             )
-        k = U.shape[1]
-        if k > min(U.shape[0], V.shape[0]):
-            raise ValidationError(
-                f"basis width {k} exceeds ambient dimension "
-                f"min({U.shape[0]}, {V.shape[0]})"
-            )
+        _check_count(U.shape[1], min(U.shape[0], V.shape[0]), "basis width")
         for W, label in ((U, "U_tilde"), (V, "V_tilde")):
             G = W.T @ W
             if not max(np.abs(G - G.T).max(), np.abs(G @ G - G).max()) <= _ORTHO_TOL:
@@ -64,8 +59,7 @@ def make_mask(k: int, b: int) -> tuple[slice, ...]:
     its blocks are returned as the index ranges [0, b), [b, 2b), ..., the
     final one truncated when b does not divide k.
     """
-    if not 1 <= b <= k:
-        raise ValidationError(f"block must be in [1, {k}], got {b}")
+    _check_count(b, k, "block")
     return tuple(slice(lo, min(lo + b, k)) for lo in range(0, k, b))
 
 
@@ -76,11 +70,7 @@ def frame(decomps, basis: bool = True) -> tuple[CoverBasis | None, np.ndarray, n
     in task input order. ``basis=False`` gives no pair, and G and H from the Gram alone.
     """
     Ucat, Vcat = stack_bases(decomps)
-    k, bound = Ucat.shape[1], min(Ucat.shape[0], Vcat.shape[0])
-    if k > bound:
-        raise ValidationError(
-            f"total rank {k} exceeds min ambient dimension {bound}; reduce per-task rank"
-        )
+    _check_count(Ucat.shape[1], min(Ucat.shape[0], Vcat.shape[0]), "total rank")
     (U, G), (V, H) = (_polar_frame(M, basis) for M in (Ucat, Vcat))
     del Ucat, Vcat  # the pair's check sets merge's peak: hold no stack, and W read-only, uncopied
     for W in (U, V) if basis else ():

@@ -70,6 +70,18 @@ def _abs_max(arr: np.ndarray) -> float:
     return max(-float(arr.min()), float(arr.max())) if arr.size else 0.0
 
 
+def _check_count(value, hi: int, name: str) -> None:
+    """The rule of a number of columns (a rank, a width, a count): an integer in [1, hi]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 1 <= value <= hi:
+        raise ValidationError(f"{name} must be an integer in [1, {hi}], got {value!r}")
+
+
+def _check_seed(seed) -> None:
+    """The package's seed rule: None, or not negative."""
+    if seed is not None and seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
+
+
 def _unit_scaled(arr: np.ndarray) -> tuple[np.ndarray, int]:
     """(arr * 2^-e, e), exact: 2^e puts max|arr| in [0.5, 1) where it lies outside
     2^(+-_SCALE_EXP), and elsewhere e = 0 and ``arr`` comes back uncopied."""
@@ -137,6 +149,7 @@ class SvdTriplet:
                 f"rank mismatch: U has {U.shape[1]} columns, V has "
                 f"{V.shape[1]}, sigma has {r} entries"
             )
+        _check_count(r, min(U.shape[0], V.shape[0]), "rank")
         if np.any(sigma < 0):
             raise ValidationError("sigma entries must be non-negative")
         if np.any(np.diff(sigma) > 0):
@@ -244,10 +257,7 @@ def truncated_svd(M, r: int) -> SvdTriplet:
     """
     M = as_matrix(M, "M")
     m, n = M.shape
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 1 <= r <= min(m, n):
-        raise ValidationError(
-            f"rank must be an integer in [1, {min(m, n)}], got {r!r}"
-        )
+    _check_count(r, min(m, n), "rank")
     factors = _gram_svd(M, r)
     if factors is None:
         U, s, Vt = _dense_svd(M)
@@ -347,16 +357,13 @@ def orthogonal_complement_sample(U, count: int, seed: int) -> np.ndarray:
 
     Draws a Gaussian block with the seeded generator, projects out the span
     of U, and orthonormalizes (twice, for numerical cleanliness). The output
-    is deterministic for a given (U, count, seed).
+    is deterministic for a given (U, count, seed). U of shape (d, r) leaves
+    room for count <= d - r.
     """
     U = as_matrix(U, "U")
     d, r = U.shape
-    if count < 1:
-        raise ValidationError("count must be at least 1")
-    if r + count > d:
-        raise ValidationError(
-            f"ambient dimension too small: need {r}+{count} <= {d}"
-        )
+    _check_count(count, d - r, "count")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((d, count))
     for _ in range(2):
@@ -366,6 +373,6 @@ def orthogonal_complement_sample(U, count: int, seed: int) -> np.ndarray:
         signs = np.sign(np.diag(R))
         signs[signs == 0] = 1.0
         G = G * signs
-    if np.abs(U.T @ G).max() > _ORTHO_TOL:
+    if np.abs(U.T @ G).max(initial=0.0) > _ORTHO_TOL:
         raise NumericalError("complement sample failed orthogonality check")
     return G

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import PairedMatrix, TensorContainer
+from .container import PairedMatrix, TensorContainer, pair_tensors
 from .cover import back_project, frame, make_mask
 from .errors import NumericalError, ValidationError
 from .linalg import _all_finite
@@ -232,33 +232,22 @@ def assemble_model(
     Tensors of any other ndim named in ``vector_deltas`` get the mean of
     their per-task deltas, scaled the same way. Everything else is copied
     through verbatim. Each output tensor keeps the base dtype, and a 0-D one
-    stays an array, not a numpy scalar. ``alpha`` may be zero here; that
-    reproduces the base model exactly. A merged or averaged tensor that
-    comes out NaN or Inf (in the base dtype) is a NumericalError.
+    stays an array, not a numpy scalar. Each tensor follows
+    ``assemble_tensor``'s rules; ``alpha`` may be zero, which reproduces the
+    base model exactly.
     """
     if vector_deltas is None:
         vector_deltas = {}
-    if alpha < 0:
-        raise ValidationError(f"alpha must be non-negative, got {alpha}")
     out: dict[str, np.ndarray] = {}
     for name, arr in base.tensors.items():
         if name in merged_deltas:
             delta = merged_deltas[name]
-            if delta.shape != arr.shape:
-                raise ValidationError(
-                    f"merged delta for {name!r} has shape {delta.shape}, "
-                    f"base is {arr.shape}"
-                )
         elif name in vector_deltas:
             deltas = vector_deltas[name]
             if not deltas:
                 raise ValidationError(f"empty delta list for {arr.ndim}-D tensor {name!r}")
             for d in deltas:
-                if d.shape != arr.shape:
-                    raise ValidationError(
-                        f"{arr.ndim}-D delta for {name!r} has shape {d.shape}, "
-                        f"base is {arr.shape}"
-                    )
+                pair_tensors({name: arr}, {name: d}, "fft")  # the pairing rule's shape check
             delta = np.mean(np.stack(deltas), axis=0)
         else:
             out[name] = arr.copy()
@@ -277,8 +266,14 @@ def assemble_tensor(name: str, base: np.ndarray, delta: np.ndarray, alpha: float
     """``base + alpha * delta``, summed in float64 and stored in ``dtype``
     (default: the base's); the per-tensor rule of ``assemble_model``.
 
-    A result that is NaN or Inf is a NumericalError that names the tensor.
+    ``alpha`` must be finite and non-negative, and ``delta`` of the base's
+    shape (ValidationErrors). A result that is NaN or Inf is a
+    NumericalError that names the tensor.
     """
+    if not 0 <= alpha < np.inf:
+        raise ValidationError(f"alpha must be non-negative and finite, got {alpha}")
+    if delta.shape != base.shape:
+        raise ValidationError(f"delta for {name!r} has shape {delta.shape}, base is {base.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         out = np.asarray(base.astype(np.float64) + alpha * delta, dtype=dtype or base.dtype)
     if not _all_finite(out):

@@ -120,22 +120,6 @@ class SmoothingStrategy:
         if self.kind == "interpolate" and not 0 <= self.tau <= 1:
             raise ValidationError("interpolate requires tau in [0, 1]")
 
-    @classmethod
-    def truncate_only(cls) -> "SmoothingStrategy":
-        return cls("truncate_only")
-
-    @classmethod
-    def averaging(cls) -> "SmoothingStrategy":
-        return cls("averaging")
-
-    @classmethod
-    def linear(cls, rho: float) -> "SmoothingStrategy":
-        return cls("linear", rho=float(rho))
-
-    @classmethod
-    def interpolate(cls, tau: float) -> "SmoothingStrategy":
-        return cls("interpolate", tau=float(tau))
-
 
 # dtypes an fft input is kept in; any other is converted to float64, which
 # leaves the float64 difference unchanged

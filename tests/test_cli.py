@@ -8,7 +8,8 @@ import pytest
 
 from dcmerge.cli import main
 from dcmerge.container import TensorContainer, extract_task_vectors, read_container, write_container
-from dcmerge.merge import MergeConfig, assemble_model, dc_merge, resolve_rank
+from dcmerge.merge import MergeConfig, assemble_model, assemble_tensor, dc_merge, resolve_rank
+from dcmerge.perturb import perturb_task_vector
 from dcmerge.cover import build_cover_basis, frame
 from dcmerge.metrics import _alignment, alignment_score, cos_sim
 from dcmerge.task_vector import SmoothingStrategy, TaskVector, decompose
@@ -218,6 +219,35 @@ def test_perturb_writes_a_1d_tensor_named_like_a_lora_pairs_matrix_through(tmp_p
     assert not np.allclose(got["w.lora_B"] @ got["w.lora_A"], task["w.lora_B"] @ task["w.lora_A"])
 
 
+@pytest.mark.parametrize("kind", ["energy", "direction"])
+@pytest.mark.parametrize("mode", ["fft", "lora"])
+def test_perturb_writes_the_library_perturbation_of_each_tensor(tmp_path, mode, kind):
+    # dcmerge perturb adds only I/O to perturb_task_vector, at each tensor's seed
+    if mode == "fft":
+        shapes = {"a.weight": (16, 12), "b.weight": (12, 10), "a.bias": (16,)}
+        base_path, (task_path,) = write_fft_set(tmp_path, shapes, 1, 3, np.float32)
+    else:
+        base_path, (task_path,) = write_lora_set(tmp_path, [3], shape=(16, 12))
+    out = tmp_path / "p.dcm"
+    assert main(perturb_args(base_path, task_path, out, kind=kind, p=0.4, seed=9)) == 0
+    base, task = read_container(base_path), read_container(task_path)
+    matrices = extract_task_vectors(base, task, mode).matrices
+    children = np.random.SeedSequence(9).spawn(len(matrices))
+    want = dict(task.tensors)
+    for (name, tv), child in zip(sorted(matrices.items()), children):
+        seed = int(child.generate_state(1, dtype=np.uint64)[0])
+        (U, sigma, V), _ = perturb_task_vector(tv, kind, 0.4, seed)
+        if mode == "fft":
+            want[name] = assemble_tensor(name, base.tensors[name], (U * sigma) @ V.T, 1.0)
+        else:
+            B, A = name.replace("weight", "lora_B"), name.replace("weight", "lora_A")
+            want[B], want[A] = ((U * sigma).astype(task.tensors[B].dtype),
+                              V.T.astype(task.tensors[A].dtype))
+    got = read_container(out).tensors
+    assert sorted(got) == sorted(want)
+    assert [name for name in got if got[name].tobytes() != want[name].tobytes()] == []
+
+
 def test_perturb_energy_at_working_rank_one(tmp_path, capsys):
     # the auto rank of an 8 x 6 fft task is max(1, 6 // 4) = 1
     base_path, task_paths = write_fft_set(tmp_path, ENC, 1, 8)
@@ -228,7 +258,8 @@ def test_perturb_energy_at_working_rank_one(tmp_path, capsys):
     out_path.unlink()
     assert main(perturb) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: enc.weight: a one-entry spectrum") and "--rank 2" in err
+    assert err == ("error: enc.weight: a one-entry spectrum has no direction to rotate toward "
+                   "below p = 1; pass rank 2 or more\n")
     assert not out_path.exists()
     assert main([*perturb, "--rank", "2"]) == 0
 
@@ -953,12 +984,12 @@ def test_the_process_entry_prints_a_clip_warning_without_its_source_line(tmp_pat
 
 
 @pytest.mark.parametrize("flags, strategy", [
-    (["--smoothing", "none"], SmoothingStrategy.truncate_only()),
-    (["--smoothing", "avg"], SmoothingStrategy.averaging()),
-    (["--smoothing", "linear", "--rho", "3"], SmoothingStrategy.linear(3.0)),
-    (["--smoothing", "interp", "--tau", "0.25"], SmoothingStrategy.interpolate(0.25)),
-    (["--smoothing", "linear"], SmoothingStrategy.linear(5.0)),
-    (["--smoothing", "interp"], SmoothingStrategy.interpolate(0.5)),
+    (["--smoothing", "none"], SmoothingStrategy("truncate_only")),
+    (["--smoothing", "avg"], SmoothingStrategy("averaging")),
+    (["--smoothing", "linear", "--rho", "3"], SmoothingStrategy("linear", rho=3.0)),
+    (["--smoothing", "interp", "--tau", "0.25"], SmoothingStrategy("interpolate", tau=0.25)),
+    (["--smoothing", "linear"], SmoothingStrategy("linear", rho=5.0)),
+    (["--smoothing", "interp"], SmoothingStrategy("interpolate", tau=0.5)),
 ], ids=["none", "avg", "linear", "interp", "linear-default", "interp-default"])
 def test_merge_smoothing_flags_apply_their_strategy(tmp_path, flags, strategy):
     rng = np.random.default_rng(31)

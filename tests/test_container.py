@@ -8,6 +8,7 @@ from dcmerge.container import (
     detect_mode,
     extract_task_vectors,
     read_container,
+    vector_delta,
     write_container,
 )
 from dcmerge.errors import ContainerError, ValidationError
@@ -440,3 +441,10 @@ def test_extract_lora_product_of_another_shape_than_the_base_rejected():
         extract_task_vectors(base, task, mode="lora")
     assert str(exc.value) == ("tensor 'w.lora_B' (10, 2) times tensor 'w.lora_A' (2, 6) "
                               "has shape (10, 6) vs base tensor 'w.weight' (8, 6)")
+
+
+def test_vector_delta_refuses_arrays_of_two_shapes_even_where_numpy_would_broadcast():
+    for task, base in ((np.zeros(3), np.zeros(2)), (np.zeros(3), np.zeros(1))):
+        with pytest.raises(ValidationError,
+                           match=rf"^1-D tensor 'b' has shape \(3,\) vs base \({len(base)},\)$"):
+            vector_delta("b", task, base)

@@ -178,7 +178,7 @@ def test_a_near_duplicate_task_takes_the_whitened_route_bit_for_bit():
 
 def test_stack_coordinates_check_the_total_width():
     rng = np.random.default_rng(23)
-    with pytest.raises(ValidationError, match="total rank 6 exceeds min ambient dimension 5"):
+    with pytest.raises(ValidationError, match=r"total rank must be an integer in \[1, 5\], got 6"):
         frame([random_decomp(rng, 6, 5, 3), random_decomp(rng, 6, 5, 3)], basis=False)
 
 
@@ -359,8 +359,15 @@ def test_cover_basis_validation():
         CoverBasis(U_tilde=np.ones((6, 2)), V_tilde=q)
     with pytest.raises(ValidationError):
         CoverBasis(U_tilde=q, V_tilde=random_orthonormal(rng, 6, 3))
-    with pytest.raises(ValidationError, match=r"basis width 2 exceeds ambient dimension min\(6, 1\)"):
+    with pytest.raises(ValidationError, match=r"^basis width must be an integer in \[1, 1\], got 2$"):
         CoverBasis(U_tilde=q, V_tilde=np.ones((1, 2)))
+
+
+def test_a_cover_basis_of_width_zero_is_rejected_by_name():
+    kd = random_decomp(np.random.default_rng(13), 4, 3, 1)
+    message = r"^basis width must be an integer in \[1, 3\], got 0$"
+    with pytest.raises(ValidationError, match=message):
+        alignment_score(np.zeros((4, 0)), np.zeros((3, 0)), [kd])
 
 
 def test_cover_basis_takes_a_partial_isometry_and_rejects_a_non_projection():

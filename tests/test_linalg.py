@@ -456,6 +456,22 @@ def test_complement_needs_ambient_room():
 # SvdTriplet invariants
 
 
+def test_complement_checks_its_count_and_seed():
+    u = random_orthonormal(np.random.default_rng(14), 6, 2)
+    with pytest.raises(ValidationError, match=r"^count must be an integer in \[1, 4\], got True$"):
+        orthogonal_complement_sample(u, True, 0)
+    with pytest.raises(ValidationError, match="^seed must be non-negative, got -1$"):
+        orthogonal_complement_sample(u, 1, -1)
+    # no direction to avoid: an orthonormal sample of the whole space
+    g = orthogonal_complement_sample(np.zeros((4, 0)), 2, 0)
+    np.testing.assert_allclose(g.T @ g, np.eye(2), atol=1e-12)
+
+
+def test_svd_triplet_of_rank_zero_is_rejected_by_name():
+    with pytest.raises(ValidationError, match=r"^rank must be an integer in \[1, 3\], got 0$"):
+        SvdTriplet(np.zeros((4, 0)), np.zeros(0), np.zeros((3, 0)))
+
+
 def test_svd_triplet_rejects_non_orthonormal_factor():
     with pytest.raises(ValidationError):
         SvdTriplet(U=np.ones((3, 2)), sigma=np.array([2.0, 1.0]), V=np.eye(3)[:, :2])
@@ -494,7 +510,7 @@ def test_svd_triplet_trusted_rebuild_still_checks_sigma(sigma):
     for field, value in (("U", t.U), ("sigma", np.array(sigma)), ("V", t.V)):
         object.__setattr__(bad, field, value)
     with pytest.raises(ValidationError):
-        smooth_energy(bad, SmoothingStrategy.interpolate(1.0))
+        smooth_energy(bad, SmoothingStrategy("interpolate", tau=1.0))
 
 
 def test_svd_triplet_trusted_rebuild_shares_singular_vectors():
@@ -503,15 +519,15 @@ def test_svd_triplet_trusted_rebuild_shares_singular_vectors():
     factor = decompose(
         from_lora_factors(rng.standard_normal((7, 4)), rng.standard_normal((4, 5))), 3
     )
-    strategies = (SmoothingStrategy.averaging(), SmoothingStrategy.linear(5.0),
-                  SmoothingStrategy.interpolate(0.5))
+    strategies = (SmoothingStrategy("averaging"), SmoothingStrategy("linear", rho=5.0),
+                  SmoothingStrategy("interpolate", tau=0.5))
     for kd in (dense, factor):
         for s in strategies:
             new = smooth_energy(kd, s)
             assert new.U is kd.U and new.V is kd.V
             assert not new.sigma.flags.writeable
     np.testing.assert_array_equal(
-        smooth_energy(dense, SmoothingStrategy.averaging()).sigma, [dense.sigma.mean()] * 3
+        smooth_energy(dense, SmoothingStrategy("averaging")).sigma, [dense.sigma.mean()] * 3
     )
 
 

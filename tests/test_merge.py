@@ -12,6 +12,7 @@ from dcmerge.linalg import truncated_svd
 from dcmerge.merge import (
     MergeConfig,
     assemble_model,
+    assemble_tensor,
     dc_merge,
     merge_ta,
     merge_ties,
@@ -439,7 +440,7 @@ def test_merge_auto_rank_lora_mode():
     b = rng.standard_normal((8, 2))
     a = rng.standard_normal((2, 6))
     tv = TaskVector(name="t", delta=b @ a, lora_rank=2)
-    cfg = MergeConfig(mode="lora", smoothing=SmoothingStrategy.truncate_only())
+    cfg = MergeConfig(mode="lora", smoothing=SmoothingStrategy("truncate_only"))
     merged = dc_merge([tv], cfg)
     np.testing.assert_allclose(merged, b @ a, atol=1e-8)
 
@@ -502,8 +503,8 @@ def test_integer_parameters_reject_bool(make, value):
         make(value)
 
 
-@pytest.mark.parametrize("smoothing", [None, SmoothingStrategy.linear(5.0),
-                                       SmoothingStrategy.interpolate(0.3)],
+@pytest.mark.parametrize("smoothing", [None, SmoothingStrategy("linear", rho=5.0),
+                                       SmoothingStrategy("interpolate", tau=0.3)],
                          ids=["averaging", "linear", "interpolate"])
 def test_unused_lora_rank_adds_nothing_to_the_merge(smoothing):
     # rank-16 LoRA tasks whose B has 8 zero columns: the dead tail of each
@@ -527,7 +528,7 @@ def test_unused_lora_rank_adds_nothing_to_the_merge(smoothing):
 def test_merge_resolved_smoothing_defaults():
     assert MergeConfig(mode="lora").resolved_smoothing().kind == "averaging"
     assert MergeConfig(mode="fft").resolved_smoothing().kind == "truncate_only"
-    explicit = MergeConfig(smoothing=SmoothingStrategy.interpolate(0.3))
+    explicit = MergeConfig(smoothing=SmoothingStrategy("interpolate", tau=0.3))
     assert explicit.resolved_smoothing().kind == "interpolate"
 
 
@@ -538,7 +539,7 @@ def test_assemble_rejects_an_empty_or_misshaped_vector_delta():
     base = TensorContainer(tensors={"b": np.zeros(3)})
     with pytest.raises(ValidationError, match="empty delta list for 1-D tensor 'b'"):
         assemble_model(base, {}, {"b": []})
-    with pytest.raises(ValidationError, match=r"1-D delta for 'b' has shape \(4,\), base is \(3,\)"):
+    with pytest.raises(ValidationError, match=r"^1-D tensor 'b' has shape \(4,\) vs base \(3,\)$"):
         assemble_model(base, {}, {"b": [np.zeros(3), np.zeros(4)]})
 
 
@@ -565,8 +566,12 @@ def test_assemble_applies_scaled_delta():
 
 @pytest.mark.parametrize("alpha", [1e300, np.inf])
 def test_assemble_rejects_a_tensor_that_turns_non_finite(alpha):
+    # a finite alpha that overflows the float32 base is the tensor's fault; an infinite one is
+    # the argument's, refused before any tensor is summed
     base = TensorContainer(tensors={"w": np.ones((2, 2), dtype=np.float32)})
-    with pytest.raises(NumericalError, match="tensor 'w' is not finite"):
+    error, match = ((NumericalError, "tensor 'w' is not finite") if alpha < np.inf else
+                    (ValidationError, "alpha must be non-negative and finite, got inf"))
+    with pytest.raises(error, match=match):
         assemble_model(base, {"w": np.ones((2, 2))}, alpha=alpha)
 
 
@@ -613,3 +618,19 @@ def test_assemble_errors():
         assemble_model(base, {"w": np.zeros((3, 3))})
     with pytest.raises(ValidationError):
         assemble_model(base, {"w": np.zeros((2, 2))}, alpha=-1.0)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, np.inf, np.nan])
+def test_assemble_tensor_refuses_an_alpha_that_is_negative_or_not_finite(alpha):
+    zero, one = np.zeros((2, 2)), np.ones((2, 2))
+    message = f"^alpha must be non-negative and finite, got {alpha}$"
+    with pytest.raises(ValidationError, match=message):
+        assemble_tensor("w", zero, one, alpha)
+    assert np.array_equal(assemble_tensor("w", one, one, 0.0), one)
+
+
+def test_assemble_tensor_refuses_a_delta_of_another_shape_even_where_numpy_would_broadcast():
+    with pytest.raises(ValidationError, match=r"^delta for 'b' has shape \(3,\), base is \(2,\)$"):
+        assemble_tensor("b", np.zeros(2), np.zeros(3), 1.0)
+    with pytest.raises(ValidationError, match=r"^delta for 'b' has shape \(2, 3\), base is \(3,\)"):
+        assemble_tensor("b", np.zeros(3), np.zeros((2, 3)), 1.0)

@@ -3,8 +3,9 @@ import pytest
 
 from dcmerge.errors import NumericalError, ValidationError
 from dcmerge.metrics import cos_sim, dir_sim
-from dcmerge.perturb import direction_perturb, energy_perturb
-from dcmerge.task_vector import reconstruct
+from dcmerge.container import PairedMatrix
+from dcmerge.perturb import direction_perturb, energy_perturb, perturb_rank, perturb_task_vector
+from dcmerge.task_vector import TaskVector, decompose, from_lora_factors, reconstruct
 
 from helpers import random_decomp
 
@@ -205,3 +206,70 @@ def test_degradation_is_monotone_in_p():
     diffs = np.diff(sims)
     assert (diffs > 0).all()
     np.testing.assert_allclose(sims, np.linspace(0.0, 1.0, 9), atol=1e-8)
+
+
+# perturb_rank and perturb_task_vector: the rules of `dcmerge perturb`, for a Python caller
+
+
+def test_perturb_rank_rule_from_a_task_vector_or_its_header():
+    rng = np.random.default_rng(11)
+    dense = TaskVector("d", rng.standard_normal((12, 9)))
+    lora = from_lora_factors(rng.standard_normal((12, 3)), rng.standard_normal((3, 9)), "l")
+    assert perturb_rank(dense, "energy") == 2  # min(m, n) // 4
+    assert perturb_rank(TaskVector("s", np.ones((3, 2))), "energy") == 1  # at least 1
+    assert perturb_rank(lora, "energy") == 3  # the LoRA rank
+    assert perturb_rank(lora, "energy", 20) == 9  # clipped to min(m, n)
+    assert perturb_rank(PairedMatrix("l", (12, 9), ("l.lora_B", "l.lora_A"), 3), "direction") == 3
+    with pytest.raises(ValidationError, match="rank must be a positive int or None, got True"):
+        perturb_rank(dense, "energy", True)
+    with pytest.raises(ValidationError, match="kind must be 'energy' or 'direction', got 'flat'"):
+        perturb_rank(dense, "flat")
+
+
+@pytest.mark.parametrize("rank, clip", [(5, ""), (40, " (rank 40 clipped to min(m, n))")])
+def test_perturb_rank_states_the_room_rule_of_direction_perturb(rank, clip):
+    tv = TaskVector("w", np.random.default_rng(12).standard_normal((12, 9)))
+    working = min(rank, 9)
+    with pytest.raises(ValidationError) as header:
+        perturb_rank(tv, "direction", rank)
+    assert str(header.value) == (
+        f"tensor 'w' (12, 9): kind 'direction' at working rank {working}{clip} needs "
+        f"2 x rank <= min(m, n); the largest rank that fits is 4")
+    with pytest.raises(ValidationError, match=r"needs 2 x rank <= min\(m, n\); the largest rank "
+                                              r"that fits is 4"):
+        direction_perturb(decompose(tv, working), 0.5, 0)
+    assert perturb_rank(tv, "direction", 4) == 4
+
+
+def test_perturb_task_vector_moves_energy_only_between_live_entries():
+    # a rank-2 LoRA pair decomposed at rank 4 has two round-off entries, whose directions
+    # LAPACK picks from the null spaces; the dead entries keep their values
+    rng = np.random.default_rng(12)
+    tv = from_lora_factors(rng.standard_normal((8, 2)), rng.standard_normal((2, 6)), "q")
+    kd = decompose(tv, 4)
+    (U, sigma, V), achieved = perturb_task_vector(tv, "energy", 0.9, 5, rank=4)
+    assert np.array_equal(U, kd.U) and np.array_equal(V, kd.V)
+    assert np.array_equal(sigma[2:], kd.sigma[2:])
+    assert not np.array_equal(sigma[:2], kd.sigma[:2])
+    assert abs(cos_sim(tv.delta, (U * sigma) @ V.T) - 0.9) <= 1e-12
+    assert abs(achieved - 0.9) <= 1e-12
+    # energy_perturb on the whole spectrum, dead entries included, would move energy into them
+    assert not np.allclose(energy_perturb(kd.sigma, 0.9, 5)[2:], kd.sigma[2:])
+
+
+def test_perturb_task_vector_direction_and_its_degenerate_cases():
+    rng = np.random.default_rng(13)
+    tv = TaskVector("w", rng.standard_normal((16, 12)))
+    (U, sigma, V), achieved = perturb_task_vector(tv, "direction", 0.3, 7)
+    want = direction_perturb(decompose(tv, 3), 0.3, 7)
+    assert np.array_equal(U, want.U) and np.array_equal(V, want.V)
+    assert np.array_equal(sigma, want.sigma) and abs(achieved - 0.3) <= 1e-10
+    assert perturb_task_vector(TaskVector("z", np.zeros((16, 12))), "energy", 0.3, 7) is None
+    with pytest.raises(ValidationError, match="^w: a one-entry spectrum has no direction to "
+                                              "rotate toward below p = 1; pass rank 2 or more$"):
+        perturb_task_vector(tv, "energy", 0.3, 7, rank=1)
+    rank_one = from_lora_factors(rng.standard_normal((16, 1)), rng.standard_normal((1, 12)), "r")
+    with pytest.raises(ValidationError, match="; its delta has rank 1$"):
+        perturb_task_vector(rank_one, "energy", 0.3, 7, rank=2)
+    with pytest.raises(ValidationError, match="p must be in"):
+        perturb_task_vector(tv, "energy", float("nan"), 7)

@@ -456,9 +456,8 @@ def test_perturb_direction_without_room_for_the_complement_exits_2_before_readin
     monkeypatch.setattr(ContainerReader, "read", recording_read)
     out = tmp_path / "p.dcm"
     assert main(perturb_args(base_path, task_paths[0], out, "--rank", rank)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: tensor 'a.weight' (8, 6): --kind direction at "
-                          f"working rank {working} ")
-    assert ("clipped to min(m, n)" in err) == clipped
-    assert err.rstrip().endswith("the largest rank that fits is 3")
+    clip = f" (rank {rank} clipped to min(m, n))" if clipped else ""
+    assert capsys.readouterr().err == (
+        f"error: tensor 'a.weight' (8, 6): kind 'direction' at working rank {working}{clip} "
+        f"needs 2 x rank <= min(m, n); the largest rank that fits is 3\n")
     assert read == [] and not out.exists()
